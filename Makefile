@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet verify verify-race bench bench-thru bench-pack bench-scale bench-names bench-serve serve-gate scale-gate memprofile soak soak-proc proc-gate fuzz-smoke
+.PHONY: all build test race vet verify verify-race perf perf-compare bench bench-thru bench-pack bench-scale bench-names bench-serve serve-gate scale-gate memprofile soak soak-proc proc-gate fuzz-smoke
 
 all: verify
 
@@ -26,6 +26,20 @@ verify:
 # verify-race is the race suite alone (verify already includes it).
 verify-race:
 	$(GO) test -race ./...
+
+# perf is one run of the repository's benchmark (BENCHMARK.json,
+# benchmarks/README.md): one workload on one seed in a fresh process, the
+# four end-to-end metrics. For anything else (--trace 1, --seconds) call
+# benchmarks/run.sh itself.
+#   make perf WORKLOAD=ursa_query_tcp SEED=2
+perf:
+	bash benchmarks/run.sh --workload $(WORKLOAD) --seed $(SEED)
+
+# perf-compare referees two sets of runs (written by `ntcsperf -set`)
+# against BENCHMARK.json's bounds; non-zero exit on a regression.
+#   make perf-compare A=parent.json B=change.json
+perf-compare:
+	bash benchmarks/run.sh -compare $(A) $(B)
 
 # bench reruns the warm-path series recorded in BENCH_PR1.json.
 bench:

@@ -186,6 +186,11 @@ type Module struct {
 	db     *nameserver.DB
 	server *nameserver.Server
 
+	// unanswered counts calls Recv has handed to the application that
+	// neither Reply nor ReplyError has answered yet: the served-but-not-
+	// finished work Drain waits for.
+	unanswered atomic.Int64
+
 	detachOnce sync.Once
 	drainOnce  sync.Once
 	detached   chan struct{}
@@ -897,6 +902,9 @@ type Delivery struct {
 	header wire.Header
 	module *Module
 	raw    *lcm.Delivery
+
+	// pending is set on a call handed out by Recv until its first answer.
+	pending atomic.Bool
 }
 
 // Src returns the sender's UAdd.
@@ -962,7 +970,23 @@ func (m *Module) recv(timeout time.Duration) (*Delivery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.wrap(raw)
+	d, err := m.wrap(raw)
+	if err == nil && d.IsCall() {
+		d.pending.Store(true)
+		m.unanswered.Add(1)
+	}
+	return d, err
+}
+
+// answered takes d off the unanswered count, once. It is called when a
+// reply or an error has been handed to the LCM, whatever became of it
+// there: a caller that cannot be reached is not waited for either. A Reply
+// refused before that (ErrBadType, a body that does not encode) leaves the
+// call unanswered, so the ReplyError a handler falls back to still counts.
+func (m *Module) answered(d *Delivery) {
+	if d.pending.CompareAndSwap(true, false) {
+		m.unanswered.Add(-1)
+	}
 }
 
 func (m *Module) wrap(raw *lcm.Delivery) (*Delivery, error) {
@@ -1004,6 +1028,7 @@ func (m *Module) replyChecked(d *Delivery, msgType string, body any) error {
 		flags |= wire.FlagService
 	}
 	err = m.nuc.LCM.Reply(d.raw, mode, flags, payload)
+	m.answered(d)
 	pack.PutEncoder(enc)
 	return err
 }
@@ -1011,7 +1036,9 @@ func (m *Module) replyChecked(d *Delivery, msgType string, body any) error {
 // ReplyError answers a Call with an error the caller receives as
 // lcm.ErrRemote.
 func (m *Module) ReplyError(d *Delivery, msg string) error {
-	return m.nuc.LCM.ReplyError(d.raw, msg)
+	err := m.nuc.LCM.ReplyError(d.raw, msg)
+	m.answered(d)
+	return err
 }
 
 // Detach deregisters the module and shuts the ComMod down.
@@ -1035,11 +1062,15 @@ func (m *Module) Detach() error {
 // deregister-first — the tombstone appears in the naming service (with
 // §3.5 forwarding intact) so new callers stop routing here — then
 // quiesce (already-delivered calls keep being served until the LCM inbox
-// stays empty), then flush the coalesced write queues so every frame a
-// sender was told "sent" reaches the wire, and only then tear the
-// Nucleus down. ctx bounds the quiesce and flush phases; on expiry the
-// teardown proceeds anyway. Drain returns the deregistration error, if
-// any — a failed quiesce is not an error, just a less graceful exit.
+// stays empty and every call Recv handed out has been answered by Reply or
+// ReplyError, so a handler still at work — or one of many running side by
+// side — gets its reply out), then flush the coalesced write queues so
+// every frame a sender was told "sent" reaches the wire, and only then
+// tear the Nucleus down. ctx bounds the quiesce and flush phases; on
+// expiry the teardown proceeds anyway, which is also what ends the wait
+// for an application that takes a call and never answers it. Drain returns
+// the deregistration error, if any — a failed quiesce is not an error,
+// just a less graceful exit.
 //
 // A Name Server module retires its own record from its own shard
 // (Server.Retire), pushing the death notice to its replica peers inline;
@@ -1057,12 +1088,12 @@ func (m *Module) Drain(ctx context.Context) error {
 			}
 		}
 
-		// Quiesce: two consecutive empty inbox observations, so a burst
-		// that momentarily empties the channel doesn't end the grace
-		// period while a sender is mid-stream.
+		// Quiesce: two consecutive observations of an empty inbox with no
+		// call unanswered, so a burst that momentarily empties the channel
+		// doesn't end the grace period while a sender is mid-stream.
 		empty := 0
 		for empty < 2 && ctx.Err() == nil {
-			if m.nuc.LCM.InboxDepth() == 0 {
+			if m.nuc.LCM.InboxDepth() == 0 && m.unanswered.Load() == 0 {
 				empty++
 			} else {
 				empty = 0

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -256,4 +257,147 @@ func TestModuleAccessors(t *testing.T) {
 		t.Error("application module should have no naming DB")
 	}
 	m.SetNameServerReplicas(nil) // no-op for applications
+}
+
+func TestDrainWaitsForCallBeingServed(t *testing.T) {
+	// A call Recv has handed out is in neither the inbox nor on the wire:
+	// Drain has to count it, or it closes the Nucleus under the handler and
+	// the Reply fails.
+	w := world(t)
+	h := w.MustHost("h", machine.VAX, "ring")
+	server, err := w.Attach(h, "slow", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := w.Attach(h, "client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := client.Locate("slow")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	taken := make(chan struct{})
+	served := make(chan error, 1)
+	go func() {
+		d, err := server.Recv(5 * time.Second)
+		if err != nil {
+			served <- err
+			return
+		}
+		close(taken)
+		time.Sleep(50 * time.Millisecond)
+		served <- server.Reply(d, "pong", "done")
+	}()
+	called := make(chan error, 1)
+	var reply string
+	go func() { called <- client.Call(u, "ping", "work", &reply) }()
+
+	<-taken
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := server.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("drain took %v: it waited for more than the one handler", took)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("reply from the handler Drain overtook: %v", err)
+	}
+	if err := <-called; err != nil || reply != "done" {
+		t.Errorf("call served across the drain: reply %q, err %v", reply, err)
+	}
+}
+
+func TestDrainGivesUpOnCallNeverAnswered(t *testing.T) {
+	// The drain context bounds the wait for an application that takes a
+	// call and never answers it.
+	w := world(t)
+	h := w.MustHost("h", machine.VAX, "ring")
+	server, err := w.Attach(h, "mute", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := w.Attach(h, "client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := client.Locate("mute")
+	if err != nil {
+		t.Fatal(err)
+	}
+	callCtx, stopCall := context.WithCancel(context.Background())
+	called := make(chan error, 1)
+	go func() { called <- client.CallContext(callCtx, u, "ping", "work", nil) }()
+	if _, err := server.Recv(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := server.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if took := time.Since(start); took < 100*time.Millisecond || took > 2*time.Second {
+		t.Errorf("drain took %v, want about the 100 ms of its context", took)
+	}
+	stopCall()
+	if err := <-called; !errors.Is(err, context.Canceled) {
+		t.Errorf("abandoned call: %v", err)
+	}
+}
+
+func TestDrainWaitsThroughReplyRefusedBeforeSending(t *testing.T) {
+	// A Reply refused before anything reached the LCM has answered nothing:
+	// the handler's fallback to ReplyError is still work Drain waits for.
+	w := world(t)
+	h := w.MustHost("h", machine.VAX, "ring")
+	server, err := w.Attach(h, "fussy", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := w.Attach(h, "client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := client.Locate("fussy")
+	if err != nil {
+		t.Fatal(err)
+	}
+	called := make(chan error, 1)
+	go func() { called <- client.Call(u, "ping", "work", nil) }()
+	d, err := server.Recv(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := server.Reply(d, "", "done"); !errors.Is(err, core.ErrBadType) {
+		t.Fatalf("reply without a type: %v", err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- server.Drain(ctx) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) between the refused Reply and the fallback", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := server.ReplyError(d, "no type to reply with"); err != nil {
+		t.Errorf("fallback ReplyError under the drain: %v", err)
+	}
+	start := time.Now()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("drain took %v after the fallback answered the call", took)
+	}
+	if err := <-called; !errors.Is(err, lcm.ErrRemote) {
+		t.Errorf("caller of the refused reply: %v", err)
+	}
 }

@@ -66,14 +66,19 @@ func (c *Collector) Run() {
 		switch d.Type {
 		case MsgReport:
 			var rep Report
-			if err := d.Decode(&rep); err != nil {
-				continue
+			if err := d.Decode(&rep); err == nil {
+				c.absorb(rep)
 			}
-			c.absorb(rep)
 		case MsgQuery:
 			if d.IsCall() {
 				_ = c.m.Reply(d, MsgQuery, c.Fleet())
+				continue
 			}
+		}
+		// Every call is answered: one left without a reply keeps its caller
+		// waiting and counts as work in hand when the module drains.
+		if d.IsCall() {
+			_ = c.m.ReplyError(d, "errnet: no reply to "+d.Type)
 		}
 	}
 }

@@ -88,14 +88,19 @@ func (s *Server) Run() {
 		switch d.Type {
 		case MsgBatch:
 			var b Batch
-			if err := d.Decode(&b); err != nil {
-				continue
+			if err := d.Decode(&b); err == nil {
+				s.absorb(b)
 			}
-			s.absorb(b)
 		case MsgStats:
 			if d.IsCall() {
 				_ = s.m.Reply(d, MsgStats, s.Snapshot())
+				continue
 			}
+		}
+		// Every call is answered: one left without a reply keeps its caller
+		// waiting and counts as work in hand when the module drains.
+		if d.IsCall() {
+			_ = s.m.ReplyError(d, "monitor: no reply to "+d.Type)
 		}
 	}
 }

@@ -120,6 +120,12 @@ func (a *Agent) Run() {
 			if d.IsCall() {
 				_ = a.m.Reply(d, MsgList, ListReply{Names: a.Running()})
 			}
+		default:
+			// Every call is answered: one left without a reply keeps its
+			// caller waiting and counts as work in hand when the module drains.
+			if d.IsCall() {
+				_ = a.m.ReplyError(d, "proctl: unknown request "+d.Type)
+			}
 		}
 	}
 }

@@ -59,7 +59,13 @@ func (s *Server) Run() {
 			}
 			continue
 		}
-		if d.Type != MsgTime || !d.IsCall() {
+		if !d.IsCall() {
+			continue
+		}
+		// Every call is answered: one left without a reply keeps its caller
+		// waiting and counts as work in hand when the module drains.
+		if d.Type != MsgTime {
+			_ = s.m.ReplyError(d, "timesvc: unknown request "+d.Type)
 			continue
 		}
 		_ = s.m.Reply(d, MsgTime, Reply{ServerNanos: time.Now().Add(s.skew).UnixNano()})

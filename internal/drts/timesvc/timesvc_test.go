@@ -1,11 +1,15 @@
 package timesvc_test
 
 import (
+	"context"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"ntcs/internal/drts/timesvc"
 	"ntcs/internal/ipcs/memnet"
+	"ntcs/internal/lcm"
 	"ntcs/internal/machine"
 	"ntcs/sim"
 )
@@ -142,5 +146,46 @@ func TestCorrectorFollowsRelocation(t *testing.T) {
 	}
 	if syncErr != nil {
 		t.Fatalf("sync after relocation: %v", syncErr)
+	}
+}
+
+func TestUnknownCallIsRefusedAndDrainStaysPrompt(t *testing.T) {
+	// A call the server does not serve is answered with an error: left
+	// unanswered it would keep its caller waiting for the call timeout, and
+	// count as work in hand for the life of the module, so that every Drain
+	// ran to the end of its context.
+	w := world(t)
+	host := w.MustHost("vax-1", machine.VAX, "ring")
+	tsMod, err := w.Attach(host, "time-server", map[string]string{"role": "time"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go timesvc.NewServer(tsMod, 0).Run()
+	clientMod, err := w.Attach(host, "client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := clientMod.Locate("time-server")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	err = clientMod.Call(u, "weather", "tomorrow", nil)
+	if !errors.Is(err, lcm.ErrRemote) || !strings.Contains(err.Error(), "weather") {
+		t.Errorf("call of a type the server does not serve: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the refusal took %v: the call was waited out", took)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start = time.Now()
+	if err := tsMod.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("drain took %v after one refused call", took)
 	}
 }

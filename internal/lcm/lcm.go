@@ -307,8 +307,14 @@ func (l *Layer) getHooks() Hooks {
 func (l *Layer) ForwardTable() *addr.ForwardTable { return l.fwd }
 
 // InboxDepth reports how many deliveries are queued but not yet received
-// by the module — the quiesce condition of a graceful drain.
+// by the module — half of the quiesce condition of a graceful drain (the
+// ComMod counts the calls already received and not yet answered).
 func (l *Layer) InboxDepth() int { return len(l.inbox) }
+
+// Waiters reports how many calls and pings are registered awaiting their
+// reply. An idle layer holds none: the leak check of a caller that fans
+// calls out and cancels them.
+func (l *Layer) Waiters() int { return l.waiters.Len() }
 
 // DestCache exposes the per-destination fast-path cache. The ALI layer
 // memoizes resolved destination facts here; this layer owns it so the

@@ -1,6 +1,8 @@
 package ursa
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -154,7 +156,23 @@ func (s *DocServer) handle(d *core.Delivery) {
 	}
 }
 
-// SearchServer orchestrates queries across the other backends.
+// maxSearches caps the searches one server has in flight. Each holds a
+// goroutine; beyond the cap the receive loop stops receiving and the LCM
+// inbox takes the queue.
+const maxSearches = 64
+
+// maxSubcalls caps the sub-calls one server has outstanding, over all its
+// searches. A backend queues what it has not served yet in its LCM inbox
+// (256 deliveries by default) and drops what does not fit, so the searches
+// together must never have more than that on their way to it: maxSearches
+// queries of ten hits each would. Half the default inbox is left to the
+// backend's other callers; searches wait here for the rest.
+const maxSubcalls = 128
+
+// SearchServer orchestrates queries across the other backends. Searches
+// are served concurrently, each on its own goroutine, because a search
+// spends its time waiting for the other two servers; those never wait and
+// stay one goroutine each.
 type SearchServer struct {
 	m *core.Module
 
@@ -167,6 +185,8 @@ type SearchServer struct {
 	indexU addr.UAdd
 	docsU  addr.UAdd
 
+	slots    chan struct{} // counting semaphore over in-flight searches
+	subcalls chan struct{} // counting semaphore over outstanding sub-calls
 	requests atomic.Int64
 }
 
@@ -179,33 +199,54 @@ func NewSearchServer(m *core.Module) *SearchServer {
 // NewSearchServerFor is NewSearchServer bound to explicit backend names —
 // one search shard talking to its own index/doc shard.
 func NewSearchServerFor(m *core.Module, indexName, docName string) *SearchServer {
-	s := &SearchServer{m: m, indexName: indexName, docName: docName}
+	s := &SearchServer{
+		m: m, indexName: indexName, docName: docName,
+		slots:    make(chan struct{}, maxSearches),
+		subcalls: make(chan struct{}, maxSubcalls),
+	}
 	go recvLoop(m, s.handle)
 	return s
 }
 
+// Requests reports how many requests the server has admitted: stats
+// requests, and searches that got a slot.
+func (s *SearchServer) Requests() int64 { return s.requests.Load() }
+
 func (s *SearchServer) handle(d *core.Delivery) {
-	s.requests.Add(1)
 	switch d.Type {
 	case MsgSearch:
-		var req SearchRequest
-		if err := d.Decode(&req); err != nil {
-			_ = s.m.ReplyError(d, err.Error())
-			return
-		}
-		reply, err := s.search(req)
-		if err != nil {
-			_ = s.m.ReplyError(d, err.Error())
-			return
-		}
-		_ = s.m.Reply(d, MsgSearch, reply)
+		// The slot is taken here, on the receive loop: at the cap the loop
+		// stops receiving, the inbox fills, and overload is refused by the
+		// LCM's inbox bound as it always was.
+		s.slots <- struct{}{}
+		s.requests.Add(1)
+		go func() {
+			defer func() { <-s.slots }()
+			s.serveSearch(d)
+		}()
 	case MsgStats:
+		s.requests.Add(1)
 		_ = s.m.Reply(d, MsgStats, StatsReply{Requests: s.requests.Load()})
 	default:
+		s.requests.Add(1)
 		if d.IsCall() {
 			_ = s.m.ReplyError(d, "ursa-search: unknown request "+d.Type)
 		}
 	}
+}
+
+func (s *SearchServer) serveSearch(d *core.Delivery) {
+	var req SearchRequest
+	if err := d.Decode(&req); err != nil {
+		_ = s.m.ReplyError(d, err.Error())
+		return
+	}
+	reply, err := s.search(req)
+	if err != nil {
+		_ = s.m.ReplyError(d, err.Error())
+		return
+	}
+	_ = s.m.Reply(d, MsgSearch, reply)
 }
 
 // locate resolves a backend once, caching the UAdd; relocation thereafter
@@ -223,9 +264,30 @@ func (s *SearchServer) locate(name string, slot *addr.UAdd) (addr.UAdd, error) {
 	return *slot, nil
 }
 
+// scatter runs fn(0..n-1), one sub-call each, on one goroutine each and
+// returns when all of them have. A goroutine is started once the server is
+// below maxSubcalls, so a wide round goes out in part and the rest follows
+// as replies come in.
+func (s *SearchServer) scatter(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		s.subcalls <- struct{}{}
+		go func() {
+			defer func() {
+				<-s.subcalls
+				wg.Done()
+			}()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // search decomposes the query, gathers postings from the index server,
 // scores by summed term frequency, and titles the top hits from the
-// document server.
+// document server. The sub-calls of each round are in flight together:
+// a query costs two round trips to the backends, not one per term and hit.
 func (s *SearchServer) search(req SearchRequest) (SearchReply, error) {
 	terms := Tokenize(req.Query)
 	if len(terms) == 0 {
@@ -236,17 +298,36 @@ func (s *SearchServer) search(req SearchRequest) (SearchReply, error) {
 		return SearchReply{}, fmt.Errorf("search: %w", err)
 	}
 
-	scores := make(map[int64]int64)
-	for _, term := range terms {
-		var postings IndexLookupReply
-		if err := s.m.Call(indexU, MsgIndexLookup, IndexLookupRequest{Term: term}, &postings); err != nil {
-			return SearchReply{}, fmt.Errorf("index lookup %q: %w", term, err)
+	// Round 1. Replies land in a slice indexed by term, so scoring reads
+	// them in query order whatever order they arrived in. The first lookup
+	// to fail cancels the rest; a lookup that ends with that cancellation is
+	// not a failure of its term and records nothing, every other error is
+	// kept, and the lowest-index one is returned.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	lookups := make([]IndexLookupReply, len(terms))
+	errs := make([]error, len(terms))
+	s.scatter(len(terms), func(i int) {
+		err := s.m.CallContext(ctx, indexU, MsgIndexLookup, IndexLookupRequest{Term: terms[i]}, &lookups[i])
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				errs[i] = err
+			}
+			cancel()
 		}
-		for _, p := range postings.Postings {
-			scores[p.DocID] += p.Freq * 1000
+	})
+	for i, err := range errs {
+		if err != nil {
+			return SearchReply{}, fmt.Errorf("index lookup %q: %w", terms[i], err)
 		}
 	}
 
+	scores := make(map[int64]int64)
+	for _, l := range lookups {
+		for _, p := range l.Postings {
+			scores[p.DocID] += p.Freq * 1000
+		}
+	}
 	hits := make([]Hit, 0, len(scores))
 	for id, score := range scores {
 		hits = append(hits, Hit{DocID: id, Score: score})
@@ -261,13 +342,12 @@ func (s *SearchServer) search(req SearchRequest) (SearchReply, error) {
 	if err != nil {
 		return SearchReply{}, fmt.Errorf("search: %w", err)
 	}
-	for i := range hits {
+	// Round 2. A missing title degrades the hit, not the query.
+	s.scatter(len(hits), func(i int) {
 		var doc Document
-		if err := s.m.Call(docsU, MsgFetch, FetchRequest{DocID: hits[i].DocID}, &doc); err != nil {
-			// A missing title degrades the hit, not the query.
-			continue
+		if s.m.Call(docsU, MsgFetch, FetchRequest{DocID: hits[i].DocID}, &doc) == nil {
+			hits[i].Title = doc.Title
 		}
-		hits[i].Title = doc.Title
-	}
+	})
 	return SearchReply{Hits: hits}, nil
 }
