@@ -45,8 +45,10 @@ perf-compare:
 bench:
 	$(GO) test . -run XXX -bench 'FirstSendVsWarmSend|WarmSendParallel|ResolutionCache' -benchmem
 
-# bench-thru reruns the PR-4 throughput series (pipelined msgs/sec and
-# the gateway-hop round trip) recorded in BENCH_PR4.json.
+# bench-thru reruns the PR-4 throughput series recorded in
+# BENCH_PR4.json: pipelined msgs/sec through the ND-Layer group-commit
+# writer (the file's direct-write row has no path left to rerun) and the
+# gateway-hop round trip.
 bench-thru:
 	$(GO) test . -run XXX -bench 'ThroughputPipelined|GatewayCutThrough' -benchmem
 

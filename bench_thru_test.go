@@ -1,7 +1,7 @@
 // Throughput benchmarks for the PR-4 batching work (DESIGN.md §9,
 // EXPERIMENTS.md E-THRU): pipelined many-senders→one-receiver message
-// rate with and without the ND-Layer group-commit writer, and the
-// gateway relay hop that the zero-copy cut-through accelerates.
+// rate through the ND-Layer group-commit writer, and the gateway relay
+// hop that the zero-copy cut-through accelerates.
 package ntcs_test
 
 import (
@@ -18,92 +18,87 @@ import (
 // BenchmarkThroughputPipelined measures sustained one-way message rate:
 // GOMAXPROCS senders firing datagrams at a single receiver over loopback
 // TCP, the timer stopping only once every message has been delivered.
-// The "coalesced" variant enables the ND-Layer group-commit writer, so
-// concurrent senders on the shared circuit are drained into single
-// vectored writes instead of one syscall per frame.
+// Concurrent senders on the shared circuit are drained by the ND-Layer
+// group-commit writer into single vectored writes instead of one syscall
+// per frame.
 func BenchmarkThroughputPipelined(b *testing.B) {
 	const payloadLen = 256
-	run := func(b *testing.B, coalesce bool) {
-		w := sim.NewWorld()
-		w.SetCoalesceWrites(coalesce)
-		w.AddTCPNetwork("net")
-		defer w.Close()
-		nsHost := w.MustHost("ns-host", machine.Apollo, "net")
-		if _, err := w.StartNameServer(nsHost, "ns"); err != nil {
-			b.Fatal(err)
-		}
-		rHost := w.MustHost("recv-host", machine.VAX, "net")
-		recv, err := w.AttachConfig(rHost, core.Config{Name: "receiver", InboxSize: 1 << 15})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var received atomic.Int64
-		for i := 0; i < 4; i++ {
-			go func() {
-				for {
-					if _, err := recv.Recv(time.Hour); err != nil {
-						return
-					}
-					received.Add(1)
-				}
-			}()
-		}
-		sHost := w.MustHost("send-host", machine.VAX, "net")
-		sender, err := w.Attach(sHost, "sender", nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		u, err := sender.Locate("receiver")
-		if err != nil {
-			b.Fatal(err)
-		}
-		body := make([]byte, payloadLen)
-		if err := sender.Send(u, "m", body); err != nil {
-			b.Fatal(err)
-		}
-		for received.Load() < 1 {
-			time.Sleep(time.Millisecond)
-		}
-
-		base := received.Load()
-		want := base + int64(b.N)
-		b.SetBytes(payloadLen)
-		b.ReportAllocs()
-		// Keep the sender pool deep even on small GOMAXPROCS: the writer
-		// only coalesces what concurrent senders pile up behind it.
-		b.SetParallelism(8)
-		b.ResetTimer()
-		start := time.Now()
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				if err := sender.SendBytes(u, "m", body); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		// Pipelined: sends return before delivery, so wait for the
-		// receiver to catch up. A stall means messages were dropped
-		// (inbox overflow) and the run is invalid.
-		lastProgress := time.Now()
-		last := received.Load()
-		for {
-			got := received.Load()
-			if got >= want {
-				break
-			}
-			if got != last {
-				last, lastProgress = got, time.Now()
-			} else if time.Since(lastProgress) > 10*time.Second {
-				b.Fatalf("delivery stalled at %d/%d messages", got-base, b.N)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-		elapsed := time.Since(start)
-		b.StopTimer()
-		b.ReportMetric(float64(b.N)/elapsed.Seconds(), "msgs/s")
+	w := sim.NewWorld()
+	w.AddTCPNetwork("net")
+	defer w.Close()
+	nsHost := w.MustHost("ns-host", machine.Apollo, "net")
+	if _, err := w.StartNameServer(nsHost, "ns"); err != nil {
+		b.Fatal(err)
 	}
-	b.Run("direct", func(b *testing.B) { run(b, false) })
-	b.Run("coalesced", func(b *testing.B) { run(b, true) })
+	rHost := w.MustHost("recv-host", machine.VAX, "net")
+	recv, err := w.AttachConfig(rHost, core.Config{Name: "receiver", InboxSize: 1 << 15})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var received atomic.Int64
+	for i := 0; i < 4; i++ {
+		go func() {
+			for {
+				if _, err := recv.Recv(time.Hour); err != nil {
+					return
+				}
+				received.Add(1)
+			}
+		}()
+	}
+	sHost := w.MustHost("send-host", machine.VAX, "net")
+	sender, err := w.Attach(sHost, "sender", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := sender.Locate("receiver")
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := make([]byte, payloadLen)
+	if err := sender.Send(u, "m", body); err != nil {
+		b.Fatal(err)
+	}
+	for received.Load() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+
+	base := received.Load()
+	want := base + int64(b.N)
+	b.SetBytes(payloadLen)
+	b.ReportAllocs()
+	// Keep the sender pool deep even on small GOMAXPROCS: the writer
+	// only coalesces what concurrent senders pile up behind it.
+	b.SetParallelism(8)
+	b.ResetTimer()
+	start := time.Now()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := sender.SendBytes(u, "m", body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// Pipelined: sends return before delivery, so wait for the
+	// receiver to catch up. A stall means messages were dropped
+	// (inbox overflow) and the run is invalid.
+	lastProgress := time.Now()
+	last := received.Load()
+	for {
+		got := received.Load()
+		if got >= want {
+			break
+		}
+		if got != last {
+			last, lastProgress = got, time.Now()
+		} else if time.Since(lastProgress) > 10*time.Second {
+			b.Fatalf("delivery stalled at %d/%d messages", got-base, b.N)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	elapsed := time.Since(start)
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "msgs/s")
 }
 
 // BenchmarkGatewayCutThrough times the one-gateway round trip the

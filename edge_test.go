@@ -1,6 +1,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -279,5 +280,65 @@ func TestModeByteVisibleToReceiver(t *testing.T) {
 	}
 	if d.Type != "m" {
 		t.Errorf("Type = %q", d.Type)
+	}
+}
+
+// TestDetachDeliversAcceptedSends: a one-way send returns once its frame
+// is on the circuit's write queue, so a clean shutdown must flush that
+// queue. Every round a fresh sender issues 100 sends and detaches at
+// once; the receiver must get all 100, in order.
+func TestDetachDeliversAcceptedSends(t *testing.T) {
+	const rounds, perRound = 30, 100
+	for _, sub := range []struct {
+		name string
+		add  func(w *sim.World)
+	}{
+		{"memnet", func(w *sim.World) { w.AddNetwork("ring", memnet.Options{}) }},
+		{"tcpnet", func(w *sim.World) { w.AddTCPNetwork("ring") }},
+	} {
+		t.Run(sub.name, func(t *testing.T) {
+			w := sim.NewWorld()
+			sub.add(w)
+			t.Cleanup(w.Close)
+			if _, err := w.StartNameServer(w.MustHost("ns-host", machine.Apollo, "ring"), "ns"); err != nil {
+				t.Fatal(err)
+			}
+			recv, err := w.Attach(w.MustHost("recv-host", machine.VAX, "ring"), "receiver", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sendHost := w.MustHost("send-host", machine.VAX, "ring")
+			for r := 0; r < rounds; r++ {
+				sender, err := w.Attach(sendHost, fmt.Sprintf("sender-%d", r), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				u, err := sender.Locate("receiver")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < perRound; i++ {
+					if err := sender.SendMsg(context.Background(), u, "seq", []byte(fmt.Sprintf("r%02d-%03d", r, i))); err != nil {
+						t.Fatalf("round %d send %d: %v", r, i, err)
+					}
+				}
+				if err := sender.Detach(); err != nil {
+					t.Fatalf("round %d detach: %v", r, err)
+				}
+				for i := 0; i < perRound; i++ {
+					d, err := recv.Recv(5 * time.Second)
+					if err != nil {
+						t.Fatalf("round %d: got %d of %d accepted sends: %v", r, i, perRound, err)
+					}
+					var body []byte
+					if err := d.Decode(&body); err != nil {
+						t.Fatal(err)
+					}
+					if want := fmt.Sprintf("r%02d-%03d", r, i); string(body) != want {
+						t.Fatalf("round %d: message %d is %q, want %q", r, i, body, want)
+					}
+				}
+			}
+		})
 	}
 }

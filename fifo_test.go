@@ -13,14 +13,13 @@ import (
 )
 
 // TestPerSenderFIFOAcrossGateway pushes the ordering guarantee through
-// every PR-4 fast path at once: coalesced (group-commit) writes on the
-// senders, the zero-copy cut-through relay at the gateway, and sharded
-// inbound dispatch at the receiver. Eight senders each stream numbered
+// the whole one-way path: group-commit writes on the senders, the
+// zero-copy cut-through relay at the gateway, and ND worker → inbox
+// delivery at the receiver. Eight senders each stream numbered
 // messages across the gateway; the receiver must observe every stream in
 // its original order, with the cut-through actually engaged.
 func TestPerSenderFIFOAcrossGateway(t *testing.T) {
 	w := sim.NewWorld()
-	w.SetCoalesceWrites(true)
 	w.AddNetwork("alpha", memnet.Options{})
 	w.AddNetwork("beta", memnet.Options{})
 	nsHost := w.MustHost("ns-host", machine.Apollo, "alpha")
@@ -35,14 +34,10 @@ func TestPerSenderFIFOAcrossGateway(t *testing.T) {
 
 	const senders, perSender = 8, 200
 
-	// DispatchWorkers is explicit: the adaptive default falls back to
-	// inline delivery on a single-CPU box, which would leave the sharded
-	// path untested.
 	rHost := w.MustHost("recv-host", machine.VAX, "beta")
 	recv, err := w.AttachConfig(rHost, core.Config{
-		Name:            "fifo-receiver",
-		InboxSize:       senders * perSender,
-		DispatchWorkers: 4,
+		Name:      "fifo-receiver",
+		InboxSize: senders * perSender,
 	})
 	if err != nil {
 		t.Fatal(err)

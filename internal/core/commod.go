@@ -120,12 +120,6 @@ type Config struct {
 	// "Messages between identical machines are simply byte-copied ...
 	// thus avoiding needless conversions"). Ablation experiments only.
 	ForcePacked bool
-	// CoalesceWrites enables the ND-Layer group-commit writer: concurrent
-	// senders on one LVC are drained into a single vectored write.
-	CoalesceWrites bool
-	// DispatchWorkers tunes LCM inbound parallelism: 0 selects the
-	// default worker pool, negative forces inline dispatch.
-	DispatchWorkers int
 	// CreditWindow is the per-circuit receive window this module
 	// advertises: how many unconsumed data frames a peer may have in
 	// flight toward it. 0 selects the default (1024); negative disables
@@ -265,8 +259,6 @@ func Attach(cfg Config) (*Module, error) {
 		OpenTimeout:         cfg.OpenTimeout,
 		DisableNSFaultPatch: cfg.DisableNSFaultPatch,
 		InboxSize:           cfg.InboxSize,
-		CoalesceWrites:      cfg.CoalesceWrites,
-		DispatchWorkers:     cfg.DispatchWorkers,
 		CreditWindow:        cfg.CreditWindow,
 		CreditWaitMax:       cfg.CreditWaitMax,
 	})
@@ -1041,7 +1033,14 @@ func (m *Module) ReplyError(d *Delivery, msg string) error {
 	return err
 }
 
-// Detach deregisters the module and shuts the ComMod down.
+// detachFlushMax bounds how long Detach waits for the write queues.
+const detachFlushMax = time.Second
+
+// Detach deregisters the module and shuts the ComMod down. A one-way send
+// returns once its frame is on the circuit's write queue, so Detach
+// flushes the queues (for at most detachFlushMax) before closing: every
+// send that returned nil before Detach reaches the wire. It does not wait
+// for inbound work the way Drain does; Kill is the abrupt form.
 func (m *Module) Detach() error {
 	var err error
 	m.detachOnce.Do(func() {
@@ -1049,6 +1048,9 @@ func (m *Module) Detach() error {
 		if m.naming != nil && !m.cfg.NoRegister && !m.UAdd().IsTemp() {
 			err = m.naming.Deregister(m.UAdd())
 		}
+		ctx, cancel := context.WithTimeout(context.Background(), detachFlushMax)
+		_ = m.nuc.Flush(ctx) // on expiry the teardown proceeds anyway
+		cancel()
 		m.nuc.Close()
 		if m.server != nil {
 			m.server.Wait()
@@ -1064,8 +1066,8 @@ func (m *Module) Detach() error {
 // quiesce (already-delivered calls keep being served until the LCM inbox
 // stays empty and every call Recv handed out has been answered by Reply or
 // ReplyError, so a handler still at work — or one of many running side by
-// side — gets its reply out), then flush the coalesced write queues so
-// every frame a sender was told "sent" reaches the wire, and only then
+// side — gets its reply out), then flush the write queues so every
+// frame a sender was told "sent" reaches the wire, and only then
 // tear the Nucleus down. ctx bounds the quiesce and flush phases; on
 // expiry the teardown proceeds anyway, which is also what ends the wait
 // for an application that takes a call and never answers it. Drain returns

@@ -132,7 +132,6 @@ func BuildServeWorld(cfg ServeConfig) (*ServeWorld, error) {
 	sw.w = w
 	w.AddTCPNetwork("backbone")
 	w.AddTCPNetwork("access")
-	w.SetCoalesceWrites(true)
 
 	nsHost := w.MustHost("ns-host", machine.Apollo, "backbone")
 	if _, err := w.StartNameServer(nsHost, "ns"); err != nil {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -107,34 +106,13 @@ const (
 	maxEventBuf     = 4096
 )
 
-// maxPollerShards caps the default shard count; NTCS_POLLER_SHARDS may
-// push past it up to hardMaxShards for experiments.
-const (
-	maxPollerShards = 8
-	hardMaxShards   = 64
-)
+// maxPollerShards caps the default shard count.
+const maxPollerShards = 8
 
 // configuredShards is the shard count a fresh poller set would use:
-// NTCS_POLLER_SHARDS when set (clamped to [1, hardMaxShards]), else
-// min(GOMAXPROCS, maxPollerShards). Read per call, not cached, so tests
-// can flip it with t.Setenv before their first connection.
+// min(GOMAXPROCS, maxPollerShards).
 func configuredShards() int {
-	if s := os.Getenv("NTCS_POLLER_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			if n > hardMaxShards {
-				n = hardMaxShards
-			}
-			return n
-		}
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n > maxPollerShards {
-		n = maxPollerShards
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return min(runtime.GOMAXPROCS(0), maxPollerShards)
 }
 
 // ConfiguredShards reports the poller shard count this process would use

@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,14 +122,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// InboxSize bounds undelivered inbound messages; default 256.
 	InboxSize int
-	// DispatchWorkers is the number of parallel inbound dispatch workers.
-	// Frames are sharded by source circuit (arriving LVC + circuit id), so
-	// one sender's messages stay in FIFO order while independent senders
-	// are processed in parallel. 0 selects the default: one worker per CPU
-	// capped at 4, or inline dispatch on a single-CPU host where the shard
-	// hop cannot buy any parallelism. A negative value forces inline
-	// processing on the ND reader goroutine, the pre-sharding behavior.
-	DispatchWorkers int
 	// ReconnectPolicy tunes the §3.5 "reestablish what appears to be a
 	// broken communication link" retries: after the naming service reports
 	// the peer still alive, redials back off under this policy instead of
@@ -194,11 +185,6 @@ type Layer struct {
 	inbox chan *Delivery
 	done  chan struct{}
 
-	// dispatch holds one bounded queue per inbound worker; nil when
-	// dispatch is inline. A frame's shard is a pure function of its
-	// source circuit, which is what preserves per-sender FIFO.
-	dispatch []chan ndlayer.Inbound
-
 	// spanSeq feeds NewSpan; spans are per-message IDs carried in the
 	// header's reserved word, so one ID follows the message everywhere.
 	spanSeq atomic.Uint32
@@ -259,25 +245,6 @@ func New(cfg Config) (*Layer, error) {
 		inboxDepth:   cfg.Stats.Gauge(stats.LCMInboxDepth),
 		hSend:        cfg.Stats.Histogram(stats.LCMSendLatency),
 		hCall:        cfg.Stats.Histogram(stats.LCMCallLatency),
-	}
-	n := cfg.DispatchWorkers
-	if n == 0 {
-		// Default: one worker per CPU up to 4. On a single-CPU host the
-		// workers cannot overlap and the shard hop is pure overhead, so
-		// dispatch inline instead.
-		if n = runtime.GOMAXPROCS(0); n > 4 {
-			n = 4
-		}
-		if n <= 1 {
-			n = -1
-		}
-	}
-	if n > 0 {
-		l.dispatch = make([]chan ndlayer.Inbound, n)
-		for i := range l.dispatch {
-			l.dispatch[i] = make(chan ndlayer.Inbound, 128)
-			go l.dispatchLoop(l.dispatch[i])
-		}
 	}
 	return l, nil
 }
@@ -756,59 +723,11 @@ func (l *Layer) Recv(timeout time.Duration) (*Delivery, error) {
 	}
 }
 
-// HandleInbound accepts frames from the IP-Layer and routes each to its
-// dispatch shard (or processes it inline when workers are disabled). A
-// full shard queue blocks here, on the ND reader goroutine — exactly the
-// backpressure a blocking Deliver exerted before sharding, just N-wide.
+// HandleInbound accepts one frame from the IP-Layer and demultiplexes it
+// on the delivering ND worker: a reply or pong wakes its waiter, a
+// message goes to the inbox, neither ever blocks. The ND-Layer runs one
+// worker at a time per circuit, which is what keeps per-sender FIFO.
 func (l *Layer) HandleInbound(in ndlayer.Inbound) {
-	if l.dispatch == nil {
-		l.process(in)
-		return
-	}
-	// Reply fast path: a reply's only consumer is the caller goroutine
-	// parked on its seq — it never enters the inbox, so it has no FIFO
-	// relationship with inbox deliveries to preserve. Routing it through
-	// a shard queue made every call tail pay that queue's depth (up to
-	// 128 data frames) just to flip a channel; deliver it inline on the
-	// ND worker instead. Pongs are the same shape.
-	if (in.Header.Type == wire.TData && in.Header.Flags&wire.FlagReply != 0) ||
-		in.Header.Type == wire.TPong {
-		l.process(in)
-		return
-	}
-	select {
-	case l.dispatch[l.shardOf(in)] <- in:
-	case <-l.done:
-	}
-}
-
-// shardOf maps a frame to a worker: a hash of the arriving LVC's id and
-// the circuit word. Everything one sender pushes through one circuit
-// lands on one worker; senders sharing a gateway-side LVC but holding
-// different circuits spread out.
-func (l *Layer) shardOf(in ndlayer.Inbound) int {
-	var id uint64
-	if in.Via != nil {
-		id = in.Via.ID()
-	}
-	h := id*0x9E3779B97F4A7C15 ^ uint64(in.Header.Circuit)*2654435761
-	return int(h % uint64(len(l.dispatch)))
-}
-
-// dispatchLoop is one inbound worker.
-func (l *Layer) dispatchLoop(ch chan ndlayer.Inbound) {
-	for {
-		select {
-		case in := <-ch:
-			l.process(in)
-		case <-l.done:
-			return
-		}
-	}
-}
-
-// process demultiplexes one frame.
-func (l *Layer) process(in ndlayer.Inbound) {
 	d := &Delivery{Header: in.Header, Payload: in.Payload, layer: l, via: in.Via}
 	switch in.Header.Type {
 	case wire.TData:

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,8 +18,12 @@ import (
 // recordingConn captures every frame in wire order and counts batch
 // writes. An optional delay per write call lets a queue build behind the
 // flusher; failAfter > 0 makes the write path start erroring after that
-// many calls.
+// many calls. overlaps counts write calls that began while another was
+// still in progress.
 type recordingConn struct {
+	writing  atomic.Int32
+	overlaps atomic.Int32
+
 	mu        sync.Mutex
 	frames    [][]byte // wire order, deep-copied
 	batchLens []int    // len of every SendBatch call
@@ -29,6 +34,10 @@ type recordingConn struct {
 }
 
 func (c *recordingConn) write(msgs [][]byte) error {
+	if c.writing.Add(1) != 1 {
+		c.overlaps.Add(1)
+	}
+	defer c.writing.Add(-1)
 	if c.delay > 0 {
 		time.Sleep(c.delay)
 	}
@@ -75,13 +84,12 @@ func (c *recordingConn) snapshot() (frames [][]byte, batchLens []int, singles in
 	return append([][]byte(nil), c.frames...), append([]int(nil), c.batchLens...), c.singles
 }
 
-// coalescingLVC builds an LVC wired to conn with the group-commit writer
-// enabled, backed by a real (idle) binding for its instruments.
+// coalescingLVC builds an LVC wired to conn, backed by a real (idle)
+// binding for its instruments.
 func coalescingLVC(t *testing.T, conn *recordingConn) *LVC {
 	t.Helper()
 	net := memnet.New("coalesce-net", memnet.Options{})
 	f := newFixture(t, net, "coalesce-mod", 2000, machine.VAX)
-	f.binding.cfg.CoalesceWrites = true
 	v := newLVC(f.binding, conn, 9999, machine.VAX, "peer", addr.Nil, 0)
 	return v
 }
@@ -112,11 +120,26 @@ func TestGroupCommitBatches(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Sends are pipelined: wait for the flusher to put everything on the
-	// wire.
+	batchLens, singles := awaitWire(t, conn, senders, perSender)
+	batched := 0
+	for _, n := range batchLens {
+		batched += n
+	}
+	if batched == 0 {
+		t.Fatalf("no vectored batches went out (singles=%d)", singles)
+	}
+	t.Logf("batches=%d batched-frames=%d singles=%d", len(batchLens), batched, singles)
+}
+
+// awaitWire waits for the flusher to put senders*perSender frames on the
+// wire (sends are pipelined) and checks them: nothing lost or duplicated,
+// and each sender's "g%02d-%03d" payloads in its send order.
+func awaitWire(t *testing.T, conn *recordingConn, senders, perSender int) (batchLens []int, singles int) {
+	t.Helper()
+	var frames [][]byte
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		frames, _, _ := conn.snapshot()
+		frames, batchLens, singles = conn.snapshot()
 		if len(frames) >= senders*perSender {
 			break
 		}
@@ -125,12 +148,9 @@ func TestGroupCommitBatches(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	frames, batchLens, singles := conn.snapshot()
 	if len(frames) != senders*perSender {
 		t.Fatalf("wire carries %d frames, want %d", len(frames), senders*perSender)
 	}
-	// Per-sender FIFO: for each sender, its payloads appear in send order.
 	next := make([]int, senders)
 	for _, frame := range frames {
 		_, payload, err := wire.Unmarshal(frame)
@@ -146,14 +166,60 @@ func TestGroupCommitBatches(t *testing.T) {
 		}
 		next[g]++
 	}
-	batched := 0
-	for _, n := range batchLens {
-		batched += n
+	return batchLens, singles
+}
+
+// TestInlineWriteKeepsFIFOWithQueuedFrames mixes the two ways a frame
+// reaches the conn on one LVC: call and reply frames are written on the
+// sender's goroutine when the queue is idle, plain data frames always
+// queue for the flusher. The queue's scheduled flag is the only thing
+// keeping the two apart, so writes must never overlap and every sender's
+// frames must reach the wire in issue order.
+func TestInlineWriteKeepsFIFOWithQueuedFrames(t *testing.T) {
+	conn := &recordingConn{delay: 20 * time.Microsecond}
+	v := coalescingLVC(t, conn)
+
+	// An idle queue writes a call frame before Send returns.
+	h := dataHeader(2000, 9999, machine.VAX)
+	h.Flags |= wire.FlagCall
+	if err := v.Send(h, []byte("g00-000")); err != nil {
+		t.Fatal(err)
 	}
-	if batched == 0 {
-		t.Fatalf("no vectored batches went out (singles=%d)", singles)
+	if frames, _, _ := conn.snapshot(); len(frames) != 1 {
+		t.Fatalf("call frame on an idle circuit was not written inline: %d frames on the wire", len(frames))
 	}
-	t.Logf("batches=%d batched-frames=%d singles=%d", len(batchLens), batched, singles)
+
+	const senders, perSender = 8, 150
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			first := 0
+			if g == 0 {
+				first = 1 // g00-000 went out above
+			}
+			for i := first; i < perSender; i++ {
+				h := dataHeader(2000, 9999, machine.VAX)
+				switch (g + i) % 3 {
+				case 0:
+					h.Flags |= wire.FlagCall
+				case 1:
+					h.Flags |= wire.FlagReply
+				}
+				if err := v.Send(h, []byte(fmt.Sprintf("g%02d-%03d", g, i))); err != nil {
+					t.Errorf("sender %d: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	awaitWire(t, conn, senders, perSender)
+	if n := conn.overlaps.Load(); n != 0 {
+		t.Fatalf("%d writes overlapped another: the inline write and the flusher ran together", n)
+	}
 }
 
 // TestCoalescedSendFaultClosesCircuit makes the substrate fail mid-run:
@@ -220,7 +286,6 @@ func TestCoalescedCloseReleasesWaiters(t *testing.T) {
 	conn := &stallConn{release: release}
 	net := memnet.New("stall-net", memnet.Options{})
 	f := newFixture(t, net, "stall-mod", 2000, machine.VAX)
-	f.binding.cfg.CoalesceWrites = true
 	v := newLVC(f.binding, conn, 9999, machine.VAX, "peer", addr.Nil, 0)
 
 	var wg sync.WaitGroup

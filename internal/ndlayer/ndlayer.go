@@ -155,12 +155,6 @@ type Config struct {
 	// RetryPolicy, if non-zero, overrides the dial retry discipline
 	// derived from OpenRetries/OpenRetryDelay.
 	RetryPolicy retry.Policy
-	// CoalesceWrites enables the per-LVC group-commit writer: concurrent
-	// senders on one circuit are drained into a single vectored
-	// SendBatch while a write is already in progress. An idle circuit
-	// still writes immediately — the queue only forms under
-	// backpressure, so single-message latency does not regress.
-	CoalesceWrites bool
 	// CreditWindow is the receive window this binding advertises during
 	// the open handshake: how many unconsumed data frames a peer may have
 	// in flight toward us. 0 selects DefaultCreditWindow; negative
@@ -921,10 +915,10 @@ func (b *Binding) TAddAliasCount() int {
 	return n
 }
 
-// Flush waits until every circuit's coalesced send queue has drained to
-// the substrate (or ctx expires). Close drops queued frames; a graceful
-// drain calls Flush first so acknowledged work already handed to the
-// group-commit writer reaches the wire before the binding comes down.
+// Flush waits until every circuit's send queue has drained to the
+// substrate (or ctx expires). Close drops queued frames; a graceful
+// shutdown (Detach, Drain) calls Flush first so every send that already
+// returned success reaches the wire before the binding comes down.
 func (b *Binding) Flush(ctx context.Context) error {
 	for {
 		pending := false
@@ -1035,10 +1029,10 @@ type LVC struct {
 	cold atomic.Pointer[lvcCold]
 }
 
-// lvcCold is the lazily allocated cold half of an LVC: state only
-// circuits with blocked senders, inbound data, parked relays or a
-// group-commit queue ever need. An idle mesh endpoint never allocates
-// one.
+// lvcCold is the lazily allocated cold half of an LVC: state only a
+// circuit that has carried a frame ever needs — the credit gate, receive
+// accounting, parked relays and the write queue. An idle mesh endpoint
+// never allocates one.
 //
 // Lazy installation is race-safe without extra ordering because every
 // access goes through atomics with sequentially consistent semantics: a
@@ -1068,8 +1062,8 @@ type lvcCold struct {
 	relayQ        []relayPending
 	relayDraining bool
 
-	// sq is the group-commit writer, installed by sendQ on the first
-	// coalesced send (Config.CoalesceWrites circuits only).
+	// sq is the group-commit writer, installed by sendQ on the circuit's
+	// first send.
 	sq atomic.Pointer[sendQueue]
 }
 
@@ -1099,7 +1093,7 @@ func (v *LVC) sendQ() *sendQueue {
 }
 
 // queuePending reports whether the group-commit queue holds frames or a
-// flusher pass is in flight — false for circuits that never coalesced.
+// flusher pass is in flight — false for circuits that never sent.
 func (v *LVC) queuePending() bool {
 	c := v.cold.Load()
 	if c == nil {
@@ -1153,9 +1147,8 @@ func cumGE(a, b uint32) bool { return int32(a-b) >= 0 }
 var lvcSeq atomic.Uint32
 
 // forceEagerCold is a test hook: when set, newLVC materializes the cold
-// block (and the group-commit queue on coalescing bindings) up front, so
-// the scale tests can measure the lazy layout against the eager one in
-// the same process.
+// block up front, so the scale tests can measure the lazy layout against
+// the eager one in the same process.
 var forceEagerCold bool
 
 func newLVC(b *Binding, conn ipcs.Conn, peer addr.UAdd, m machine.Type, name string, remoteTAdd addr.UAdd, peerWindow uint32) *LVC {
@@ -1172,10 +1165,7 @@ func newLVC(b *Binding, conn ipcs.Conn, peer addr.UAdd, m machine.Type, name str
 	v.remoteTAdd.Store(uint64(remoteTAdd))
 	v.eff.Store(peerWindow)
 	if forceEagerCold {
-		c := v.coldState()
-		if b.cfg.CoalesceWrites {
-			c.sq.Store(newSendQueue(v))
-		}
+		v.coldState()
 	}
 	return v
 }
@@ -1235,10 +1225,8 @@ func (v *LVC) Send(h wire.Header, payload []byte) error {
 			return err
 		}
 	}
-	// The frame lives in a pooled buffer; on the direct path every
-	// ipcs.Conn.Send either copies it or writes it out synchronously, so
-	// it is released right after the write. On the coalescing path the
-	// queue takes ownership and the drainer releases it.
+	// The frame lives in a pooled buffer; the write queue takes ownership
+	// and releases it once the frame has been written.
 	frame, err := wire.MarshalBuf(h, payload)
 	if err != nil {
 		return err
@@ -1247,21 +1235,15 @@ func (v *LVC) Send(h wire.Header, payload []byte) error {
 		frame.Release()
 		return &FaultError{Peer: v.Peer(), Err: ipcs.ErrClosed}
 	}
-	if v.b.cfg.CoalesceWrites {
-		inline := h.Flags&(wire.FlagCall|wire.FlagReply) != 0
-		return v.sendCoalesced(frame.Bytes(), frame, h.Span, inline)
-	}
-	n := len(frame.Bytes())
-	err = v.conn.Send(frame.Bytes())
-	frame.Release()
-	return v.finishSend(n, h.Span, err)
+	inline := h.Flags&(wire.FlagCall|wire.FlagReply) != 0
+	return v.sendCoalesced(frame.Bytes(), frame, h.Span, inline)
 }
 
 // SendRaw transmits an already-marshalled frame — the gateway cut-through
-// path. SendRaw takes ownership of frame: with coalescing enabled the
-// write may complete after SendRaw returns, so the caller must not touch
-// the buffer again. (Inbound frames satisfy this: each arrives in its own
-// freshly read buffer.)
+// path. SendRaw takes ownership of frame: the write may complete after
+// SendRaw returns, so the caller must not touch the buffer again.
+// (Inbound frames satisfy this: each arrives in its own freshly read
+// buffer.)
 //
 // Data frames are credit-gated without ever blocking the caller — a
 // relay runs on a shared dispatch worker, and parking one on a slow
@@ -1299,12 +1281,8 @@ func (v *LVC) SendRaw(frame []byte, span uint32) error {
 		}
 		c.relayMu.Unlock()
 	}
-	if v.b.cfg.CoalesceWrites {
-		inline := wire.RawFlags(frame)&(wire.FlagCall|wire.FlagReply) != 0
-		return v.sendCoalesced(frame, nil, span, inline)
-	}
-	err := v.conn.Send(frame)
-	return v.finishSend(len(frame), span, err)
+	inline := wire.RawFlags(frame)&(wire.FlagCall|wire.FlagReply) != 0
+	return v.sendCoalesced(frame, nil, span, inline)
 }
 
 // tryCredit claims one unit of send credit if the window is open: the
@@ -1324,10 +1302,9 @@ func (v *LVC) tryCredit() bool {
 // scheduleRelayDrain starts a drain pass if frames are parked and none is
 // running. Called on every event that can reopen the window: a grant and
 // a NACK resync. The drain runs on a transient goroutine of its own, not
-// the flusher pool: on a coalescing circuit it feeds the group-commit
-// queue and may wait for queue space, and a flusher worker parked there
-// would deadlock against the flush pass it is waiting on when the pool
-// is one worker wide.
+// the flusher pool: it feeds the group-commit queue and may wait for
+// queue space, and a flusher worker parked there would deadlock against
+// the flush pass it is waiting on when the pool is one worker wide.
 func (v *LVC) scheduleRelayDrain() {
 	c := v.cold.Load()
 	if c == nil {
@@ -1369,20 +1346,10 @@ func (v *LVC) drainRelay() {
 		c.relayQ = c.relayQ[1:]
 		c.relayMu.Unlock()
 
-		var err error
-		if v.b.cfg.CoalesceWrites {
-			// Never inline: a drain pass wants the whole parked run in
-			// one vectored batch.
-			err = v.sendCoalesced(p.frame, nil, p.span, false)
-		} else {
-			err = v.conn.Send(p.frame)
-			err = v.finishSend(len(p.frame), p.span, err)
-		}
-		if err != nil {
-			// finishSend faulted and closed the circuit; the next
-			// iteration's closed check discards what remains.
-			continue
-		}
+		// Never inline: a drain pass wants the whole parked run in one
+		// vectored batch. An error means the circuit closed; the next
+		// iteration's closed check discards what remains.
+		_ = v.sendCoalesced(p.frame, nil, p.span, false)
 	}
 }
 
@@ -1476,22 +1443,26 @@ func (v *LVC) backpressureErr() error {
 	}
 }
 
-// sendControl transmits a payload-free flow-control frame directly on
-// the conn (credits and NACKs are never themselves credit-gated or
-// coalesced; the substrate serializes concurrent writers).
-func (v *LVC) sendControl(t wire.Type, flags uint16, seq uint32) {
-	if v.closed.Load() {
-		return
-	}
-	h := wire.Header{
+// controlFrame marshals a payload-free flow-control frame.
+func (v *LVC) controlFrame(t wire.Type, flags uint16, seq uint32) (*wire.Buf, error) {
+	return wire.MarshalBuf(wire.Header{
 		Type:       t,
 		Flags:      flags,
 		Src:        v.b.cfg.Identity.UAdd(),
 		Dst:        v.Peer(),
 		SrcMachine: v.b.cfg.Identity.Machine(),
 		Seq:        seq,
+	}, nil)
+}
+
+// sendControl transmits a payload-free flow-control frame directly on
+// the conn (grants and NACKs are never themselves credit-gated or
+// queued; the substrate serializes concurrent writers).
+func (v *LVC) sendControl(t wire.Type, flags uint16, seq uint32) {
+	if v.closed.Load() {
+		return
 	}
-	frame, err := wire.MarshalBuf(h, nil)
+	frame, err := v.controlFrame(t, flags, seq)
 	if err != nil {
 		return
 	}
@@ -1507,29 +1478,14 @@ func (v *LVC) sendControl(t wire.Type, flags uint16, seq uint32) {
 // sendProbe asks the peer to resynchronize and re-grant: Seq carries our
 // cumulative sent count. The receiver trusts per-conn FIFO when it
 // resyncs ("everything sent before this probe has arrived or is lost"),
-// so on a coalescing circuit the probe must travel through the
-// group-commit queue behind the data frames it accounts for — written
-// directly it would overtake them and the resync would double-count.
+// so the probe queues behind the data frames it accounts for, never
+// inline — written directly it would overtake them and the resync would
+// double-count.
 func (v *LVC) sendProbe() {
-	seq := v.tx.Load()
-	if !v.b.cfg.CoalesceWrites {
-		v.sendControl(wire.TCredit, wire.FlagCall, seq)
-		return
-	}
-	h := wire.Header{
-		Type:       wire.TCredit,
-		Flags:      wire.FlagCall,
-		Src:        v.b.cfg.Identity.UAdd(),
-		Dst:        v.Peer(),
-		SrcMachine: v.b.cfg.Identity.Machine(),
-		Seq:        seq,
-	}
-	frame, err := wire.MarshalBuf(h, nil)
+	frame, err := v.controlFrame(wire.TCredit, wire.FlagCall, v.tx.Load())
 	if err != nil {
 		return
 	}
-	// Not inline: the probe must queue behind the data frames it accounts
-	// for (see the function comment).
 	_ = v.sendCoalesced(frame.Bytes(), frame, 0, false)
 }
 
@@ -1693,25 +1649,6 @@ func (v *LVC) grantFlush() {
 	v.maybeGrant(true)
 }
 
-// finishSend is the common tail of every direct write: fault handling,
-// metering, tracing.
-func (v *LVC) finishSend(n int, span uint32, err error) error {
-	if err != nil {
-		peer := v.Peer()
-		_ = v.Close()
-		if v.b.circuits.CompareAndDelete(uint64(peer), v) {
-			v.b.circuitsUp.Add(-1)
-		}
-		return &FaultError{Peer: peer, Err: err}
-	}
-	v.b.framesOut.Inc()
-	v.b.bytesOut.Add(uint64(n))
-	if v.b.cfg.Tracer.On() {
-		v.b.cfg.Tracer.Span(span, trace.LayerND, "frame-out", v.b.network)
-	}
-	return nil
-}
-
 func (v *LVC) markClosed() {
 	v.closed.Store(true)
 	v.wake() // credit waiters observe the close
@@ -1751,23 +1688,24 @@ func (v *LVC) Close() error {
 	return v.conn.Close()
 }
 
-// sendQueue is the per-LVC group-commit writer. Senders only append
-// their frame to the queue and schedule the circuit on the binding's
-// shared flusher pool; a pool worker swaps the queue out under the lock
-// and writes everything it found in one vectored SendBatch. An idle
-// circuit costs no flusher goroutine at all — workers exist only while
-// circuits have queued writes, and a circuit with more work after a pass
-// re-enters the pool's queue at the tail, round-robining the workers
-// across busy circuits. Under load the flush pipeline runs one batch
+// sendQueue is the per-LVC group-commit writer, the only way a data
+// frame reaches the conn. Senders only append their frame to the queue
+// and schedule the circuit on the binding's shared flusher pool; a pool
+// worker swaps the queue out under the lock and writes everything it
+// found in one vectored SendBatch. An idle circuit costs no flusher
+// goroutine at all — workers exist only while circuits have queued
+// writes, and a circuit with more work after a pass re-enters the pool's
+// queue at the tail, round-robining the workers across busy circuits. Under load the flush pipeline runs one batch
 // deep behind the producers: every frame enqueued while a worker is
 // inside a write goes out in the next batch, which is where the syscall
 // coalescing comes from.
 //
-// A coalesced send reports success at enqueue time; a transmission
-// failure surfaces on the flusher pass, which closes the circuit, so
-// every later send observes the FaultError. That is the same delivery
-// contract a direct Send already has — a frame accepted by the kernel's
-// socket buffer may still never arrive.
+// A queued send reports success at enqueue time; a transmission failure
+// surfaces on the flusher pass, which closes the circuit, so every later
+// send observes the FaultError. That is the delivery contract any socket
+// write has — a frame accepted by the kernel's buffer may still never
+// arrive. Frames still queued when the binding closes are dropped;
+// Binding.Flush is how a graceful shutdown gets them out first.
 type sendQueue struct {
 	v *LVC
 
@@ -1780,8 +1718,8 @@ type sendQueue struct {
 }
 
 // sendQueueCap bounds how many frames may wait ahead of the flusher;
-// beyond it, senders block for room, which is the same backpressure a
-// saturated direct Send would exert.
+// beyond it, senders block for room, the backpressure a saturated
+// socket write would exert.
 const sendQueueCap = 256
 
 func newSendQueue(v *LVC) *sendQueue {
@@ -1804,8 +1742,8 @@ type sendEntry struct {
 // inline marks latency-sensitive frames (calls and replies): when the
 // queue is idle — empty and no flusher pass in flight — the frame is
 // written synchronously on the caller's goroutine instead of paying the
-// enqueue→pool→worker hop, which put a scheduling round trip under every
-// RPC on a coalescing circuit. The scheduled flag doubles as the writer
+// enqueue→pool→worker hop, which would put a scheduling round trip under
+// every RPC. The scheduled flag doubles as the writer
 // exclusion: senders arriving during the inline write enqueue behind it
 // and are flushed right after, so per-circuit FIFO holds, and a
 // pipelined producer (queue non-empty) still batches exactly as before.
@@ -1815,11 +1753,8 @@ func (v *LVC) sendCoalesced(frame []byte, buf *wire.Buf, span uint32, inline boo
 	if inline && !q.scheduled && len(q.entries) == 0 {
 		q.scheduled = true
 		q.mu.Unlock()
-		err := v.conn.Send(frame)
-		if buf != nil {
-			buf.Release()
-		}
-		err = v.finishSend(len(frame), span, err)
+		one := [1]sendEntry{{frame: frame, buf: buf, span: span}}
+		err := q.write(one[:])
 		q.mu.Lock()
 		if len(q.entries) > 0 {
 			// Senders queued behind the inline write (markClosed skips
@@ -1875,7 +1810,8 @@ func (q *sendQueue) Run() {
 			batch[i].frame, batch[i].buf = nil, nil
 		}
 	} else {
-		q.write(batch)
+		// A failed write closed the circuit; the next send reports it.
+		_ = q.write(batch)
 	}
 
 	q.mu.Lock()
@@ -1889,8 +1825,11 @@ func (q *sendQueue) Run() {
 	q.mu.Unlock()
 }
 
-// write transmits one swapped-out batch and releases its buffers.
-func (q *sendQueue) write(batch []sendEntry) {
+// write transmits one batch and releases its buffers: the tail of every
+// LVC write — metering, tracing, and on failure closing the circuit and
+// returning the FaultError. The caller holds the scheduled flag, so
+// writes (and the reused iovec list) never overlap.
+func (q *sendQueue) write(batch []sendEntry) error {
 	v := q.v
 	msgs := q.scratch[:0]
 	total := 0
@@ -1911,6 +1850,7 @@ func (q *sendQueue) write(batch []sendEntry) {
 		if v.b.circuits.CompareAndDelete(uint64(peer), v) {
 			v.b.circuitsUp.Add(-1)
 		}
+		err = &FaultError{Peer: peer, Err: err}
 	} else {
 		if len(msgs) > 1 {
 			v.b.batches.Inc()
@@ -1933,4 +1873,5 @@ func (q *sendQueue) write(batch []sendEntry) {
 		}
 		e.frame, e.buf = nil, nil
 	}
+	return err
 }

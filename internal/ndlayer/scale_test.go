@@ -156,10 +156,9 @@ func TestHotSenderDoesNotStarveIdleCircuits(t *testing.T) {
 	})
 	cache.Put(recvU, recv.Endpoint())
 
-	hot := scaleBinding(t, net, cache, "fair-hot", hotU, nil)
-	// The hot sender goes through the group-commit writer so the shared
+	// The hot sender goes through the group-commit writer, so the shared
 	// flusher pool is on the fairness path too, not just the dispatcher.
-	hot.cfg.CoalesceWrites = true
+	hot := scaleBinding(t, net, cache, "fair-hot", hotU, nil)
 
 	idle := make([]*LVC, nIdle)
 	idleU := make([]addr.UAdd, nIdle)

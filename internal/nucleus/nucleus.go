@@ -67,9 +67,6 @@ type Config struct {
 	MaxFaultDepth       int32
 	// InboxSize bounds the LCM inbox.
 	InboxSize int
-	// CoalesceWrites enables the ND-Layer group-commit writer on every
-	// binding (see ndlayer.Config.CoalesceWrites).
-	CoalesceWrites bool
 	// CreditWindow is the per-circuit receive window every binding
 	// advertises (see ndlayer.Config.CreditWindow): 0 selects the default,
 	// negative disables credit flow control.
@@ -78,9 +75,6 @@ type Config struct {
 	// credit before failing with backpressure (see
 	// ndlayer.Config.CreditWaitMax).
 	CreditWaitMax time.Duration
-	// DispatchWorkers tunes LCM inbound parallelism (see
-	// lcm.Config.DispatchWorkers): 0 default, negative inline.
-	DispatchWorkers int
 }
 
 // Nucleus is one module's assembled communication core.
@@ -139,7 +133,6 @@ func New(cfg Config) (*Nucleus, error) {
 			Errors:         cfg.Errors,
 			Stats:          cfg.Stats,
 			OpenTimeout:    cfg.OpenTimeout,
-			CoalesceWrites: cfg.CoalesceWrites,
 			CreditWindow:   cfg.CreditWindow,
 			CreditWaitMax:  cfg.CreditWaitMax,
 		})
@@ -179,7 +172,6 @@ func New(cfg Config) (*Nucleus, error) {
 		Stats:               cfg.Stats,
 		CallTimeout:         cfg.CallTimeout,
 		InboxSize:           cfg.InboxSize,
-		DispatchWorkers:     cfg.DispatchWorkers,
 		DisableNSFaultPatch: cfg.DisableNSFaultPatch,
 		MaxFaultDepth:       cfg.MaxFaultDepth,
 	})
@@ -253,9 +245,9 @@ func (n *Nucleus) closeBindings() {
 	}
 }
 
-// Flush drains the coalesced write queues of every binding (bounded by
-// ctx). Part of the graceful-drain sequence: frames already accepted by
-// SendMsg reach the wire before Close tears the circuits down.
+// Flush drains the write queues of every binding (bounded by ctx). Part
+// of every graceful shutdown: frames already accepted by SendMsg reach
+// the wire before Close tears the circuits down.
 func (n *Nucleus) Flush(ctx context.Context) error {
 	for _, b := range n.Bindings {
 		if err := b.Flush(ctx); err != nil {

@@ -54,7 +54,6 @@ type World struct {
 	nextGW      addr.UAdd
 	nextNS      int
 	hintSeq     int
-	coalesce    bool
 
 	// Name-server tuning applied to servers started afterwards.
 	nsAntiEntropy  time.Duration
@@ -95,21 +94,6 @@ func (w *World) putNetwork(n ipcs.Network) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.networks[n.ID()] = n
-}
-
-// SetCoalesceWrites toggles the ND-Layer group-commit writer for every
-// module attached afterwards (gateways and name servers included).
-// Already-attached modules are unaffected.
-func (w *World) SetCoalesceWrites(on bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.coalesce = on
-}
-
-func (w *World) coalesceWrites() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.coalesce
 }
 
 // Network returns a previously added network.
@@ -277,7 +261,6 @@ func (w *World) StartNameServerShard(h *Host, name string, shard int) (*core.Mod
 		Kind:           core.KindNameServer,
 		FixedUAdd:      uadd,
 		ServerID:       serverID,
-		CoalesceWrites: w.coalesceWrites(),
 		NSAntiEntropy:  antiEntropy,
 		NSTombstoneTTL: tombTTL,
 	})
@@ -339,14 +322,13 @@ func (w *World) StartGateway(h *Host, name string) (*core.Module, error) {
 	w.mu.Unlock()
 
 	m, err := core.Attach(core.Config{
-		Name:           name,
-		Machine:        h.Machine,
-		Networks:       h.Networks,
-		EndpointHints:  w.hints(h, name),
-		WellKnown:      wk,
-		Kind:           core.KindGateway,
-		FixedUAdd:      uadd,
-		CoalesceWrites: w.coalesceWrites(),
+		Name:          name,
+		Machine:       h.Machine,
+		Networks:      h.Networks,
+		EndpointHints: w.hints(h, name),
+		WellKnown:     wk,
+		Kind:          core.KindGateway,
+		FixedUAdd:     uadd,
 	})
 	if err != nil {
 		return nil, err
@@ -367,13 +349,12 @@ func (w *World) StartOrdinaryGateway(h *Host, name string) (*core.Module, error)
 		return nil, fmt.Errorf("sim: gateway host %q must join at least two networks", h.Name)
 	}
 	m, err := core.Attach(core.Config{
-		Name:           name,
-		Machine:        h.Machine,
-		Networks:       h.Networks,
-		EndpointHints:  w.hints(h, name),
-		WellKnown:      w.WellKnown(),
-		Kind:           core.KindGateway,
-		CoalesceWrites: w.coalesceWrites(),
+		Name:          name,
+		Machine:       h.Machine,
+		Networks:      h.Networks,
+		EndpointHints: w.hints(h, name),
+		WellKnown:     w.WellKnown(),
+		Kind:          core.KindGateway,
 	})
 	if err != nil {
 		return nil, err
@@ -385,13 +366,12 @@ func (w *World) StartOrdinaryGateway(h *Host, name string) (*core.Module, error)
 // Attach binds an application module to the NTCS on the given host.
 func (w *World) Attach(h *Host, name string, attrs map[string]string) (*core.Module, error) {
 	m, err := core.Attach(core.Config{
-		Name:           name,
-		Attrs:          attrs,
-		Machine:        h.Machine,
-		Networks:       h.Networks,
-		EndpointHints:  w.hints(h, name),
-		WellKnown:      w.WellKnown(),
-		CoalesceWrites: w.coalesceWrites(),
+		Name:          name,
+		Attrs:         attrs,
+		Machine:       h.Machine,
+		Networks:      h.Networks,
+		EndpointHints: w.hints(h, name),
+		WellKnown:     w.WellKnown(),
 	})
 	if err != nil {
 		return nil, err
@@ -416,7 +396,6 @@ func (w *World) AttachConfig(h *Host, cfg core.Config) (*core.Module, error) {
 	if cfg.Machine == machine.Unknown {
 		cfg.Machine = h.Machine
 	}
-	cfg.CoalesceWrites = cfg.CoalesceWrites || w.coalesceWrites()
 	m, err := core.Attach(cfg)
 	if err != nil {
 		return nil, err
