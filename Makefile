@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet verify verify-race perf perf-compare bench bench-thru bench-pack bench-scale bench-names bench-serve serve-gate scale-gate memprofile soak soak-proc proc-gate fuzz-smoke
+.PHONY: all build test race vet verify verify-race perf perf-compare loc bench-scale bench-names bench-serve serve-gate scale-gate memprofile soak soak-proc proc-gate fuzz-smoke
 
 all: verify
 
@@ -41,23 +41,10 @@ perf:
 perf-compare:
 	bash benchmarks/run.sh -compare $(A) $(B)
 
-# bench reruns the warm-path series recorded in BENCH_PR1.json.
-bench:
-	$(GO) test . -run XXX -bench 'FirstSendVsWarmSend|WarmSendParallel|ResolutionCache' -benchmem
-
-# bench-thru reruns the PR-4 throughput series recorded in
-# BENCH_PR4.json: pipelined msgs/sec through the ND-Layer group-commit
-# writer (the file's direct-write row has no path left to rerun) and the
-# gateway-hop round trip.
-bench-thru:
-	$(GO) test . -run XXX -bench 'ThroughputPipelined|GatewayCutThrough' -benchmem
-
-# bench-pack reruns the PR-5 compiled-codec series (per-type conversion
-# plans vs the reflect walk, and the differing-machine-type end-to-end
-# call) recorded in BENCH_PR5.json.
-bench-pack:
-	$(GO) test ./internal/pack -run XXX -bench 'PackedConvert' -benchmem
-	$(GO) test . -run XXX -bench 'CrossMachineCall' -benchmem
+# loc prints the figure every simplicity PR quotes before and after:
+# non-test Go lines outside the benchmark.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' -not -path './benchmarks/*' | xargs cat | wc -l
 
 # bench-scale runs the circuit-scale series: the PR-6 100k-endpoint
 # benchmark (BENCH_PR6.json) and the PR-9 C1M benchmark — 1001 fully

@@ -5,6 +5,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,9 +73,10 @@ func BenchmarkThroughputPipelined(b *testing.B) {
 	b.SetParallelism(8)
 	b.ResetTimer()
 	start := time.Now()
+	ctx := context.Background()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := sender.SendBytes(u, "m", body); err != nil {
+			if err := sender.SendMsg(ctx, u, "m", body, core.WithNoCopy); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -104,8 +106,8 @@ func BenchmarkThroughputPipelined(b *testing.B) {
 // BenchmarkGatewayCutThrough times the one-gateway round trip the
 // zero-copy relay path accelerates: the gateway patches the circuit word
 // in place and forwards the inbound frame bytes instead of re-marshaling
-// the header (compare against the parent commit back-to-back; see
-// BENCH_PR4.json).
+// the header (compare against the parent commit back-to-back; PR 4's
+// numbers are BENCH_PR4.json in git history at 62fe75a).
 func BenchmarkGatewayCutThrough(b *testing.B) {
 	env, err := experiments.PairWithHops(1, machine.VAX, machine.VAX)
 	if err != nil {

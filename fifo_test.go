@@ -1,6 +1,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -189,8 +190,8 @@ func TestPerSenderFIFOUnderBackpressure(t *testing.T) {
 	}
 }
 
-// TestSendBytesMatchesSend: the unboxed byte-payload entry point is
-// observably identical to Send with a []byte body.
+// TestSendBytesMatchesSend: the opaque-bytes arm of SendMsg (WithNoCopy)
+// is observably identical to Send with a []byte body.
 func TestSendBytesMatchesSend(t *testing.T) {
 	w := sim.NewWorld()
 	w.AddNetwork("ring", memnet.Options{})
@@ -217,7 +218,7 @@ func TestSendBytesMatchesSend(t *testing.T) {
 	if err := sender.Send(u, "blob", payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.SendBytes(u, "blob", payload); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "blob", payload, core.WithNoCopy); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {

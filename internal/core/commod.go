@@ -122,8 +122,7 @@ type Config struct {
 	ForcePacked bool
 	// CreditWindow is the per-circuit receive window this module
 	// advertises: how many unconsumed data frames a peer may have in
-	// flight toward it. 0 selects the default (1024); negative disables
-	// credit flow control entirely.
+	// flight toward it. Zero or less selects the default (1024).
 	CreditWindow int
 	// CreditWaitMax bounds how long a blocking send waits for circuit
 	// credit before failing with ErrBackpressure; default 2s.
@@ -718,14 +717,6 @@ func (m *Module) Send(dst addr.UAdd, msgType string, body any) error {
 	return m.send(context.Background(), dst, msgType, body, 0)
 }
 
-// SendContext is Send honoring ctx: a canceled or expired context fails
-// fast before transmission.
-//
-// Deprecated: use SendMsg.
-func (m *Module) SendContext(ctx context.Context, dst addr.UAdd, msgType string, body any) error {
-	return m.send(ctx, dst, msgType, body, 0)
-}
-
 // ServiceSend is Send for DRTS traffic: the monitoring/time hooks stay
 // off (the §6.1 recursion guard).
 func (m *Module) ServiceSend(dst addr.UAdd, msgType string, body any) error {
@@ -738,18 +729,7 @@ func (m *Module) SendCL(dst addr.UAdd, msgType string, body any) error {
 	return m.send(context.Background(), dst, msgType, body, wire.FlagConnless)
 }
 
-// SendBytes is Send for an opaque byte payload. Semantically identical
-// to Send(dst, msgType, body) with a []byte body, but the typed
-// signature keeps the slice out of an interface, so the high-rate
-// datagram path does not pay a boxing allocation per message.
-//
-// Deprecated: use SendMsg with WithNoCopy.
-func (m *Module) SendBytes(dst addr.UAdd, msgType string, body []byte) error {
-	return m.sendBytes(context.Background(), dst, msgType, body, 0)
-}
-
-// sendBytes is the opaque-payload send: the WithNoCopy arm of SendMsg
-// and the body of the deprecated SendBytes.
+// sendBytes is the opaque-payload send, the WithNoCopy arm of SendMsg.
 func (m *Module) sendBytes(ctx context.Context, dst addr.UAdd, msgType string, body []byte, flags uint16) (err error) {
 	span := m.nuc.LCM.NewSpan()
 	exit := trace.NopExit

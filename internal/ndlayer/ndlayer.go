@@ -157,9 +157,7 @@ type Config struct {
 	RetryPolicy retry.Policy
 	// CreditWindow is the receive window this binding advertises during
 	// the open handshake: how many unconsumed data frames a peer may have
-	// in flight toward us. 0 selects DefaultCreditWindow; negative
-	// disables credit flow control entirely (the binding advertises no
-	// window, so peers send uncredited).
+	// in flight toward us. Zero or less selects DefaultCreditWindow.
 	CreditWindow int
 	// CreditWaitMax bounds how long a blocking send waits for circuit
 	// credit before failing with a BackpressureError; default 2s.
@@ -319,7 +317,8 @@ const (
 
 // openInfo is the packed control payload of TOpen/TOpenAck: the identity
 // exchange that fills endpoint caches without consulting the Name Server.
-// Window is the sender's advertised receive window (0 = uncredited).
+// Window is the sender's advertised receive window; a peer that advertises
+// 0 is sent to uncredited.
 type openInfo struct {
 	Name     string
 	Endpoint string
@@ -328,14 +327,10 @@ type openInfo struct {
 
 // advertisedWindow maps Config.CreditWindow onto the wire value.
 func (b *Binding) advertisedWindow() uint32 {
-	switch {
-	case b.cfg.CreditWindow < 0:
-		return 0
-	case b.cfg.CreditWindow == 0:
+	if b.cfg.CreditWindow <= 0 {
 		return DefaultCreditWindow
-	default:
-		return uint32(b.cfg.CreditWindow)
 	}
+	return uint32(b.cfg.CreditWindow)
 }
 
 // SetAdmissionRate caps how many credit grants per second this binding's
@@ -561,7 +556,11 @@ func (b *Binding) dial(ctx context.Context, dst addr.UAdd) (*LVC, *hsConn, error
 		return nil, nil, &FaultError{Peer: dst, Err: fmt.Errorf("%w: %v", ErrWrongModule, ackH.Src)}
 	}
 	var ackInfo openInfo
-	if err := pack.Unmarshal(ackPayload, &ackInfo); err == nil && ackInfo.Endpoint != "" {
+	if err := pack.Unmarshal(ackPayload, &ackInfo); err != nil {
+		_ = conn.Close()
+		return nil, nil, &FaultError{Peer: dst, Err: fmt.Errorf("%w: open info: %v", ErrOpenRejected, err)}
+	}
+	if ackInfo.Endpoint != "" {
 		b.cfg.Cache.Put(dst, addr.Endpoint{
 			Network: b.network,
 			Addr:    ackInfo.Endpoint,
@@ -691,7 +690,13 @@ func (b *Binding) handleInbound(conn ipcs.Conn) {
 	defer func() { exit(aerr) }() // deferred so a panicking codec still closes the span
 
 	var info openInfo
-	_ = pack.Unmarshal(payload, &info)
+	if err := pack.Unmarshal(payload, &info); err != nil {
+		// A zero Window would mean "uncredited": a frame that does not parse
+		// must not get to switch flow control off. Refuse the open.
+		_ = conn.Close()
+		aerr = fmt.Errorf("open info: %w", err)
+		return
+	}
 
 	peer := h.Src
 	var remoteTAdd addr.UAdd

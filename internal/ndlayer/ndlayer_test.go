@@ -292,6 +292,79 @@ func TestWrongModuleAtEndpoint(t *testing.T) {
 	}
 }
 
+// TestOpenWithUnparsableInfoIsRefused: an openInfo that does not parse
+// would leave Window 0, which means "uncredited" — one bad frame from
+// outside the program must not switch a circuit's flow control off.
+// Neither side of the handshake accepts it.
+func TestOpenWithUnparsableInfoIsRefused(t *testing.T) {
+	net := memnet.New("alpha", memnet.Options{})
+	truncated := []byte("(") // a struct opener and nothing else
+
+	// Responder: a raw conn sends a well-formed TOpen around the bad info.
+	b := newFixture(t, net, "mod-b", 2001, machine.Sun68K)
+	conn, err := net.Dial(b.binding.Endpoint().Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	answered := make(chan []byte, 1)
+	closed := make(chan error, 1)
+	conn.Start(func(msg []byte, err error) {
+		if err != nil {
+			closed <- err
+			return
+		}
+		answered <- msg
+	})
+	open, err := wire.Marshal(wire.Header{Type: wire.TOpen, Src: 2000, Dst: 2001, SrcMachine: machine.VAX, Mode: wire.ModePacked}, truncated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Send(open); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+	case msg := <-answered:
+		t.Fatalf("responder answered an unparsable open with a %d-byte frame", len(msg))
+	case <-time.After(3 * time.Second):
+		t.Fatal("responder neither closed nor answered")
+	}
+	if c := b.binding.Circuits(); len(c) != 0 {
+		t.Errorf("responder installed circuits %v", c)
+	}
+
+	// Dialer: a raw listener acknowledges with the same bad info.
+	a := newFixture(t, net, "mod-a", 2000, machine.VAX)
+	l, err := net.Listen("garbler")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		c.Start(func(msg []byte, err error) {
+			if err != nil {
+				return
+			}
+			ack, _ := wire.Marshal(wire.Header{Type: wire.TOpenAck, Src: 3000, Dst: 2000, SrcMachine: machine.VAX, Mode: wire.ModePacked}, truncated)
+			_ = c.Send(ack)
+		})
+	}()
+	a.cache.Put(3000, addr.Endpoint{Network: "alpha", Addr: l.Addr(), Machine: machine.VAX})
+	_, err = a.binding.Open(3000)
+	var fault *FaultError
+	if !errors.Is(err, ErrOpenRejected) || !errors.As(err, &fault) {
+		t.Fatalf("dialer got %v, want a FaultError wrapping ErrOpenRejected", err)
+	}
+	if c := a.binding.Circuits(); len(c) != 0 {
+		t.Errorf("dialer installed circuits %v", c)
+	}
+}
+
 func TestTAddAliasAssignedAndReplaced(t *testing.T) {
 	net := memnet.New("alpha", memnet.Options{})
 	var src addr.TAddSource

@@ -68,8 +68,8 @@ type Config struct {
 	// InboxSize bounds the LCM inbox.
 	InboxSize int
 	// CreditWindow is the per-circuit receive window every binding
-	// advertises (see ndlayer.Config.CreditWindow): 0 selects the default,
-	// negative disables credit flow control.
+	// advertises (see ndlayer.Config.CreditWindow): zero or less selects
+	// the default.
 	CreditWindow int
 	// CreditWaitMax bounds how long a blocking send waits for circuit
 	// credit before failing with backpressure (see

@@ -34,3 +34,32 @@ func TestPackedEncodeAllocBudget(t *testing.T) {
 		t.Errorf("compiled packed encode allocates %.1f/op, budget %d", avg, packedEncodeAllocBudget)
 	}
 }
+
+// packedDecodeAllocBudget pins the compiled decode path for the same
+// message into a reused target: both are the attribute map (its header
+// and its group of slots; without the map the decode reads 0). Strings,
+// bytes and the int32 list share the pooled decoder's arena, so a third
+// allocation means a reflect.Value or a boxed scalar crept into decode.
+const packedDecodeAllocBudget = 2
+
+func TestPackedDecodeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget skipped in -short mode")
+	}
+	data, err := Marshal(convertSample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out convertMsg
+	if err := Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if err := Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > packedDecodeAllocBudget {
+		t.Errorf("compiled packed decode allocates %.1f/op, budget %d", avg, packedDecodeAllocBudget)
+	}
+}

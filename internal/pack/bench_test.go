@@ -39,7 +39,8 @@ func convertSample() convertMsg {
 	return m
 }
 
-// BenchmarkPackedConvert is the PR-5 series recorded in BENCH_PR5.json:
+// BenchmarkPackedConvert is the PR-5 series (its recorded numbers are
+// BENCH_PR5.json in git history at 62fe75a):
 // compiled-plan conversion throughput vs the reflect walk (the parent
 // commit's only path) on the same representative message, same wire
 // bytes. encode, decode, and the full cross-machine round trip.

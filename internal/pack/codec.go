@@ -1,22 +1,44 @@
 // Compiled packed-mode codecs: cached per-type conversion plans for the
 // cross-machine hot path.
 //
-// The reflect-walk Marshal/Unmarshal (retained as MarshalReflect /
-// UnmarshalReflect, and still the reference implementation the
-// differential fuzzer checks against) re-derives a type's shape on every
-// message: each field pays a reflect.Kind switch, a reflect.Type.Field
-// call (which allocates its Index slice), and for maps a fresh key sort.
-// Between differing machine types every structured Send/Call crosses this
-// code twice — once to pack, once to unpack — so the walk is the §5.1
-// conversion cost the paper's adaptive selection exists to dodge, paid
-// even when it cannot be dodged.
+// The reflect walk (MarshalReflect / UnmarshalReflect in pack.go) is the
+// reference implementation and nothing else: the oracle the differential
+// fuzzer and the machine-pair matrix compare against. It re-derives a
+// type's shape on every message: each field pays a reflect.Kind switch, a
+// reflect.Type.Field call (which allocates its Index slice), and for maps
+// a fresh key sort. Between differing machine types every structured
+// Send/Call crosses the codec twice — once to pack, once to unpack — so
+// that walk is the §5.1 conversion cost the paper's adaptive selection
+// exists to dodge, paid even when it cannot be dodged.
 //
-// A plan compiles that walk once per type: an ordered list of field ops
-// with precomputed struct-field indices, kind-specialized encode/decode
-// funcs (no per-field Kind switching, no interface boxing on scalar
-// fields), and a fixed-size hint for buffer presizing. Plans live in a
-// process-wide sync.Map keyed by reflect.Type; the wire format is
-// byte-identical to the reflect walk (FuzzCodecEquivalence proves it).
+// A plan compiles the walk once per type into one encode and one decode
+// closure over unsafe.Pointer — the only execution form there is. A
+// closure converts the value at p, which points at memory of the plan's
+// type: a struct field is a pointer add, a slice or array element a
+// stride multiple, a scalar a typed load or store, with no Kind dispatch
+// and no reflect.Value per value. Plans live in a process-wide sync.Map
+// keyed by reflect.Type; the wire format is byte-identical to the reflect
+// walk (FuzzCodecEquivalence proves it).
+//
+// Four rules keep the pointer form honest with the garbage collector:
+//
+//  1. A store into memory that may hold pointers is a typed store — a
+//     *(*unsafe.Pointer)(p), a typed slice, map or string, a sliceHeader —
+//     never one through uintptr, so the write barrier runs. Generic
+//     slices are allocated with reflect.MakeSlice so the collector knows
+//     the element type; only []int32/int64/uint64 are carved from the
+//     decoder's noscan arena.
+//  2. A map entry has no address: encode copies each key and value into
+//     one reflect.New pair per map and hands the sub-plans its pointers;
+//     decode reuses one such pair for every entry unless the entry type
+//     reaches a pointer (reuseKV).
+//  3. The top of a Marshal gets its pointer from the interface data word,
+//     which for most types points at the boxed copy. Pointer-shaped types
+//     (plan.direct) live in the word itself, so the plan is handed the
+//     address of a copy of the word — declared on that branch only, or
+//     the copy escapes on every Marshal.
+//  4. A zero-size element has stride 0; every element then shares one
+//     address and nothing is read or written through it.
 package pack
 
 import (
@@ -25,7 +47,6 @@ import (
 	"math"
 	"reflect"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -42,32 +63,18 @@ const MaxDepth = 64
 // ErrDepth reports a value or stream nested beyond MaxDepth.
 var ErrDepth = errors.New("pack: nesting exceeds depth limit")
 
-// encFn encodes rv (of the plan's type) onto e.
-type encFn func(e *Encoder, rv reflect.Value) error
-
-// decFn decodes the next value from d into rv, which must be settable.
-type decFn func(d *Decoder, rv reflect.Value) error
-
-// encPFn / decPFn are the unsafe-offset forms: they convert the value at
-// p, which must point at memory of the plan's type. Struct plans carry
-// them so field access is a pointer add and a typed load instead of a
-// reflect.Value.Field round trip.
-type encPFn func(e *Encoder, p unsafe.Pointer) error
-type decPFn func(d *Decoder, p unsafe.Pointer) error
-
-// plan is one type's compiled conversion: flat closures specialized at
-// compile time, executed with no Kind dispatch thereafter.
+// plan is one type's compiled conversion: closures specialized at compile
+// time, executed with no Kind dispatch thereafter. enc converts the value
+// at p onto e; dec converts the next value of d into the memory at p.
 type plan struct {
-	enc  encFn
-	dec  decFn
-	encP encPFn // non-nil on struct plans only
-	decP decPFn // non-nil on struct plans only
-	hint int    // typical encoded size, for buffer presizing
+	enc    func(e *Encoder, p unsafe.Pointer) error
+	dec    func(d *Decoder, p unsafe.Pointer) error
+	hint   int  // typical encoded size, for buffer presizing
+	direct bool // pointerShaped type: an interface holds the value, not a pointer to it
 }
 
-// efaceData returns the data word of v's interface header: for types the
-// runtime boxes (everything ifaceIndir reports true for), a pointer to
-// the boxed copy.
+// efaceData returns the data word of v's interface header: a pointer to
+// the boxed copy, or for a pointerShaped type the value itself.
 func efaceData(v any) unsafe.Pointer {
 	return (*[2]unsafe.Pointer)(unsafe.Pointer(&v))[1]
 }
@@ -86,10 +93,6 @@ func pointerShaped(t reflect.Type) bool {
 	}
 	return false
 }
-
-// ifaceIndir reports whether an interface holding a t stores a pointer
-// to a copy — the precondition for handing efaceData to a plan's encP.
-func ifaceIndir(t reflect.Type) bool { return !pointerShaped(t) }
 
 // planCache maps reflect.Type → *plan, process-wide: the packed format
 // is type-shaped only, so one plan serves every module in the process.
@@ -116,15 +119,20 @@ func PlanHits() uint64 { return planHits.Load() }
 // compile. Layers call it at construction for their wire structs.
 func Precompile(vals ...any) error {
 	for _, v := range vals {
-		rv := reflect.ValueOf(v)
-		if !rv.IsValid() {
-			return fmt.Errorf("%w: untyped nil", ErrUnsupported)
-		}
-		if _, err := planFor(rv.Type()); err != nil {
+		if _, err := planOf(v); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// planOf returns the plan for v's dynamic type.
+func planOf(v any) (*plan, error) {
+	t := reflect.TypeOf(v)
+	if t == nil {
+		return nil, fmt.Errorf("%w: untyped nil", ErrUnsupported)
+	}
+	return planFor(t)
 }
 
 // planEntry is one slot of the direct-mapped front cache below.
@@ -163,6 +171,9 @@ func planFor(t reflect.Type) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	for st, sp := range c.structs {
+		cachePlan(st, sp)
+	}
 	p = cachePlan(t, p)
 	slot.Store(&planEntry{t: t, p: p})
 	return p, nil
@@ -178,10 +189,12 @@ func cachePlan(t reflect.Type, p *plan) *plan {
 	return p
 }
 
-// compiler builds one plan tree. structs memoizes in-progress struct
-// plans so recursive types (a cycle must pass through a named struct)
-// tie the knot instead of recursing forever; entries migrate to the
-// global cache only once complete, so a failed compile caches nothing.
+// compiler builds one plan tree. structs memoizes its struct plans so
+// recursive types (a cycle must pass through a named struct) tie the knot
+// instead of recursing forever; planFor publishes them to the global
+// cache only once the whole tree has compiled, so a failed compile caches
+// nothing — not even a finished inner struct, which may point back at an
+// unfinished outer one.
 type compiler struct {
 	structs map[reflect.Type]*plan
 }
@@ -193,18 +206,33 @@ func (c *compiler) compile(t reflect.Type) (*plan, error) {
 	switch t.Kind() {
 	case reflect.Bool:
 		return boolPlan, nil
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return intPlans[t.Kind()], nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return uintPlans[t.Kind()], nil
-	case reflect.Float32, reflect.Float64:
-		return floatPlan, nil
+	case reflect.Int:
+		return intPlan[int](t, 8), nil
+	case reflect.Int8:
+		return intPlan[int8](t, 4), nil
+	case reflect.Int16:
+		return intPlan[int16](t, 5), nil
+	case reflect.Int32:
+		return intPlan[int32](t, 6), nil
+	case reflect.Int64:
+		return intPlan[int64](t, 8), nil
+	case reflect.Uint:
+		return uintPlan[uint](t, 8), nil
+	case reflect.Uint8:
+		return uintPlan[uint8](t, 4), nil
+	case reflect.Uint16:
+		return uintPlan[uint16](t, 5), nil
+	case reflect.Uint32:
+		return uintPlan[uint32](t, 6), nil
+	case reflect.Uint64:
+		return uintPlan[uint64](t, 8), nil
+	case reflect.Float32:
+		return floatPlan[float32](), nil
+	case reflect.Float64:
+		return floatPlan[float64](), nil
 	case reflect.String:
 		return stringPlan, nil
 	case reflect.Slice:
-		if t.Elem().Kind() == reflect.Uint8 {
-			return bytesPlan, nil
-		}
 		return c.slicePlan(t)
 	case reflect.Array:
 		return c.arrayPlan(t)
@@ -219,149 +247,126 @@ func (c *compiler) compile(t reflect.Type) (*plan, error) {
 	}
 }
 
-// --- Scalar plans (shared singletons, specialized per kind) ---------------
+// --- Scalar plans ---------------------------------------------------------
+//
+// Loads and stores go through a pointer to the builtin of the type's
+// kind: a named type has its underlying type's layout, so one plan shape
+// covers both.
 
 var boolPlan = &plan{
 	hint: 3,
-	enc: func(e *Encoder, rv reflect.Value) error {
-		e.Bool(rv.Bool())
+	enc: func(e *Encoder, p unsafe.Pointer) error {
+		e.Bool(*(*bool)(p))
 		return nil
 	},
-	dec: func(d *Decoder, rv reflect.Value) error {
+	dec: func(d *Decoder, p unsafe.Pointer) error {
 		v, err := d.Bool()
 		if err != nil {
 			return err
 		}
-		rv.SetBool(v)
-		return nil
-	},
-}
-
-var floatPlan = &plan{
-	hint: 10,
-	enc: func(e *Encoder, rv reflect.Value) error {
-		e.Float(rv.Float())
-		return nil
-	},
-	dec: func(d *Decoder, rv reflect.Value) error {
-		v, err := d.Float()
-		if err != nil {
-			return err
-		}
-		rv.SetFloat(v)
+		*(*bool)(p) = v
 		return nil
 	},
 }
 
 var stringPlan = &plan{
 	hint: 8,
-	enc: func(e *Encoder, rv reflect.Value) error {
-		e.String(rv.String())
+	enc: func(e *Encoder, p unsafe.Pointer) error {
+		e.String(*(*string)(p))
 		return nil
 	},
-	dec: func(d *Decoder, rv reflect.Value) error {
+	dec: func(d *Decoder, p unsafe.Pointer) error {
 		v, err := d.String()
 		if err != nil {
 			return err
 		}
-		rv.SetString(v)
+		*(*string)(p) = v
 		return nil
 	},
 }
 
 var bytesPlan = &plan{
 	hint: 8,
-	enc: func(e *Encoder, rv reflect.Value) error {
-		e.BytesField(rv.Bytes())
+	enc: func(e *Encoder, p unsafe.Pointer) error {
+		e.BytesField(*(*[]byte)(p))
 		return nil
 	},
-	dec: func(d *Decoder, rv reflect.Value) error {
+	dec: func(d *Decoder, p unsafe.Pointer) error {
 		v, err := d.BytesField()
 		if err != nil {
 			return err
 		}
-		rv.SetBytes(v)
+		*(*[]byte)(p) = v
 		return nil
 	},
 }
 
-func encInt(e *Encoder, rv reflect.Value) error {
-	e.Int(rv.Int())
-	return nil
+func floatPlan[T float32 | float64]() *plan {
+	return &plan{
+		hint: 10,
+		enc: func(e *Encoder, p unsafe.Pointer) error {
+			e.Float(float64(*(*T)(p)))
+			return nil
+		},
+		dec: func(d *Decoder, p unsafe.Pointer) error {
+			v, err := d.Float()
+			if err != nil {
+				return err
+			}
+			*(*T)(p) = T(v)
+			return nil
+		},
+	}
 }
 
-func encUint(e *Encoder, rv reflect.Value) error {
-	e.Uint(rv.Uint())
-	return nil
-}
-
-// intDec decodes a signed integer with the overflow check specialized to
-// the target width at compile time.
-func intDec(bits int) decFn {
-	if bits == 64 {
-		return func(d *Decoder, rv reflect.Value) error {
+// intPlan converts a signed integer of T's width; the decoder's overflow
+// check is specialized to that width at compile time (for 64 bits the
+// bounds are the whole range), and its error names t, which may be a
+// named type.
+func intPlan[T int | int8 | int16 | int32 | int64](t reflect.Type, hint int) *plan {
+	bits := 8 * int(unsafe.Sizeof(T(0)))
+	lo := int64(-1) << (bits - 1)
+	hi := -(lo + 1)
+	return &plan{
+		hint: hint,
+		enc: func(e *Encoder, p unsafe.Pointer) error {
+			e.Int(int64(*(*T)(p)))
+			return nil
+		},
+		dec: func(d *Decoder, p unsafe.Pointer) error {
 			v, err := d.Int()
 			if err != nil {
 				return err
 			}
-			rv.SetInt(v)
+			if v < lo || v > hi {
+				return fmt.Errorf("%w: %d into %s", ErrOverflow, v, t)
+			}
+			*(*T)(p) = T(v)
 			return nil
-		}
-	}
-	lo := int64(-1) << (bits - 1)
-	hi := int64(1)<<(bits-1) - 1
-	return func(d *Decoder, rv reflect.Value) error {
-		v, err := d.Int()
-		if err != nil {
-			return err
-		}
-		if v < lo || v > hi {
-			return fmt.Errorf("%w: %d into %s", ErrOverflow, v, rv.Type())
-		}
-		rv.SetInt(v)
-		return nil
+		},
 	}
 }
 
-func uintDec(bits int) decFn {
-	if bits == 64 {
-		return func(d *Decoder, rv reflect.Value) error {
+func uintPlan[T uint | uint8 | uint16 | uint32 | uint64](t reflect.Type, hint int) *plan {
+	hi := uint64(math.MaxUint64) >> (64 - 8*int(unsafe.Sizeof(T(0))))
+	return &plan{
+		hint: hint,
+		enc: func(e *Encoder, p unsafe.Pointer) error {
+			e.Uint(uint64(*(*T)(p)))
+			return nil
+		},
+		dec: func(d *Decoder, p unsafe.Pointer) error {
 			v, err := d.Uint()
 			if err != nil {
 				return err
 			}
-			rv.SetUint(v)
+			if v > hi {
+				return fmt.Errorf("%w: %d into %s", ErrOverflow, v, t)
+			}
+			*(*T)(p) = T(v)
 			return nil
-		}
+		},
 	}
-	hi := uint64(1)<<bits - 1
-	return func(d *Decoder, rv reflect.Value) error {
-		v, err := d.Uint()
-		if err != nil {
-			return err
-		}
-		if v > hi {
-			return fmt.Errorf("%w: %d into %s", ErrOverflow, v, rv.Type())
-		}
-		rv.SetUint(v)
-		return nil
-	}
-}
-
-var intPlans = map[reflect.Kind]*plan{
-	reflect.Int:   {hint: 8, enc: encInt, dec: intDec(strconv.IntSize)},
-	reflect.Int8:  {hint: 4, enc: encInt, dec: intDec(8)},
-	reflect.Int16: {hint: 5, enc: encInt, dec: intDec(16)},
-	reflect.Int32: {hint: 6, enc: encInt, dec: intDec(32)},
-	reflect.Int64: {hint: 8, enc: encInt, dec: intDec(64)},
-}
-
-var uintPlans = map[reflect.Kind]*plan{
-	reflect.Uint:   {hint: 8, enc: encUint, dec: uintDec(strconv.IntSize)},
-	reflect.Uint8:  {hint: 4, enc: encUint, dec: uintDec(8)},
-	reflect.Uint16: {hint: 5, enc: encUint, dec: uintDec(16)},
-	reflect.Uint32: {hint: 6, enc: encUint, dec: uintDec(32)},
-	reflect.Uint64: {hint: 8, enc: encUint, dec: uintDec(64)},
 }
 
 // --- Composite plans ------------------------------------------------------
@@ -384,67 +389,6 @@ var (
 	uint64Type = reflect.TypeOf(uint64(0))
 	stringType = reflect.TypeOf("")
 )
-
-// sliceEncScaffold wraps the shared slice-encode framing (nil marker,
-// depth accounting, list header) around a specialized element loop.
-func sliceEncScaffold(encElems func(e *Encoder, rv reflect.Value, n int)) encFn {
-	return func(e *Encoder, rv reflect.Value) error {
-		if rv.IsNil() {
-			e.Nil()
-			return nil
-		}
-		if err := e.push(); err != nil {
-			return err
-		}
-		n := rv.Len()
-		e.List(n)
-		encElems(e, rv, n)
-		e.pop()
-		return nil
-	}
-}
-
-// sliceDecScaffold wraps the shared slice-decode framing around a
-// specialized element loop that fills a natively built slice. When the
-// target field has the exact builtin type (the common case) the slice is
-// stored through a typed pointer — no reflect.ValueOf boxing, no Set.
-func sliceDecScaffold[T any](t reflect.Type, mk func(*Decoder, int) []T, decElems func(d *Decoder, s []T) error) decFn {
-	exact := t == reflect.TypeOf([]T(nil))
-	return func(d *Decoder, rv reflect.Value) error {
-		if d.IsNil() {
-			rv.Set(reflect.Zero(t))
-			return nil
-		}
-		if err := d.push(); err != nil {
-			return err
-		}
-		n, err := d.List()
-		if err != nil {
-			d.pop()
-			return err
-		}
-		s := mk(d, n)
-		if err := decElems(d, s); err != nil {
-			d.pop()
-			return err
-		}
-		if exact && rv.CanAddr() {
-			*(rv.Addr().Interface().(*[]T)) = s
-		} else {
-			v := reflect.ValueOf(s)
-			if !exact {
-				v = v.Convert(t)
-			}
-			rv.Set(v)
-		}
-		d.pop()
-		return nil
-	}
-}
-
-// Shared native element loops: the reflect-facing scaffold and the
-// unsafe-offset field ops below execute the same code, so the two
-// execution forms cannot drift apart.
 
 func decInt64s(d *Decoder, s []int64) error {
 	for i := range s {
@@ -513,136 +457,34 @@ func arenaMakeSlice[T int32 | int64 | uint64](d *Decoder, n int) []T {
 	return make([]T, n)
 }
 
-// ptrSliceEnc / ptrSliceDec are the unsafe-offset forms of the native
-// slice codecs: the slice header is loaded through a typed pointer, so a
-// struct field costs no reflect.Value at all. Safe for named slice types
-// with the same builtin element type — the layout is identical.
-func ptrSliceEnc[T any](encElem func(e *Encoder, v T)) encPFn {
-	return func(e *Encoder, p unsafe.Pointer) error {
-		s := *(*[]T)(p)
-		if s == nil {
-			e.Nil()
-			return nil
-		}
-		if err := e.push(); err != nil {
-			return err
-		}
-		e.List(len(s))
-		for _, v := range s {
-			encElem(e, v)
-		}
-		e.pop()
-		return nil
-	}
-}
-
-func ptrSliceDec[T any](mk func(*Decoder, int) []T, decElems func(d *Decoder, s []T) error) decPFn {
-	return func(d *Decoder, p unsafe.Pointer) error {
-		if d.IsNil() {
-			*(*[]T)(p) = nil
-			return nil
-		}
-		if err := d.push(); err != nil {
-			return err
-		}
-		n, err := d.List()
-		if err != nil {
-			d.pop()
-			return err
-		}
-		s := mk(d, n)
-		if err := decElems(d, s); err != nil {
-			d.pop()
-			return err
-		}
-		*(*[]T)(p) = s
-		d.pop()
-		return nil
-	}
-}
-
-// nativeSlicePlan returns a fully specialized plan for the common scalar
-// slice shapes — no per-element reflect.Value round trip, no sub-plan
-// closure dispatch. Wire bytes and error behavior match the generic
-// plan; nil means the generic plan must handle the shape.
-func nativeSlicePlan(t reflect.Type) *plan {
-	switch t.Elem() {
-	case int64Type:
-		return &plan{
-			hint: addHint(4, 4*8),
-			enc: sliceEncScaffold(func(e *Encoder, rv reflect.Value, n int) {
-				for i := 0; i < n; i++ {
-					e.Int(rv.Index(i).Int())
-				}
-			}),
-			dec: sliceDecScaffold(t, arenaMakeSlice[int64], decInt64s),
-		}
-	case int32Type:
-		return &plan{
-			hint: addHint(4, 4*6),
-			enc: sliceEncScaffold(func(e *Encoder, rv reflect.Value, n int) {
-				for i := 0; i < n; i++ {
-					e.Int(rv.Index(i).Int())
-				}
-			}),
-			dec: sliceDecScaffold(t, arenaMakeSlice[int32], decInt32s),
-		}
-	case uint64Type:
-		return &plan{
-			hint: addHint(4, 4*8),
-			enc: sliceEncScaffold(func(e *Encoder, rv reflect.Value, n int) {
-				for i := 0; i < n; i++ {
-					e.Uint(rv.Index(i).Uint())
-				}
-			}),
-			dec: sliceDecScaffold(t, arenaMakeSlice[uint64], decUint64s),
-		}
-	case stringType:
-		return &plan{
-			hint: addHint(4, 4*8),
-			enc: sliceEncScaffold(func(e *Encoder, rv reflect.Value, n int) {
-				for i := 0; i < n; i++ {
-					e.String(rv.Index(i).String())
-				}
-			}),
-			dec: sliceDecScaffold(t, mkSlice[string], decStrings),
-		}
-	}
-	return nil
-}
-
-func (c *compiler) slicePlan(t reflect.Type) (*plan, error) {
-	if p := nativeSlicePlan(t); p != nil {
-		return p, nil
-	}
-	elem, err := c.compile(t.Elem())
-	if err != nil {
-		return nil, err
-	}
+// nativeSlicePlan is the fully specialized plan for the common scalar
+// slice shapes: the slice header is loaded and stored through a typed
+// pointer and the elements convert in a native loop, with no sub-plan
+// dispatch per element. Safe for named slice types with the same builtin
+// element type — the layout is identical. Wire bytes and error behavior
+// match the generic slice plan.
+func nativeSlicePlan[T any](hint int, mk func(*Decoder, int) []T, encElem func(*Encoder, T), decElems func(*Decoder, []T) error) *plan {
 	return &plan{
-		hint: addHint(4, 4*elem.hint),
-		enc: func(e *Encoder, rv reflect.Value) error {
-			if rv.IsNil() {
+		hint: hint,
+		enc: func(e *Encoder, p unsafe.Pointer) error {
+			s := *(*[]T)(p)
+			if s == nil {
 				e.Nil()
 				return nil
 			}
 			if err := e.push(); err != nil {
 				return err
 			}
-			n := rv.Len()
-			e.List(n)
-			for i := 0; i < n; i++ {
-				if err := elem.enc(e, rv.Index(i)); err != nil {
-					e.pop()
-					return err
-				}
+			e.List(len(s))
+			for _, v := range s {
+				encElem(e, v)
 			}
 			e.pop()
 			return nil
 		},
-		dec: func(d *Decoder, rv reflect.Value) error {
+		dec: func(d *Decoder, p unsafe.Pointer) error {
 			if d.IsNil() {
-				rv.Set(reflect.Zero(t))
+				*(*[]T)(p) = nil
 				return nil
 			}
 			if err := d.push(); err != nil {
@@ -653,14 +495,101 @@ func (c *compiler) slicePlan(t reflect.Type) (*plan, error) {
 				d.pop()
 				return err
 			}
-			s := reflect.MakeSlice(t, n, n)
-			for i := 0; i < n; i++ {
-				if err := elem.dec(d, s.Index(i)); err != nil {
-					d.pop()
-					return err
-				}
+			s := mk(d, n)
+			if err := decElems(d, s); err != nil {
+				d.pop()
+				return err
 			}
-			rv.Set(s)
+			*(*[]T)(p) = s
+			d.pop()
+			return nil
+		},
+	}
+}
+
+// sliceHeader is the runtime's slice layout with the data word typed as
+// a pointer, so loading it keeps the backing array alive and storing it
+// runs the write barrier.
+type sliceHeader struct {
+	data     unsafe.Pointer
+	len, cap int
+}
+
+// encList writes a list of n elements laid out stride bytes apart from
+// base; decListElems fills them once the caller has read the header.
+// Slices and arrays share both.
+func encList(e *Encoder, elem *plan, base unsafe.Pointer, n int, stride uintptr) error {
+	if err := e.push(); err != nil {
+		return err
+	}
+	e.List(n)
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		err = elem.enc(e, unsafe.Add(base, uintptr(i)*stride))
+	}
+	e.pop()
+	return err
+}
+
+func decListElems(d *Decoder, elem *plan, base unsafe.Pointer, n int, stride uintptr) error {
+	for i := 0; i < n; i++ {
+		if err := elem.dec(d, unsafe.Add(base, uintptr(i)*stride)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (c *compiler) slicePlan(t reflect.Type) (*plan, error) {
+	if t.Elem().Kind() == reflect.Uint8 {
+		return bytesPlan, nil
+	}
+	switch t.Elem() {
+	case int64Type:
+		return nativeSlicePlan(addHint(4, 4*8), arenaMakeSlice[int64], (*Encoder).Int, decInt64s), nil
+	case int32Type:
+		return nativeSlicePlan(addHint(4, 4*6), arenaMakeSlice[int32], func(e *Encoder, v int32) { e.Int(int64(v)) }, decInt32s), nil
+	case uint64Type:
+		return nativeSlicePlan(addHint(4, 4*8), arenaMakeSlice[uint64], (*Encoder).Uint, decUint64s), nil
+	case stringType:
+		return nativeSlicePlan(addHint(4, 4*8), mkSlice[string], (*Encoder).String, decStrings), nil
+	}
+	elem, err := c.compile(t.Elem())
+	if err != nil {
+		return nil, err
+	}
+	stride := t.Elem().Size()
+	return &plan{
+		hint: addHint(4, 4*elem.hint),
+		enc: func(e *Encoder, p unsafe.Pointer) error {
+			h := (*sliceHeader)(p)
+			if h.data == nil {
+				e.Nil()
+				return nil
+			}
+			return encList(e, elem, h.data, h.len, stride)
+		},
+		dec: func(d *Decoder, p unsafe.Pointer) error {
+			if d.IsNil() {
+				*(*sliceHeader)(p) = sliceHeader{}
+				return nil
+			}
+			if err := d.push(); err != nil {
+				return err
+			}
+			n, err := d.List()
+			if err != nil {
+				d.pop()
+				return err
+			}
+			// MakeSlice, not the arena: the collector must know the element
+			// type of memory that may come to hold pointers.
+			data := reflect.MakeSlice(t, n, n).UnsafePointer()
+			if err := decListElems(d, elem, data, n, stride); err != nil {
+				d.pop()
+				return err
+			}
+			*(*sliceHeader)(p) = sliceHeader{data, n, n}
 			d.pop()
 			return nil
 		},
@@ -674,44 +603,26 @@ func (c *compiler) arrayPlan(t reflect.Type) (*plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := t.Len()
+	n, stride := t.Len(), t.Elem().Size()
 	return &plan{
-		hint: addHint(4, n*elem.hint),
-		enc: func(e *Encoder, rv reflect.Value) error {
-			if err := e.push(); err != nil {
-				return err
-			}
-			e.List(n)
-			for i := 0; i < n; i++ {
-				if err := elem.enc(e, rv.Index(i)); err != nil {
-					e.pop()
-					return err
-				}
-			}
-			e.pop()
-			return nil
+		hint:   addHint(4, n*elem.hint),
+		direct: pointerShaped(t),
+		enc: func(e *Encoder, p unsafe.Pointer) error {
+			return encList(e, elem, p, n, stride)
 		},
-		dec: func(d *Decoder, rv reflect.Value) error {
+		dec: func(d *Decoder, p unsafe.Pointer) error {
 			if err := d.push(); err != nil {
 				return err
 			}
 			got, err := d.List()
-			if err != nil {
-				d.pop()
-				return err
+			if err == nil && got != n {
+				err = fmt.Errorf("%w: array length %d != %d", ErrSyntax, got, n)
 			}
-			if got != n {
-				d.pop()
-				return fmt.Errorf("%w: array length %d != %d", ErrSyntax, got, n)
-			}
-			for i := 0; i < n; i++ {
-				if err := elem.dec(d, rv.Index(i)); err != nil {
-					d.pop()
-					return err
-				}
+			if err == nil {
+				err = decListElems(d, elem, p, n, stride)
 			}
 			d.pop()
-			return nil
+			return err
 		},
 	}, nil
 }
@@ -856,58 +767,49 @@ func putStringKeys(kp *[]string, keys []string) {
 }
 
 // stringMapPlan converts map[string]string (and named types with that
-// underlying shape) without reflect.Value per entry: native iteration,
-// sort.Strings on pooled scratch, native map build on decode. Wire bytes
-// and error behavior match the generic plan exactly — keys sort the same
-// way and the element codecs are the same d.String/e.String calls.
-func stringMapPlan(t reflect.Type) *plan {
-	named := t != mapSSType
-	return &plan{
-		hint: 16,
-		enc: func(e *Encoder, rv reflect.Value) error {
-			if rv.IsNil() {
-				e.Nil()
-				return nil
-			}
-			if err := e.push(); err != nil {
-				return err
-			}
-			m := rv.Convert(mapSSType).Interface().(map[string]string)
-			encodeStringMapEntries(e, m)
-			e.pop()
+// underlying shape, whose layout is the same) without a reflect.Value per
+// entry: native iteration, sort on stack or pooled scratch, native map
+// build on decode. Wire bytes and error behavior match the generic map
+// plan exactly — keys sort the same way and the element codecs are the
+// same d.String/e.String calls.
+var stringMapPlan = &plan{
+	hint:   16,
+	direct: true,
+	enc: func(e *Encoder, p unsafe.Pointer) error {
+		m := *(*map[string]string)(p)
+		if m == nil {
+			e.Nil()
 			return nil
-		},
-		dec: func(d *Decoder, rv reflect.Value) error {
-			if d.IsNil() {
-				rv.Set(reflect.Zero(t))
-				return nil
-			}
-			if err := d.push(); err != nil {
-				return err
-			}
-			m, err := decodeStringMapEntries(d)
-			if err != nil {
-				d.pop()
-				return err
-			}
-			if !named && rv.CanAddr() {
-				*(rv.Addr().Interface().(*map[string]string)) = m
-			} else {
-				mv := reflect.ValueOf(m)
-				if named {
-					mv = mv.Convert(t)
-				}
-				rv.Set(mv)
-			}
+		}
+		if err := e.push(); err != nil {
+			return err
+		}
+		encodeStringMapEntries(e, m)
+		e.pop()
+		return nil
+	},
+	dec: func(d *Decoder, p unsafe.Pointer) error {
+		if d.IsNil() {
+			*(*map[string]string)(p) = nil
+			return nil
+		}
+		if err := d.push(); err != nil {
+			return err
+		}
+		m, err := decodeStringMapEntries(d)
+		if err != nil {
 			d.pop()
-			return nil
-		},
-	}
+			return err
+		}
+		*(*map[string]string)(p) = m
+		d.pop()
+		return nil
+	},
 }
 
 func (c *compiler) mapPlan(t reflect.Type) (*plan, error) {
 	if t.ConvertibleTo(mapSSType) {
-		return stringMapPlan(t), nil
+		return stringMapPlan, nil
 	}
 	var less func(a, b reflect.Value) bool
 	switch t.Key().Kind() {
@@ -934,42 +836,45 @@ func (c *compiler) mapPlan(t reflect.Type) (*plan, error) {
 	reuseKV := !typeHasPointer(t.Key()) && !typeHasPointer(t.Elem())
 	keyT, valT := t.Key(), t.Elem()
 	return &plan{
-		hint: 16,
-		enc: func(e *Encoder, rv reflect.Value) error {
-			if rv.IsNil() {
+		hint:   16,
+		direct: true,
+		enc: func(e *Encoder, p unsafe.Pointer) error {
+			if *(*unsafe.Pointer)(p) == nil {
 				e.Nil()
 				return nil
 			}
 			if err := e.push(); err != nil {
 				return err
 			}
+			m := reflect.NewAt(t, p).Elem()
 			s := mapScratchPool.Get().(*mapScratch)
 			s.less = less
-			iter := rv.MapRange()
+			iter := m.MapRange()
 			for iter.Next() {
 				s.keys = append(s.keys, iter.Key())
 			}
 			sort.Sort(s)
 			e.Map(len(s.keys))
-			for _, k := range s.keys {
-				if err := key.enc(e, k); err != nil {
-					putMapScratch(s)
-					e.pop()
-					return err
+			// A map entry has no address: each is copied into this pair.
+			k, v := reflect.New(keyT), reflect.New(valT)
+			var err error
+			for _, mk := range s.keys {
+				k.Elem().Set(mk)
+				v.Elem().Set(m.MapIndex(mk))
+				if err = key.enc(e, k.UnsafePointer()); err != nil {
+					break
 				}
-				if err := val.enc(e, rv.MapIndex(k)); err != nil {
-					putMapScratch(s)
-					e.pop()
-					return err
+				if err = val.enc(e, v.UnsafePointer()); err != nil {
+					break
 				}
 			}
 			putMapScratch(s)
 			e.pop()
-			return nil
+			return err
 		},
-		dec: func(d *Decoder, rv reflect.Value) error {
+		dec: func(d *Decoder, p unsafe.Pointer) error {
 			if d.IsNil() {
-				rv.Set(reflect.Zero(t))
+				*(*unsafe.Pointer)(p) = nil
 				return nil
 			}
 			if err := d.push(); err != nil {
@@ -984,20 +889,19 @@ func (c *compiler) mapPlan(t reflect.Type) (*plan, error) {
 			var k, v reflect.Value
 			for i := 0; i < n; i++ {
 				if !reuseKV || i == 0 {
-					k = reflect.New(keyT).Elem()
-					v = reflect.New(valT).Elem()
+					k, v = reflect.New(keyT), reflect.New(valT)
 				}
-				if err := key.dec(d, k); err != nil {
+				if err := key.dec(d, k.UnsafePointer()); err != nil {
 					d.pop()
 					return err
 				}
-				if err := val.dec(d, v); err != nil {
+				if err := val.dec(d, v.UnsafePointer()); err != nil {
 					d.pop()
 					return err
 				}
-				m.SetMapIndex(k, v)
+				m.SetMapIndex(k.Elem(), v.Elem())
 			}
-			rv.Set(m)
+			*(*unsafe.Pointer)(p) = m.UnsafePointer()
 			d.pop()
 			return nil
 		},
@@ -1044,263 +948,19 @@ func typeHasPointerRec(t reflect.Type, seen map[reflect.Type]bool) bool {
 	return false
 }
 
-// fieldOp is one struct field's slot in a flat plan: the precomputed
-// field index and byte offset, the field name for error wrapping, the
-// sub-plan, and the unsafe-offset ops compiled for the field's type.
+// fieldOp is one struct field's slot in a flat plan: its byte offset, its
+// name for error wrapping, and the plan of its type.
 type fieldOp struct {
-	idx  int
 	off  uintptr
 	name string
 	sub  *plan
-	encP encPFn
-	decP decPFn
-}
-
-// ptrEnc compiles the unsafe-offset encoder for a field of type t. The
-// scalar and builtin-composite cases load through a typed pointer — the
-// layout of a named type is its underlying type's, so they cover named
-// fields too. Everything else bridges into the reflect-based sub-plan
-// via reflect.NewAt, which costs one Value construction and nothing
-// else, so the two forms can never diverge in wire bytes or errors.
-func ptrEnc(t reflect.Type, sub *plan) encPFn {
-	switch t.Kind() {
-	case reflect.Bool:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Bool(*(*bool)(p)); return nil }
-	case reflect.Int:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Int(int64(*(*int)(p))); return nil }
-	case reflect.Int8:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Int(int64(*(*int8)(p))); return nil }
-	case reflect.Int16:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Int(int64(*(*int16)(p))); return nil }
-	case reflect.Int32:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Int(int64(*(*int32)(p))); return nil }
-	case reflect.Int64:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Int(*(*int64)(p)); return nil }
-	case reflect.Uint:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Uint(uint64(*(*uint)(p))); return nil }
-	case reflect.Uint8:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Uint(uint64(*(*uint8)(p))); return nil }
-	case reflect.Uint16:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Uint(uint64(*(*uint16)(p))); return nil }
-	case reflect.Uint32:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Uint(uint64(*(*uint32)(p))); return nil }
-	case reflect.Uint64:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Uint(*(*uint64)(p)); return nil }
-	case reflect.Float32:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Float(float64(*(*float32)(p))); return nil }
-	case reflect.Float64:
-		return func(e *Encoder, p unsafe.Pointer) error { e.Float(*(*float64)(p)); return nil }
-	case reflect.String:
-		return func(e *Encoder, p unsafe.Pointer) error { e.String(*(*string)(p)); return nil }
-	case reflect.Slice:
-		if t.Elem().Kind() == reflect.Uint8 {
-			return func(e *Encoder, p unsafe.Pointer) error { e.BytesField(*(*[]byte)(p)); return nil }
-		}
-		switch t.Elem() {
-		case int64Type:
-			return ptrSliceEnc(func(e *Encoder, v int64) { e.Int(v) })
-		case int32Type:
-			return ptrSliceEnc(func(e *Encoder, v int32) { e.Int(int64(v)) })
-		case uint64Type:
-			return ptrSliceEnc(func(e *Encoder, v uint64) { e.Uint(v) })
-		case stringType:
-			return ptrSliceEnc(func(e *Encoder, v string) { e.String(v) })
-		}
-	case reflect.Map:
-		if t.ConvertibleTo(mapSSType) {
-			return func(e *Encoder, p unsafe.Pointer) error {
-				m := *(*map[string]string)(p)
-				if m == nil {
-					e.Nil()
-					return nil
-				}
-				if err := e.push(); err != nil {
-					return err
-				}
-				encodeStringMapEntries(e, m)
-				e.pop()
-				return nil
-			}
-		}
-	case reflect.Struct:
-		return func(e *Encoder, p unsafe.Pointer) error { return sub.encP(e, p) }
-	}
-	return func(e *Encoder, p unsafe.Pointer) error {
-		return sub.enc(e, reflect.NewAt(t, p).Elem())
-	}
-}
-
-// ptrDec is ptrEnc's decode twin: scalar stores through typed pointers,
-// with the same width checks (and error text) the reflect-based plans
-// apply, bridging to the sub-plan for every other shape.
-func ptrDec(t reflect.Type, sub *plan) decPFn {
-	switch t.Kind() {
-	case reflect.Bool:
-		return func(d *Decoder, p unsafe.Pointer) error {
-			v, err := d.Bool()
-			if err != nil {
-				return err
-			}
-			*(*bool)(p) = v
-			return nil
-		}
-	case reflect.Int:
-		return ptrDecInt[int](t, strconv.IntSize)
-	case reflect.Int8:
-		return ptrDecInt[int8](t, 8)
-	case reflect.Int16:
-		return ptrDecInt[int16](t, 16)
-	case reflect.Int32:
-		return ptrDecInt[int32](t, 32)
-	case reflect.Int64:
-		return ptrDecInt[int64](t, 64)
-	case reflect.Uint:
-		return ptrDecUint[uint](t, strconv.IntSize)
-	case reflect.Uint8:
-		return ptrDecUint[uint8](t, 8)
-	case reflect.Uint16:
-		return ptrDecUint[uint16](t, 16)
-	case reflect.Uint32:
-		return ptrDecUint[uint32](t, 32)
-	case reflect.Uint64:
-		return ptrDecUint[uint64](t, 64)
-	case reflect.Float32:
-		return func(d *Decoder, p unsafe.Pointer) error {
-			v, err := d.Float()
-			if err != nil {
-				return err
-			}
-			*(*float32)(p) = float32(v)
-			return nil
-		}
-	case reflect.Float64:
-		return func(d *Decoder, p unsafe.Pointer) error {
-			v, err := d.Float()
-			if err != nil {
-				return err
-			}
-			*(*float64)(p) = v
-			return nil
-		}
-	case reflect.String:
-		return func(d *Decoder, p unsafe.Pointer) error {
-			v, err := d.String()
-			if err != nil {
-				return err
-			}
-			*(*string)(p) = v
-			return nil
-		}
-	case reflect.Slice:
-		if t.Elem().Kind() == reflect.Uint8 {
-			return func(d *Decoder, p unsafe.Pointer) error {
-				v, err := d.BytesField()
-				if err != nil {
-					return err
-				}
-				*(*[]byte)(p) = v
-				return nil
-			}
-		}
-		switch t.Elem() {
-		case int64Type:
-			return ptrSliceDec(arenaMakeSlice[int64], decInt64s)
-		case int32Type:
-			return ptrSliceDec(arenaMakeSlice[int32], decInt32s)
-		case uint64Type:
-			return ptrSliceDec(arenaMakeSlice[uint64], decUint64s)
-		case stringType:
-			return ptrSliceDec(mkSlice[string], decStrings)
-		}
-	case reflect.Map:
-		if t.ConvertibleTo(mapSSType) {
-			return func(d *Decoder, p unsafe.Pointer) error {
-				if d.IsNil() {
-					*(*map[string]string)(p) = nil
-					return nil
-				}
-				if err := d.push(); err != nil {
-					return err
-				}
-				m, err := decodeStringMapEntries(d)
-				if err != nil {
-					d.pop()
-					return err
-				}
-				*(*map[string]string)(p) = m
-				d.pop()
-				return nil
-			}
-		}
-	case reflect.Struct:
-		return func(d *Decoder, p unsafe.Pointer) error { return sub.decP(d, p) }
-	}
-	return func(d *Decoder, p unsafe.Pointer) error {
-		return sub.dec(d, reflect.NewAt(t, p).Elem())
-	}
-}
-
-// ptrDecInt stores a decoded signed integer through a typed pointer with
-// the overflow check specialized to the field width; instantiated with
-// the builtin of the field's kind, which shares the field's layout even
-// when the field type is named. The error text captures t so it matches
-// what the reflect-based decoder reports for the same field.
-func ptrDecInt[T int | int8 | int16 | int32 | int64](t reflect.Type, bits int) decPFn {
-	if bits == 64 {
-		return func(d *Decoder, p unsafe.Pointer) error {
-			v, err := d.Int()
-			if err != nil {
-				return err
-			}
-			*(*T)(p) = T(v)
-			return nil
-		}
-	}
-	lo := int64(-1) << (bits - 1)
-	hi := int64(1)<<(bits-1) - 1
-	return func(d *Decoder, p unsafe.Pointer) error {
-		v, err := d.Int()
-		if err != nil {
-			return err
-		}
-		if v < lo || v > hi {
-			return fmt.Errorf("%w: %d into %s", ErrOverflow, v, t)
-		}
-		*(*T)(p) = T(v)
-		return nil
-	}
-}
-
-func ptrDecUint[T uint | uint8 | uint16 | uint32 | uint64](t reflect.Type, bits int) decPFn {
-	if bits == 64 {
-		return func(d *Decoder, p unsafe.Pointer) error {
-			v, err := d.Uint()
-			if err != nil {
-				return err
-			}
-			*(*T)(p) = T(v)
-			return nil
-		}
-	}
-	hi := uint64(1)<<bits - 1
-	return func(d *Decoder, p unsafe.Pointer) error {
-		v, err := d.Uint()
-		if err != nil {
-			return err
-		}
-		if v > hi {
-			return fmt.Errorf("%w: %d into %s", ErrOverflow, v, t)
-		}
-		*(*T)(p) = T(v)
-		return nil
-	}
 }
 
 func (c *compiler) structPlan(t reflect.Type) (*plan, error) {
 	if p, ok := c.structs[t]; ok {
 		return p, nil // recursive reference: filled in before any execution
 	}
-	p := &plan{}
+	p := &plan{direct: pointerShaped(t)}
 	c.structs[t] = p
 	ops := make([]fieldOp, 0, t.NumField())
 	hint := 2
@@ -1313,25 +973,18 @@ func (c *compiler) structPlan(t reflect.Type) (*plan, error) {
 		if err != nil {
 			return nil, fmt.Errorf("field %s: %w", f.Name, err)
 		}
-		ops = append(ops, fieldOp{
-			idx:  i,
-			off:  f.Offset,
-			name: f.Name,
-			sub:  sub,
-			encP: ptrEnc(f.Type, sub),
-			decP: ptrDec(f.Type, sub),
-		})
+		ops = append(ops, fieldOp{off: f.Offset, name: f.Name, sub: sub})
 		hint = addHint(hint, sub.hint)
 	}
 	p.hint = hint
-	p.encP = func(e *Encoder, base unsafe.Pointer) error {
+	p.enc = func(e *Encoder, base unsafe.Pointer) error {
 		if err := e.push(); err != nil {
 			return err
 		}
 		e.Begin()
 		for k := range ops {
 			op := &ops[k]
-			if err := op.encP(e, unsafe.Add(base, op.off)); err != nil {
+			if err := op.sub.enc(e, unsafe.Add(base, op.off)); err != nil {
 				e.pop()
 				return fmt.Errorf("field %s: %w", op.name, err)
 			}
@@ -1340,7 +993,7 @@ func (c *compiler) structPlan(t reflect.Type) (*plan, error) {
 		e.pop()
 		return nil
 	}
-	p.decP = func(d *Decoder, base unsafe.Pointer) error {
+	p.dec = func(d *Decoder, base unsafe.Pointer) error {
 		if err := d.push(); err != nil {
 			return err
 		}
@@ -1350,7 +1003,7 @@ func (c *compiler) structPlan(t reflect.Type) (*plan, error) {
 		}
 		for k := range ops {
 			op := &ops[k]
-			if err := op.decP(d, unsafe.Add(base, op.off)); err != nil {
+			if err := op.sub.dec(d, unsafe.Add(base, op.off)); err != nil {
 				d.pop()
 				return fmt.Errorf("field %s: %w", op.name, err)
 			}
@@ -1359,51 +1012,7 @@ func (c *compiler) structPlan(t reflect.Type) (*plan, error) {
 		d.pop()
 		return err
 	}
-	// The reflect-facing forms delegate to the offset walk whenever the
-	// value has a stable address (decode targets always do; encode
-	// sources do except at the top of a Marshal, which efaceData covers).
-	p.enc = func(e *Encoder, rv reflect.Value) error {
-		if rv.CanAddr() {
-			return p.encP(e, unsafe.Pointer(rv.UnsafeAddr()))
-		}
-		if err := e.push(); err != nil {
-			return err
-		}
-		e.Begin()
-		for k := range ops {
-			op := &ops[k]
-			if err := op.sub.enc(e, rv.Field(op.idx)); err != nil {
-				e.pop()
-				return fmt.Errorf("field %s: %w", op.name, err)
-			}
-		}
-		e.End()
-		e.pop()
-		return nil
-	}
-	p.dec = func(d *Decoder, rv reflect.Value) error {
-		if rv.CanAddr() {
-			return p.decP(d, unsafe.Pointer(rv.UnsafeAddr()))
-		}
-		if err := d.push(); err != nil {
-			return err
-		}
-		if err := d.Begin(); err != nil {
-			d.pop()
-			return err
-		}
-		for k := range ops {
-			op := &ops[k]
-			if err := op.sub.dec(d, rv.Field(op.idx)); err != nil {
-				d.pop()
-				return fmt.Errorf("field %s: %w", op.name, err)
-			}
-		}
-		err := d.End()
-		d.pop()
-		return err
-	}
-	return cachePlan(t, p), nil
+	return p, nil
 }
 
 func (c *compiler) pointerPlan(t reflect.Type) (*plan, error) {
@@ -1413,26 +1022,30 @@ func (c *compiler) pointerPlan(t reflect.Type) (*plan, error) {
 	}
 	elemT := t.Elem()
 	return &plan{
-		hint: addHint(0, elem.hint),
-		enc: func(e *Encoder, rv reflect.Value) error {
-			if rv.IsNil() {
+		hint:   addHint(0, elem.hint),
+		direct: true,
+		enc: func(e *Encoder, p unsafe.Pointer) error {
+			q := *(*unsafe.Pointer)(p)
+			if q == nil {
 				return fmt.Errorf("%w: nil pointer", ErrUnsupported)
 			}
 			if err := e.push(); err != nil {
 				return err
 			}
-			err := elem.enc(e, rv.Elem())
+			err := elem.enc(e, q)
 			e.pop()
 			return err
 		},
-		dec: func(d *Decoder, rv reflect.Value) error {
+		dec: func(d *Decoder, p unsafe.Pointer) error {
 			if err := d.push(); err != nil {
 				return err
 			}
-			if rv.IsNil() {
-				rv.Set(reflect.New(elemT))
+			q := *(*unsafe.Pointer)(p)
+			if q == nil {
+				q = reflect.New(elemT).UnsafePointer()
+				*(*unsafe.Pointer)(p) = q
 			}
-			err := elem.dec(d, rv.Elem())
+			err := elem.dec(d, q)
 			d.pop()
 			return err
 		},

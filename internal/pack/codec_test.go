@@ -84,10 +84,23 @@ func TestDepthBombRejected(t *testing.T) {
 	}
 }
 
+type (
+	ptrHolder struct {
+		P *int32
+		N int8
+	}
+	onePointer     struct{ P *inner }
+	namedInt16     int16
+	namedStringMap map[string]string
+	namedInt64s    []int64
+)
+
 // TestCompiledMatchesReflect pins byte-identity and cross round trips on
 // the package's own representative shapes (the fuzzer extends this to
 // arbitrary values).
 func TestCompiledMatchesReflect(t *testing.T) {
+	p1, p2, i64 := int32(11), int32(-22), int64(1<<50)
+	pp := &i64
 	cases := []any{
 		sampleOuter(),
 		int64(-5), uint8(255), 3.25, true, "str", []byte{1, 2, 3},
@@ -96,6 +109,20 @@ func TestCompiledMatchesReflect(t *testing.T) {
 		map[uint16]string{9: "x", 1: "y"},
 		[4]int8{1, -2, 3, -4},
 		&inner{Tag: "p", Vals: []int32{5}},
+		// Shapes the plan executor reaches by element stride or through the
+		// interface data word itself.
+		[]struct{}{{}, {}, {}},
+		[]ptrHolder{{P: &p1, N: 1}, {P: &p2, N: -2}},
+		[2]ptrHolder{{P: &p2, N: 3}, {P: &p1, N: 4}},
+		namedInt16(-300),
+		namedStringMap{"k": "v", "a": "b", "z": ""},
+		namedInt64s{1, -2, 1 << 40},
+		&pp,
+		onePointer{P: &inner{Tag: "top", Vals: []int32{7}}},
+		[1]*inner{{Tag: "arr"}},
+		map[int8]inner{-3: {Tag: "neg"}, 5: {Tag: "pos", Vals: []int32{1, 2}}},
+		map[string]*inner{"x": {Tag: "px"}, "y": {Tag: "py", Vals: []int32{9}}},
+		map[string]map[uint16][]string{"m": {2: {"a", "b"}, 1: nil}, "e": {}},
 	}
 	for _, v := range cases {
 		compiled, cerr := Marshal(v)
@@ -164,6 +191,35 @@ func TestRecursiveTypeCompiles(t *testing.T) {
 	}
 	if !errors.Is(cerr, ErrUnsupported) {
 		t.Errorf("compiled error = %v, want ErrUnsupported", cerr)
+	}
+}
+
+// poisonOuter and poisonInner refer to each other, and the outer one has
+// a field no codec supports.
+type (
+	poisonOuter struct {
+		In *poisonInner
+		C  chan int
+	}
+	poisonInner struct {
+		Out *poisonOuter
+		N   int64
+	}
+)
+
+// TestFailedCompileCachesNothing: the inner struct's plan is finished
+// before the outer compile fails on its channel, and it points back at
+// the outer plan, which never got its closures. Caching it made the next
+// Marshal of the inner type call a nil func.
+func TestFailedCompileCachesNothing(t *testing.T) {
+	if _, err := Marshal(poisonOuter{}); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("outer: got %v, want ErrUnsupported", err)
+	}
+	v := poisonInner{Out: &poisonOuter{}, N: 1}
+	_, cerr := Marshal(v)
+	_, lerr := MarshalReflect(v)
+	if !errors.Is(cerr, ErrUnsupported) || !errors.Is(lerr, ErrUnsupported) {
+		t.Errorf("inner: compiled %v, reflect %v, want ErrUnsupported from both", cerr, lerr)
 	}
 }
 

@@ -574,26 +574,8 @@ func (d *Decoder) IsNil() bool {
 // every later Marshal executes the cached plan. The stream is
 // byte-identical to MarshalReflect, the retained reference walk.
 func Marshal(v any) ([]byte, error) {
-	rv := reflect.ValueOf(v)
-	if !rv.IsValid() {
-		return nil, fmt.Errorf("%w: untyped nil", ErrUnsupported)
-	}
-	t := rv.Type()
-	p, err := planFor(t)
-	if err != nil {
-		return nil, err
-	}
 	e := GetEncoder()
-	e.ensure(p.hint)
-	// A struct body arrives boxed: the interface data word already points
-	// at the copy, so the offset walk can start there without the
-	// non-addressable reflect.Value detour.
-	if p.encP != nil && ifaceIndir(t) {
-		err = p.encP(e, efaceData(v))
-	} else {
-		err = p.enc(e, rv)
-	}
-	if err != nil {
+	if err := e.Marshal(v); err != nil {
 		PutEncoder(e)
 		return nil, err
 	}
@@ -606,20 +588,19 @@ func Marshal(v any) ([]byte, error) {
 // pooled-encoder form of the package-level Marshal, used by the ComMod to
 // pack structured bodies without an intermediate allocation.
 func (e *Encoder) Marshal(v any) error {
-	rv := reflect.ValueOf(v)
-	if !rv.IsValid() {
-		return fmt.Errorf("%w: untyped nil", ErrUnsupported)
-	}
-	t := rv.Type()
-	p, err := planFor(t)
+	p, err := planOf(v)
 	if err != nil {
 		return err
 	}
 	e.ensure(p.hint)
-	if p.encP != nil && ifaceIndir(t) {
-		return p.encP(e, efaceData(v))
+	// The interface data word points at the value, except for a
+	// pointer-shaped type, where it is the value (codec.go, rule 3): the
+	// copy is declared on that branch so that only it pays for the escape.
+	if p.direct {
+		word := efaceData(v)
+		return p.enc(e, unsafe.Pointer(&word))
 	}
-	return p.enc(e, rv)
+	return p.enc(e, efaceData(v))
 }
 
 // MarshalReflect is the original reflection walk, kept as the reference
@@ -750,13 +731,12 @@ func Unmarshal(data []byte, out any) error {
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
 		return ErrBadTarget
 	}
-	elem := rv.Elem()
-	p, err := planFor(elem.Type())
+	p, err := planFor(rv.Type().Elem())
 	if err != nil {
 		return err
 	}
 	d := getDecoder(data)
-	err = p.dec(d, elem)
+	err = p.dec(d, rv.UnsafePointer())
 	rem := d.Remaining()
 	putDecoder(d)
 	if err != nil {
