@@ -63,21 +63,19 @@ bench-scale:
 bench-names:
 	NTCS_SCALE=1 $(GO) test . -run TestScaleMillionNames -count=1 -v
 
-# bench-serve runs the PR-10 open-loop serving benchmark and rewrites
-# BENCH_PR10.json: Poisson users query sharded URSA backends behind a
-# gateway over real tcpnet, swept to saturation twice in the same
-# process — once with the poller pinned to a single shard, once with
-# the default fd-hashed shards — plus coordinated-omission-free
+# bench-serve runs the open-loop serving benchmark and prints its JSON:
+# Poisson users query sharded URSA backends behind a gateway over real
+# tcpnet, swept to saturation, plus coordinated-omission-free
 # p50/p99/p999 at a fixed sub-saturation load. Gated behind NTCS_SCALE
-# so `make test` stays fast. The sharded/single ratio only exceeds 1 on
-# a multi-core machine (shards share one core otherwise).
+# so `make test` stays fast. BENCH_PR10.json is the earlier same-run
+# comparison of a sharded poller against one loop (ratio 1.00), kept as
+# the record of why tcpnet runs one loop.
 bench-serve:
 	NTCS_SCALE=1 $(GO) test ./internal/experiments -run TestBenchServe -count=1 -v -timeout 30m
 
 # serve-gate is the CI slice of the serving bench: a short open-loop
-# window with the poller pinned to 2 shards must complete queries with
-# zero corrupted replies and every poller shard dispatching, under the
-# race detector.
+# window must complete queries with zero corrupted replies and the
+# poller dispatching, under the race detector.
 serve-gate:
 	$(GO) test ./internal/experiments -run TestServeGate -race -count=1 -v
 

@@ -8,6 +8,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -67,13 +68,13 @@ func TestWarmSendAllocBudget(t *testing.T) {
 			b.Fatal(err)
 		}
 		defer w.Close()
-		if err := sender.Send(u, "m", "warmup"); err != nil {
+		if err := sender.SendMsg(context.Background(), u, "m", "warmup"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sender.Send(u, "m", "warm"); err != nil {
+			if err := sender.SendMsg(context.Background(), u, "m", "warm"); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -179,7 +179,7 @@ func TestBackpressureAcrossGateway(t *testing.T) {
 	}
 
 	// Prime the chained circuit while the receiver is healthy.
-	if err := sender.Send(u, "seq", []byte("prime")); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "seq", []byte("prime")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := recv.Recv(10 * time.Second); err != nil {
@@ -198,7 +198,7 @@ func TestBackpressureAcrossGateway(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("gateway never hit downstream backpressure")
 		}
-		if err := sender.Send(u, "seq", []byte("flood")); err != nil && !errors.Is(err, ntcs.ErrBackpressure) {
+		if err := sender.SendMsg(context.Background(), u, "seq", []byte("flood")); err != nil && !errors.Is(err, ntcs.ErrBackpressure) {
 			t.Fatalf("sender first hop failed: %v", err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestBackpressureAcrossGateway(t *testing.T) {
 	// backpressure refusals here are retried, not fatal.
 	recv.SetAdmissionRate(0)
 	for i := 0; ; i++ {
-		if err := sender.Send(u, "seq", []byte("after-heal")); err != nil && !errors.Is(err, ntcs.ErrBackpressure) {
+		if err := sender.SendMsg(context.Background(), u, "seq", []byte("after-heal")); err != nil && !errors.Is(err, ntcs.ErrBackpressure) {
 			t.Fatalf("post-heal send: %v", err)
 		}
 		d, err := recv.Recv(5 * time.Second)

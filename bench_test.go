@@ -5,6 +5,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -126,12 +127,12 @@ func BenchmarkAdaptiveVsAlwaysPacked(b *testing.B) {
 		}
 		in := experiments.ImageBody{A: 1, E: 2.5}
 		var out experiments.ImageBody
-		if err := client.Call(u, "image", in, &out); err != nil {
+		if err := client.CallContext(context.Background(), u, "image", in, &out); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := client.Call(u, "image", in, &out); err != nil {
+			if err := client.CallContext(context.Background(), u, "image", in, &out); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -213,13 +214,13 @@ func BenchmarkCrossMachineCall(b *testing.B) {
 		Attrs:   map[string]string{"role": "server", "machine": "sun"},
 	}
 	var out crossCallBody
-	if err := client.Call(u, "pack", in, &out); err != nil {
+	if err := client.CallContext(context.Background(), u, "pack", in, &out); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := client.Call(u, "pack", in, &out); err != nil {
+		if err := client.CallContext(context.Background(), u, "pack", in, &out); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -321,7 +322,7 @@ func BenchmarkFirstSendVsWarmSend(b *testing.B) {
 			b.StopTimer()
 			w, sender, u := build(b)
 			b.StartTimer()
-			if err := sender.Send(u, "m", "cold"); err != nil {
+			if err := sender.SendMsg(context.Background(), u, "m", "cold"); err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
@@ -332,13 +333,13 @@ func BenchmarkFirstSendVsWarmSend(b *testing.B) {
 	b.Run("warm-send", func(b *testing.B) {
 		w, sender, u := build(b)
 		defer w.Close()
-		if err := sender.Send(u, "m", "warmup"); err != nil {
+		if err := sender.SendMsg(context.Background(), u, "m", "warmup"); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sender.Send(u, "m", "warm"); err != nil {
+			if err := sender.SendMsg(context.Background(), u, "m", "warm"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -378,14 +379,14 @@ func BenchmarkWarmSendParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := sender.Send(u, "m", "warmup"); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "m", "warmup"); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if err := sender.Send(u, "m", "warm"); err != nil {
+			if err := sender.SendMsg(context.Background(), u, "m", "warm"); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -426,7 +427,7 @@ func BenchmarkRelocationLatency(b *testing.B) {
 	call := func() error {
 		in := experiments.ImageBody{A: 1}
 		var out experiments.ImageBody
-		return client.Call(u, "image", in, &out)
+		return client.CallContext(context.Background(), u, "image", in, &out)
 	}
 	if err := call(); err != nil {
 		b.Fatal(err)

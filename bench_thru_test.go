@@ -57,7 +57,7 @@ func BenchmarkThroughputPipelined(b *testing.B) {
 		b.Fatal(err)
 	}
 	body := make([]byte, payloadLen)
-	if err := sender.Send(u, "m", body); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "m", body); err != nil {
 		b.Fatal(err)
 	}
 	for received.Load() < 1 {

@@ -81,7 +81,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "warmup", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "warmup", &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -110,7 +110,7 @@ func TestChaosSoak(t *testing.T) {
 			}
 			msg := fmt.Sprintf("m%d", seq)
 			var got string
-			err := client.Call(u, "q", msg, &got)
+			err := client.CallContext(context.Background(), u, "q", msg, &got)
 			mu.Lock()
 			if err == nil && got != "echo:"+msg {
 				corrupted = append(corrupted, fmt.Sprintf("seq %d: reply %q", seq, got))
@@ -138,7 +138,7 @@ func TestChaosSoak(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var settleErr error
 	for time.Now().Before(deadline) {
-		if settleErr = client.Call(u, "q", "settle", &reply); settleErr == nil {
+		if settleErr = client.CallContext(context.Background(), u, "q", "settle", &reply); settleErr == nil {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)

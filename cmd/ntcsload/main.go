@@ -7,7 +7,6 @@
 //
 //	ntcsload -users 1000 -rate 2000 -duration 10s
 //	ntcsload -sweep               # double the rate until saturation
-//	ntcsload -poller-shards 1     # pin the tcpnet poller (0 = default)
 //	ntcsload -json                # machine-readable windows on stdout
 package main
 
@@ -20,7 +19,6 @@ import (
 	"time"
 
 	"ntcs/internal/experiments"
-	"ntcs/internal/ipcs/tcpnet"
 )
 
 func main() {
@@ -33,25 +31,19 @@ func main() {
 		duration = flag.Duration("duration", 5*time.Second, "measured window length")
 		sweep    = flag.Bool("sweep", false, "double the rate from -rate until saturation")
 		keepUp   = flag.Float64("keepup", 0.90, "sweep: achieved/offered ratio that counts as keeping up")
-		pollers  = flag.Int("poller-shards", 0, "pin tcpnet poller shards (0 = default min(GOMAXPROCS, 8))")
 		seed     = flag.Int64("seed", 1, "corpus/query/arrival seed")
 		inflight = flag.Int("max-inflight", 4096, "outstanding-request bound; excess arrivals are shed")
 		asJSON   = flag.Bool("json", false, "emit measured windows as JSON on stdout")
 	)
 	flag.Parse()
 
-	if err := run(*shards, *users, *conns, *docs, *rate, *duration, *sweep, *keepUp, *pollers, *seed, *inflight, *asJSON); err != nil {
+	if err := run(*shards, *users, *conns, *docs, *rate, *duration, *sweep, *keepUp, *seed, *inflight, *asJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "ntcsload:", err)
 		os.Exit(1)
 	}
 }
 
-func run(shards, users, conns, docs int, rate float64, duration time.Duration, sweep bool, keepUp float64, pollers int, seed int64, inflight int, asJSON bool) error {
-	if pollers != 0 {
-		if err := tcpnet.SetPollerShards(pollers); err != nil {
-			return err
-		}
-	}
+func run(shards, users, conns, docs int, rate float64, duration time.Duration, sweep bool, keepUp float64, seed int64, inflight int, asJSON bool) error {
 	cfg := experiments.ServeConfig{
 		Shards:      shards,
 		Users:       users,
@@ -85,9 +77,8 @@ func run(shards, users, conns, docs int, rate float64, duration time.Duration, s
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(map[string]any{
-			"gomaxprocs":    runtime.GOMAXPROCS(0),
-			"poller_shards": tcpnet.PollerShards(),
-			"windows":       windows,
+			"gomaxprocs": runtime.GOMAXPROCS(0),
+			"windows":    windows,
 		})
 	}
 	fmt.Printf("%10s %10s %8s %6s %6s %9s %9s %9s\n",
@@ -97,8 +88,8 @@ func run(shards, users, conns, docs int, rate float64, duration time.Duration, s
 			r.OfferedQPS, r.AchievedQPS, r.Completed, r.Errors, r.Shed, r.P50us, r.P99us, r.P999us)
 	}
 	if sweep {
-		fmt.Printf("saturation: %.0f qps (poller shards %d, GOMAXPROCS %d)\n",
-			experiments.SaturationQPS(windows, keepUp), tcpnet.PollerShards(), runtime.GOMAXPROCS(0))
+		fmt.Printf("saturation: %.0f qps (GOMAXPROCS %d)\n",
+			experiments.SaturationQPS(windows, keepUp), runtime.GOMAXPROCS(0))
 	}
 	return nil
 }

@@ -20,6 +20,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -187,7 +188,7 @@ func boot() (*world, error) {
 		return nil, err
 	}
 	var reply string
-	if err := host.Call(u, "q", "x", &reply); err != nil {
+	if err := host.CallContext(context.Background(), u, "q", "x", &reply); err != nil {
 		return nil, err
 	}
 	return &world{w: w, ns: ns, gw: gw, host: host, backend: backend}, nil

@@ -1,6 +1,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -77,7 +78,7 @@ func TestQuickEndToEndRoundTrip(t *testing.T) {
 
 	f := func(in fuzzBody) bool {
 		var out fuzzBody
-		if err := client.Call(u, "echo", in, &out); err != nil {
+		if err := client.CallContext(context.Background(), u, "echo", in, &out); err != nil {
 			t.Logf("call: %v", err)
 			return false
 		}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ntcs"
+	"ntcs/internal/drts/errlog"
 	"ntcs/internal/ipcs/memnet"
 	"ntcs/internal/lcm"
 	"ntcs/internal/machine"
@@ -50,7 +52,7 @@ func TestReplyFallsBackToRoutedSend(t *testing.T) {
 	}()
 
 	var reply string
-	if err := client.Call(u, "q", "x", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "x", &reply); err != nil {
 		t.Fatalf("call: %v", err)
 	}
 	if err := <-done; err != nil {
@@ -118,7 +120,7 @@ func TestNDChurn(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				var reply string
 				msg := fmt.Sprintf("g%d-%d", g, i)
-				err := client.Call(u, "q", msg, &reply)
+				err := client.CallContext(context.Background(), u, "q", msg, &reply)
 				mu.Lock()
 				if err != nil {
 					failCount++
@@ -141,7 +143,7 @@ func TestNDChurn(t *testing.T) {
 	t.Logf("churn: %d ok, %d failed", okCount, failCount)
 	// Healthy afterwards.
 	var reply string
-	if err := client.Call(u, "q", "final", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "final", &reply); err != nil {
 		t.Fatalf("post-churn call: %v", err)
 	}
 }
@@ -194,7 +196,7 @@ func TestLargePayloadThroughGateway(t *testing.T) {
 		big[i] = byte(i * 13)
 	}
 	var out []byte
-	if err := client.Call(u, "q", big, &out); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", big, &out); err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(big) {
@@ -207,10 +209,12 @@ func TestLargePayloadThroughGateway(t *testing.T) {
 	}
 }
 
-// TestServiceSendSuppressesHooks: DRTS traffic sent with ServiceSend is
-// flagged as service, is never monitored (the §6.1 recursion guard), and
-// is visible as such to the receiver.
+// TestServiceSendSuppressesHooks: DRTS traffic sent or called with
+// WithService never fires the monitor or time hooks (the §6.1 recursion
+// guard). WithConnless is the connectionless protocol: one attempt, no
+// relocation recovery.
 func TestServiceSendSuppressesHooks(t *testing.T) {
+	ctx := context.Background()
 	w, _ := oneNetWorld(t)
 	recv, err := w.Attach(w.MustHost("vax-1", machine.VAX, "ring"), "recv", nil)
 	if err != nil {
@@ -220,13 +224,14 @@ func TestServiceSendSuppressesHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recorded := 0
-	sender.SetMonitor(func(lcm.Event) { recorded++ })
+	var recorded, clocked atomic.Int32
+	sender.SetMonitor(func(lcm.Event) { recorded.Add(1) })
+	sender.SetClock(func() time.Time { clocked.Add(1); return time.Now() })
 	u, err := sender.Locate("recv")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.ServiceSend(u, "svc", "internal"); err != nil {
+	if err := sender.SendMsg(ctx, u, "svc", "internal", ntcs.WithService); err != nil {
 		t.Fatal(err)
 	}
 	d, err := recv.Recv(tick)
@@ -237,15 +242,59 @@ func TestServiceSendSuppressesHooks(t *testing.T) {
 	if err := d.Decode(&s); err != nil || s != "internal" {
 		t.Errorf("decode: %q %v", s, err)
 	}
-	if recorded != 0 {
-		t.Errorf("service send was monitored %d times", recorded)
+	go func() {
+		if d, err := recv.Recv(tick); err == nil {
+			_ = recv.Reply(d, "r", "svc-reply")
+		}
+	}()
+	var reply string
+	if err := sender.CallContext(ctx, u, "svc", "ping", &reply, ntcs.WithService); err != nil || reply != "svc-reply" {
+		t.Fatalf("service call: %q %v", reply, err)
 	}
-	// An ordinary send IS monitored.
-	if err := sender.Send(u, "app", "visible"); err != nil {
+	if n, c := recorded.Load(), clocked.Load(); n != 0 || c != 0 {
+		t.Errorf("service traffic fired the hooks: monitor %d, clock %d", n, c)
+	}
+	// An ordinary send IS monitored and stamped.
+	if err := sender.SendMsg(ctx, u, "app", "visible"); err != nil {
 		t.Fatal(err)
 	}
-	if recorded != 1 {
-		t.Errorf("ordinary send monitored %d times, want 1", recorded)
+	if n, c := recorded.Load(), clocked.Load(); n != 1 || c == 0 {
+		t.Errorf("ordinary send: monitor %d (want 1), clock %d (want > 0)", n, c)
+	}
+
+	// Connectionless: once recv is replaced, a WithConnless send to its
+	// old UAdd fails instead of following the relocation; an ordinary
+	// send to the same UAdd reaches the replacement.
+	if err := recv.Detach(); err != nil {
+		t.Fatal(err)
+	}
+	next, err := w.Attach(w.MustHost("vax-3", machine.VAX, "ring"), "recv", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clErr := error(nil)
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if clErr = sender.SendMsg(ctx, u, "cl", "lost", ntcs.WithConnless); clErr != nil {
+			break
+		}
+	}
+	if clErr == nil {
+		t.Fatal("connectionless send to a replaced module kept succeeding")
+	}
+	if n := sender.Errors().Count(errlog.CodeForwarded); n != 0 {
+		t.Errorf("connectionless send was forwarded %d times", n)
+	}
+	if sender.Errors().Count(errlog.CodeDroppedMsg) == 0 {
+		t.Error("connectionless loss not recorded")
+	}
+	if d, err := next.Recv(50 * time.Millisecond); err == nil {
+		t.Fatalf("replacement received a connectionless send: %q", d.Type)
+	}
+	if err := sender.SendMsg(ctx, u, "app", "relocated"); err != nil {
+		t.Fatalf("ordinary send after relocation: %v", err)
+	}
+	if d, err := next.Recv(tick); err != nil || d.Type != "app" {
+		t.Fatalf("replacement recv: %v", err)
 	}
 }
 
@@ -265,7 +314,7 @@ func TestModeByteVisibleToReceiver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sender.Send(u, "m", "text"); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "m", "text"); err != nil {
 		t.Fatal(err)
 	}
 	d, err := recv.Recv(2 * time.Second)

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -102,7 +103,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		if err := sender.Send(u, "telemetry", sample); err != nil {
+		if err := sender.SendMsg(context.Background(), u, "telemetry", sample); err != nil {
 			return err
 		}
 		select {

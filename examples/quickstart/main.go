@@ -73,7 +73,7 @@ func run() error {
 
 	// Errors are inspectable. A callee's error reply surfaces as a
 	// structured *ntcs.RemoteError carrying who failed and why...
-	err = client.Call(u, "greet", struct{ Bad int }{42}, &reply)
+	err = client.CallContext(context.Background(), u, "greet", struct{ Bad int }{42}, &reply)
 	var remote *ntcs.RemoteError
 	if errors.As(err, &remote) {
 		fmt.Printf("remote error from %v: %s\n", remote.Src, remote.Msg)

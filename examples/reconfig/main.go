@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -73,7 +74,7 @@ func run() error {
 
 	call := func() (string, error) {
 		var where string
-		err := client.Call(u, "work", "job", &where)
+		err := client.CallContext(context.Background(), u, "work", "job", &where)
 		return where, err
 	}
 

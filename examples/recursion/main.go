@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -78,7 +79,7 @@ func run() error {
 	fmt.Println("=== first send (monitoring and time correction enabled) ===")
 	sender.Tracer().SetEnabled(true)
 	sender.Tracer().Clear()
-	if err := sender.Send(u, "greeting", "first contact"); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "greeting", "first contact"); err != nil {
 		return err
 	}
 	time.Sleep(50 * time.Millisecond) // let the monitor shipping land
@@ -88,7 +89,7 @@ func run() error {
 
 	fmt.Println("\n=== second send (everything warm) ===")
 	sender.Tracer().Clear()
-	if err := sender.Send(u, "greeting", "second contact"); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "greeting", "second contact"); err != nil {
 		return err
 	}
 	fmt.Print(sender.Tracer().Tree())

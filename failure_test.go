@@ -1,6 +1,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -48,7 +49,7 @@ func TestGatewayFailureTeardown(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "before", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "before", &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,7 +60,7 @@ func TestGatewayFailureTeardown(t *testing.T) {
 	deadline := time.Now().Add(tick)
 	var failErr error
 	for time.Now().Before(deadline) {
-		failErr = client.Call(u, "q", "during", &reply)
+		failErr = client.CallContext(context.Background(), u, "q", "during", &reply)
 		if failErr != nil {
 			break
 		}
@@ -82,7 +83,7 @@ func TestGatewayFailureTeardown(t *testing.T) {
 	deadline = time.Now().Add(3 * time.Second)
 	var okErr error
 	for time.Now().Before(deadline) {
-		okErr = client.Call(u, "q", "after", &reply)
+		okErr = client.CallContext(context.Background(), u, "q", "after", &reply)
 		if okErr == nil {
 			break
 		}
@@ -124,12 +125,12 @@ func TestNetworkPartitionAndHeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "pre", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "pre", &reply); err != nil {
 		t.Fatal(err)
 	}
 
 	net.SetDown(true)
-	if err := client.Call(u, "q", "partitioned", &reply); err == nil {
+	if err := client.CallContext(context.Background(), u, "q", "partitioned", &reply); err == nil {
 		t.Fatal("call should fail during the partition")
 	}
 	net.SetDown(false)
@@ -138,7 +139,7 @@ func TestNetworkPartitionAndHeal(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	var healErr error
 	for time.Now().Before(deadline) {
-		healErr = client.Call(u, "q", "healed", &reply)
+		healErr = client.CallContext(context.Background(), u, "q", "healed", &reply)
 		if healErr == nil {
 			break
 		}
@@ -180,14 +181,14 @@ func TestLossyNetworkDegradesWithoutWedging(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "warm", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "warm", &reply); err != nil {
 		t.Fatal(err)
 	}
 
 	net.SetLossProb(0.10)
 	ok, failed := 0, 0
 	for i := 0; i < 60; i++ {
-		if err := client.Call(u, "q", fmt.Sprintf("lossy-%d", i), &reply); err != nil {
+		if err := client.CallContext(context.Background(), u, "q", fmt.Sprintf("lossy-%d", i), &reply); err != nil {
 			failed++
 		} else {
 			ok++
@@ -204,7 +205,7 @@ func TestLossyNetworkDegradesWithoutWedging(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	var cleanErr error
 	for time.Now().Before(deadline) {
-		cleanErr = client.Call(u, "q", "clean", &reply)
+		cleanErr = client.CallContext(context.Background(), u, "q", "clean", &reply)
 		if cleanErr == nil {
 			break
 		}
@@ -234,7 +235,7 @@ func TestInboxOverflowDropsVisibly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 64; i++ {
-		if err := sender.Send(u, "burst", int64(i)); err != nil {
+		if err := sender.SendMsg(context.Background(), u, "burst", int64(i)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -287,7 +288,7 @@ func TestConcurrentClientsOneServer(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				msg := fmt.Sprintf("c%d-%d", c, i)
 				var reply string
-				if err := mod.Call(u, "q", msg, &reply); err != nil {
+				if err := mod.CallContext(context.Background(), u, "q", msg, &reply); err != nil {
 					t.Errorf("client %d call %d: %v", c, i, err)
 					return
 				}
@@ -349,7 +350,7 @@ func TestRelocationUnderConcurrentLoad(t *testing.T) {
 				default:
 				}
 				var reply string
-				if err := mods[c].Call(addrs[c], "q", "x", &reply); err != nil {
+				if err := mods[c].CallContext(context.Background(), addrs[c], "q", "x", &reply); err != nil {
 					results[c].failed.Add(1)
 					time.Sleep(5 * time.Millisecond)
 				} else {
@@ -406,7 +407,7 @@ func TestRelocationUnderConcurrentLoad(t *testing.T) {
 		deadline := time.Now().Add(tick)
 		var err error
 		for time.Now().Before(deadline) {
-			if err = mods[c].Call(addrs[c], "q", "final", &reply); err == nil {
+			if err = mods[c].CallContext(context.Background(), addrs[c], "q", "final", &reply); err == nil {
 				break
 			}
 			time.Sleep(10 * time.Millisecond)
@@ -435,7 +436,7 @@ func TestCallTimeoutSurfacesCleanly(t *testing.T) {
 	}
 	start := time.Now()
 	var reply string
-	err = client.Call(u, "q", "anyone?", &reply)
+	err = client.CallContext(context.Background(), u, "q", "anyone?", &reply)
 	if !errors.Is(err, ntcs.ErrCallTimeout) {
 		t.Fatalf("got %v, want ErrCallTimeout", err)
 	}
@@ -480,7 +481,7 @@ func TestGatewayFailoverAutomatic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "before", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "before", &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -491,7 +492,7 @@ func TestGatewayFailoverAutomatic(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var callErr error
 	for time.Now().Before(deadline) {
-		callErr = client.Call(u, "q", "after", &reply)
+		callErr = client.CallContext(context.Background(), u, "q", "after", &reply)
 		if callErr == nil {
 			break
 		}
@@ -557,7 +558,7 @@ func TestNameServerReplicaRotation(t *testing.T) {
 		t.Fatalf("Locate after primary crash: %v", err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "rotated", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "rotated", &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "echo:rotated" {

@@ -60,7 +60,7 @@ func TestPerSenderFIFOAcrossGateway(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
 				body := []byte(fmt.Sprintf("s%02d-%06d", s, i))
-				if err := mod.Send(u, "seq", body); err != nil {
+				if err := mod.SendMsg(context.Background(), u, "seq", body); err != nil {
 					t.Errorf("sender %d: %v", s, err)
 					return
 				}
@@ -146,7 +146,7 @@ func TestPerSenderFIFOUnderBackpressure(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perSender; i++ {
 				body := []byte(fmt.Sprintf("s%02d-%06d", s, i))
-				if err := mod.Send(u, "seq", body); err != nil {
+				if err := mod.SendMsg(context.Background(), u, "seq", body); err != nil {
 					t.Errorf("sender %d message %d: %v", s, i, err)
 					return
 				}
@@ -215,7 +215,7 @@ func TestSendBytesMatchesSend(t *testing.T) {
 	}
 
 	payload := []byte("opaque \x00 payload")
-	if err := sender.Send(u, "blob", payload); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "blob", payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := sender.SendMsg(context.Background(), u, "blob", payload, core.WithNoCopy); err != nil {

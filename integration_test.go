@@ -1,6 +1,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -81,7 +82,7 @@ func TestBootstrapRegisterLocateCall(t *testing.T) {
 		t.Errorf("Locate = %v, want %v", u, server.UAdd())
 	}
 	var reply string
-	if err := client.Call(u, "query", "find it", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "query", "find it", &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "echo:find it" {
@@ -210,7 +211,7 @@ func TestConversionModeSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out telemetry
-	if err := client.Call(uVax, "telemetry", in, &out); err != nil {
+	if err := client.CallContext(context.Background(), uVax, "telemetry", in, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
@@ -226,7 +227,7 @@ func TestConversionModeSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	out = telemetry{}
-	if err := client.Call(uSun, "telemetry", in, &out); err != nil {
+	if err := client.CallContext(context.Background(), uSun, "telemetry", in, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out != in {
@@ -289,7 +290,7 @@ func TestCustomConverterUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Send(u, "count", 12345); err != nil {
+	if err := client.SendMsg(context.Background(), u, "count", 12345); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -322,7 +323,7 @@ func TestStaticEnvironmentLosesNothing(t *testing.T) {
 	}
 	const count = 500
 	for i := 0; i < count; i++ {
-		if err := src.Send(u, "seq", int64(i)); err != nil {
+		if err := src.SendMsg(context.Background(), u, "seq", int64(i)); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
 	}
@@ -365,7 +366,7 @@ func TestDynamicReconfigurationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "one", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "one", &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -386,7 +387,7 @@ func TestDynamicReconfigurationEndToEnd(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	var callErr error
 	for time.Now().Before(deadline) {
-		callErr = client.Call(u, "q", "two", &reply)
+		callErr = client.CallContext(context.Background(), u, "q", "two", &reply)
 		if callErr == nil {
 			break
 		}
@@ -438,7 +439,7 @@ func TestDynamicReconfigurationEndToEnd(t *testing.T) {
 	var out telemetry
 	sawImage := false
 	for time.Now().Before(deadline) && !sawImage {
-		if err := client.Call(u, "tele", telemetry{Reading: 1}, &out); err != nil {
+		if err := client.CallContext(context.Background(), u, "tele", telemetry{Reading: 1}, &out); err != nil {
 			time.Sleep(20 * time.Millisecond)
 			continue
 		}
@@ -483,7 +484,7 @@ func TestNameServerRemovableAfterResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "warm", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "warm", &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -494,7 +495,7 @@ func TestNameServerRemovableAfterResolution(t *testing.T) {
 
 	// Ongoing communication is unaffected.
 	for i := 0; i < 5; i++ {
-		if err := client.Call(u, "q", "after", &reply); err != nil {
+		if err := client.CallContext(context.Background(), u, "q", "after", &reply); err != nil {
 			t.Fatalf("call %d after NS removal: %v", i, err)
 		}
 	}
@@ -507,7 +508,7 @@ func TestNameServerRemovableAfterResolution(t *testing.T) {
 	deadline := time.Now().Add(tick)
 	var callErr error
 	for time.Now().Before(deadline) {
-		callErr = client.Call(u, "q", "gone", &reply)
+		callErr = client.CallContext(context.Background(), u, "q", "gone", &reply)
 		if callErr != nil {
 			break
 		}
@@ -586,10 +587,10 @@ func TestALIParameterChecking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Send(0, "t", "x"); err == nil {
+	if err := m.SendMsg(context.Background(), 0, "t", "x"); err == nil {
 		t.Error("send to nil address should fail")
 	}
-	if err := m.Send(m.UAdd(), "", "x"); err == nil {
+	if err := m.SendMsg(context.Background(), m.UAdd(), "", "x"); err == nil {
 		t.Error("empty message type should fail")
 	}
 	if err := m.RegisterConverter("", ntcs.Converter{}); err == nil {
@@ -644,7 +645,7 @@ func TestCrossNetworkThroughGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "across", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "across", &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "echo:across" {
@@ -666,7 +667,7 @@ func TestCrossNetworkThroughGateway(t *testing.T) {
 		done <- client.Reply(d, "r", "pong")
 	}()
 	var back string
-	if err := server.Call(u2, "ping", "x", &back); err != nil {
+	if err := server.CallContext(context.Background(), u2, "ping", "x", &back); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -728,7 +729,7 @@ func TestOrdinaryGatewayLocatedThroughNamingService(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "two hops", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "two hops", &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "echo:two hops" {
@@ -761,7 +762,7 @@ func TestPortabilityMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		var reply string
-		if err := client.Call(u, "q", "portable", &reply); err != nil {
+		if err := client.CallContext(context.Background(), u, "q", "portable", &reply); err != nil {
 			t.Fatal(err)
 		}
 		if reply != "echo:portable" {
@@ -818,12 +819,46 @@ func TestCrossIPCSThroughGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "tcp to mbx", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "tcp to mbx", &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "echo:tcp to mbx" {
 		t.Errorf("reply = %q", reply)
 	}
+}
+
+// TestDetachedNameServerReadsDead: a Name Server replica that detaches
+// retires its own record, so its surviving peer reads it dead — as after
+// Drain, and unlike Kill.
+func TestDetachedNameServerReadsDead(t *testing.T) {
+	w := sim.NewWorld()
+	w.AddNetwork("ring", memnet.Options{})
+	t.Cleanup(w.Close)
+	ns1, err := w.StartNameServer(w.MustHost("ns1-host", machine.Apollo, "ring"), "ns-primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns2, err := w.StartNameServer(w.MustHost("ns2-host", machine.Apollo, "ring"), "ns-backup")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns2.DB().Insert(nameserver.Record{
+		Name: ns1.Name(), UAdd: ns1.UAdd(), Endpoints: ns1.Endpoints(),
+		Attrs: map[string]string{"type": "nameserver"}, Alive: true,
+	})
+	ns1.SetNameServerReplicas([]ntcs.UAdd{ns2.UAdd()})
+	ns2.SetNameServerReplicas([]ntcs.UAdd{ns1.UAdd()})
+
+	if err := ns1.Detach(); err != nil {
+		t.Fatal(err)
+	}
+	var rec nameserver.Record
+	for deadline := time.Now().Add(tick); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		if rec, err = ns2.DB().Lookup(ns1.UAdd()); err == nil && !rec.Alive {
+			return
+		}
+	}
+	t.Fatalf("surviving replica's record for the detached one: %+v, %v", rec, err)
 }
 
 func TestReplicatedNameServerFailover(t *testing.T) {
@@ -886,7 +921,7 @@ func TestReplicatedNameServerFailover(t *testing.T) {
 		t.Fatalf("Locate after primary failure: %v", err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "failover", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "failover", &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "echo:failover" {

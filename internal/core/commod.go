@@ -27,7 +27,6 @@ import (
 	"ntcs/internal/addr"
 	"ntcs/internal/drts/errlog"
 	"ntcs/internal/ipcs"
-	"ntcs/internal/ipcs/tcpnet"
 	"ntcs/internal/lcm"
 	"ntcs/internal/machine"
 	"ntcs/internal/nameserver"
@@ -184,8 +183,8 @@ type Module struct {
 	// finished work Drain waits for.
 	unanswered atomic.Int64
 
+	leaveOnce  sync.Once
 	detachOnce sync.Once
-	drainOnce  sync.Once
 	detached   chan struct{}
 }
 
@@ -227,14 +226,6 @@ func Attach(cfg Config) (*Module, error) {
 	m.stats.CounterFunc(stats.IPCSPollerDispatches, ipcs.PollerDispatches)
 	m.stats.CounterFunc(stats.IPCSPollerPolls, ipcs.PollerPolls)
 	m.stats.CounterFunc(stats.IPCSPollerFullBatches, ipcs.PollerFullBatches)
-	// The tcpnet poller is sharded (one epoll loop per shard); per-shard
-	// counters make the fd-hash balance visible in ntcsstat.
-	for i := 0; i < tcpnet.ConfiguredShards(); i++ {
-		i := i
-		m.stats.CounterFunc(stats.IPCSPollerShard(i, "polls"), func() uint64 { return tcpnet.ShardPolls(i) })
-		m.stats.CounterFunc(stats.IPCSPollerShard(i, "dispatches"), func() uint64 { return tcpnet.ShardDispatches(i) })
-		m.stats.CounterFunc(stats.IPCSPollerShard(i, "wakeups"), func() uint64 { return tcpnet.ShardWakeups(i) })
-	}
 
 	// §3.4: a module assigns itself a TAdd initially; well-known modules
 	// carry their preassigned UAdd from birth.
@@ -660,8 +651,8 @@ func openEnvelope(payload []byte) (string, []byte, error) {
 
 // --- Communication primitives (§1.3) -------------------------------------
 
-// SendOption tunes one SendMsg. Options fold into a bitmask, so the
-// variadic call costs nothing on the warm path.
+// SendOption tunes one SendMsg or CallContext. Options fold into a
+// bitmask, so the variadic call costs nothing on the warm path.
 type SendOption uint32
 
 const (
@@ -675,6 +666,13 @@ const (
 	// receiver to drain. The inspectable error carries the queue depth
 	// and a suggested backoff.
 	WithNoBlock
+	// WithService marks DRTS traffic: the monitoring/time hooks stay off
+	// (the §6.1 recursion guard).
+	WithService
+	// WithConnless selects the connectionless protocol: one attempt, no
+	// relocation, no recovery. It implies WithService — the LCM runs no
+	// hooks for a connectionless message.
+	WithConnless
 )
 
 // sendFlags maps the folded options onto local wire flags. FlagNoBlock
@@ -684,53 +682,38 @@ func (o SendOption) sendFlags() uint16 {
 	if o&WithNoBlock != 0 {
 		flags |= wire.FlagNoBlock
 	}
+	if o&WithService != 0 {
+		flags |= wire.FlagService
+	}
+	if o&WithConnless != 0 {
+		flags |= wire.FlagConnless
+	}
 	return flags
 }
 
-// SendMsg transmits body to dst asynchronously: the canonical send
-// primitive. The context bounds establishment and any credit wait;
-// options select the opaque-bytes fast path (WithNoCopy) and the
-// fail-fast backpressure contract (WithNoBlock).
+func fold(opts []SendOption) SendOption {
+	var o SendOption
+	for _, opt := range opts {
+		o |= opt
+	}
+	return o
+}
+
+// SendMsg transmits body to dst asynchronously: the send primitive. The
+// context bounds establishment and any credit wait; options select the
+// opaque-bytes fast path (WithNoCopy), the fail-fast backpressure
+// contract (WithNoBlock), DRTS traffic (WithService) and the
+// connectionless protocol (WithConnless).
 //
 // When the destination's circuit is out of credit, SendMsg waits up to
 // the module's CreditWaitMax and then — or immediately under
 // WithNoBlock — returns an error matching ntcs.ErrBackpressure via
 // errors.Is, with the inspectable *BackpressureError available through
 // errors.As.
-func (m *Module) SendMsg(ctx context.Context, dst addr.UAdd, msgType string, body any, opts ...SendOption) error {
-	var o SendOption
-	for _, opt := range opts {
-		o |= opt
-	}
-	if o&WithNoCopy != 0 {
-		if bb, ok := body.([]byte); ok {
-			return m.sendBytes(ctx, dst, msgType, bb, o.sendFlags())
-		}
-	}
-	return m.send(ctx, dst, msgType, body, o.sendFlags())
-}
-
-// Send transmits body to dst asynchronously.
-//
-// Deprecated: use SendMsg.
-func (m *Module) Send(dst addr.UAdd, msgType string, body any) error {
-	return m.send(context.Background(), dst, msgType, body, 0)
-}
-
-// ServiceSend is Send for DRTS traffic: the monitoring/time hooks stay
-// off (the §6.1 recursion guard).
-func (m *Module) ServiceSend(dst addr.UAdd, msgType string, body any) error {
-	return m.send(context.Background(), dst, msgType, body, wire.FlagService)
-}
-
-// SendCL transmits with the connectionless protocol: one attempt, no
-// relocation, no recovery.
-func (m *Module) SendCL(dst addr.UAdd, msgType string, body any) error {
-	return m.send(context.Background(), dst, msgType, body, wire.FlagConnless)
-}
-
-// sendBytes is the opaque-payload send, the WithNoCopy arm of SendMsg.
-func (m *Module) sendBytes(ctx context.Context, dst addr.UAdd, msgType string, body []byte, flags uint16) (err error) {
+func (m *Module) SendMsg(ctx context.Context, dst addr.UAdd, msgType string, body any, opts ...SendOption) (err error) {
+	o := fold(opts)
+	// The span opens at the very top of the stack: the ALI allocates it and
+	// every layer below stamps its events with the same ID.
 	span := m.nuc.LCM.NewSpan()
 	exit := trace.NopExit
 	if m.tracer.On() {
@@ -738,17 +721,57 @@ func (m *Module) sendBytes(ctx context.Context, dst addr.UAdd, msgType string, b
 		m.tracer.Span(span, trace.LayerALI, "send", msgType)
 	}
 	defer func() { exit(err) }()
-	if err = m.checkArgs(dst, msgType); err != nil {
+	mode, payload, enc, err := m.prepare(dst, msgType, body, o)
+	if err != nil {
 		return err
 	}
-	mode, payload, enc, eerr := m.encodeBytes(msgType, body)
-	if eerr != nil {
-		err = eerr
-		return err
-	}
-	err = m.nuc.LCM.SendSpan(ctx, span, dst, mode, flags, payload)
+	err = m.nuc.LCM.SendSpan(ctx, span, dst, mode, o.sendFlags(), payload)
 	pack.PutEncoder(enc)
 	return err
+}
+
+// CallContext transmits synchronously and decodes the reply into
+// replyOut (which may be nil to discard it): the send/receive/reply
+// primitive. Cancellation or an expiring deadline of ctx ends the reply
+// wait early with ctx.Err() (which errors.Is-matches context.Canceled or
+// context.DeadlineExceeded); the module's fixed CallTimeout still applies
+// as an upper bound. Options are SendMsg's.
+func (m *Module) CallContext(ctx context.Context, dst addr.UAdd, msgType string, body, replyOut any, opts ...SendOption) (err error) {
+	o := fold(opts)
+	span := m.nuc.LCM.NewSpan()
+	exit := trace.NopExit
+	if m.tracer.On() {
+		exit = m.tracer.Enter(trace.LayerALI, "call", msgType+" to "+dst.String(), "app")
+		m.tracer.Span(span, trace.LayerALI, "call", msgType)
+	}
+	defer func() { exit(err) }()
+	mode, payload, enc, err := m.prepare(dst, msgType, body, o)
+	if err != nil {
+		return err
+	}
+	d, err := m.nuc.LCM.CallSpan(ctx, span, dst, mode, o.sendFlags(), payload)
+	pack.PutEncoder(enc)
+	if err != nil || replyOut == nil {
+		return err
+	}
+	del, err := m.wrap(d)
+	if err != nil {
+		return err
+	}
+	return del.Decode(replyOut)
+}
+
+// prepare checks the arguments and encodes the body. Only the encoding
+// step depends on the options: a WithNoCopy []byte is written straight
+// through, anything else goes through the §5 mode selection.
+func (m *Module) prepare(dst addr.UAdd, msgType string, body any, o SendOption) (wire.Mode, []byte, *pack.Encoder, error) {
+	if err := m.checkArgs(dst, msgType); err != nil {
+		return 0, nil, nil, err
+	}
+	if bb, ok := body.([]byte); ok && o&WithNoCopy != 0 {
+		return m.encodeBytes(msgType, bb)
+	}
+	return m.encode(dst, msgType, body)
 }
 
 // encodeBytes is the []byte arm of encode with a typed entry point:
@@ -770,87 +793,6 @@ func (m *Module) encodeBytes(msgType string, body []byte) (wire.Mode, []byte, *p
 	return wire.ModePacked, e.Bytes(), e, nil
 }
 
-func (m *Module) send(ctx context.Context, dst addr.UAdd, msgType string, body any, flags uint16) (err error) {
-	// The span opens at the very top of the stack: the ALI allocates it and
-	// every layer below stamps its events with the same ID.
-	span := m.nuc.LCM.NewSpan()
-	exit := trace.NopExit
-	if m.tracer.On() {
-		exit = m.tracer.Enter(trace.LayerALI, "send", msgType+" to "+dst.String(), "app")
-		m.tracer.Span(span, trace.LayerALI, "send", msgType)
-	}
-	defer func() { exit(err) }()
-	err = m.sendChecked(ctx, span, dst, msgType, body, flags)
-	return err
-}
-
-func (m *Module) sendChecked(ctx context.Context, span uint32, dst addr.UAdd, msgType string, body any, flags uint16) error {
-	if err := m.checkArgs(dst, msgType); err != nil {
-		return err
-	}
-	mode, payload, enc, err := m.encode(dst, msgType, body)
-	if err != nil {
-		return err
-	}
-	err = m.nuc.LCM.SendSpan(ctx, span, dst, mode, flags, payload)
-	pack.PutEncoder(enc)
-	return err
-}
-
-// Call transmits synchronously and decodes the reply into replyOut (which
-// may be nil to discard it): the send/receive/reply primitive.
-func (m *Module) Call(dst addr.UAdd, msgType string, body, replyOut any) error {
-	return m.call(context.Background(), dst, msgType, body, replyOut, 0)
-}
-
-// CallContext is Call honoring ctx: cancellation or an expiring deadline
-// ends the reply wait early with ctx.Err() (which errors.Is-matches
-// context.Canceled or context.DeadlineExceeded). The module's fixed
-// CallTimeout still applies as an upper bound.
-func (m *Module) CallContext(ctx context.Context, dst addr.UAdd, msgType string, body, replyOut any) error {
-	return m.call(ctx, dst, msgType, body, replyOut, 0)
-}
-
-// ServiceCall is Call with the hooks suppressed (DRTS traffic).
-func (m *Module) ServiceCall(dst addr.UAdd, msgType string, body, replyOut any) error {
-	return m.call(context.Background(), dst, msgType, body, replyOut, wire.FlagService)
-}
-
-func (m *Module) call(ctx context.Context, dst addr.UAdd, msgType string, body, replyOut any, flags uint16) (err error) {
-	span := m.nuc.LCM.NewSpan()
-	exit := trace.NopExit
-	if m.tracer.On() {
-		exit = m.tracer.Enter(trace.LayerALI, "call", msgType+" to "+dst.String(), "app")
-		m.tracer.Span(span, trace.LayerALI, "call", msgType)
-	}
-	defer func() { exit(err) }()
-	err = m.callChecked(ctx, span, dst, msgType, body, replyOut, flags)
-	return err
-}
-
-func (m *Module) callChecked(ctx context.Context, span uint32, dst addr.UAdd, msgType string, body, replyOut any, flags uint16) error {
-	if err := m.checkArgs(dst, msgType); err != nil {
-		return err
-	}
-	mode, payload, enc, err := m.encode(dst, msgType, body)
-	if err != nil {
-		return err
-	}
-	d, err := m.nuc.LCM.CallSpan(ctx, span, dst, mode, flags, payload)
-	pack.PutEncoder(enc)
-	if err != nil {
-		return err
-	}
-	if replyOut == nil {
-		return nil
-	}
-	del, err := m.wrap(d)
-	if err != nil {
-		return err
-	}
-	return del.Decode(replyOut)
-}
-
 func (m *Module) checkArgs(dst addr.UAdd, msgType string) error {
 	if dst == addr.Nil {
 		return ErrBadDest
@@ -858,12 +800,10 @@ func (m *Module) checkArgs(dst addr.UAdd, msgType string) error {
 	if msgType == "" {
 		return ErrBadType
 	}
-	select {
-	case <-m.detached:
+	if m.closed() {
 		return ErrDetached
-	default:
-		return nil
 	}
+	return nil
 }
 
 // Delivery is one received message, ready to decode.
@@ -1022,20 +962,10 @@ const detachFlushMax = time.Second
 // send that returned nil before Detach reaches the wire. It does not wait
 // for inbound work the way Drain does; Kill is the abrupt form.
 func (m *Module) Detach() error {
-	var err error
-	m.detachOnce.Do(func() {
-		close(m.detached)
-		if m.naming != nil && !m.cfg.NoRegister && !m.UAdd().IsTemp() {
-			err = m.naming.Deregister(m.UAdd())
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), detachFlushMax)
-		_ = m.nuc.Flush(ctx) // on expiry the teardown proceeds anyway
-		cancel()
-		m.nuc.Close()
-		if m.server != nil {
-			m.server.Wait()
-		}
-	})
+	err := m.leave()
+	ctx, cancel := context.WithTimeout(context.Background(), detachFlushMax)
+	defer cancel()
+	m.teardown(ctx)
 	return err
 }
 
@@ -1054,50 +984,29 @@ func (m *Module) Detach() error {
 // the deregistration error, if any — a failed quiesce is not an error,
 // just a less graceful exit.
 //
-// A Name Server module retires its own record from its own shard
-// (Server.Retire), pushing the death notice to its replica peers inline;
-// other modules deregister through the naming service as usual. Safe to
-// call concurrently with Detach/Kill and with a running serve loop: the
-// serve loop's Recv fails with ErrClosed once the teardown starts.
+// Safe to call concurrently with Detach/Kill and with a running serve
+// loop: the serve loop's Recv fails with ErrClosed once the teardown
+// starts.
 func (m *Module) Drain(ctx context.Context) error {
-	var err error
-	m.drainOnce.Do(func() {
-		if !m.cfg.NoRegister && !m.UAdd().IsTemp() {
-			if m.server != nil {
-				m.server.Retire(m.UAdd())
-			} else if m.naming != nil {
-				err = m.naming.Deregister(m.UAdd())
+	err := m.leave()
+	// Quiesce: two consecutive observations of an empty inbox with no
+	// call unanswered, so a burst that momentarily empties the channel
+	// doesn't end the grace period while a sender is mid-stream.
+	empty := 0
+	for empty < 2 && ctx.Err() == nil && !m.closed() {
+		if m.nuc.LCM.InboxDepth() == 0 && m.unanswered.Load() == 0 {
+			empty++
+		} else {
+			empty = 0
+		}
+		if empty < 2 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(10 * time.Millisecond):
 			}
 		}
-
-		// Quiesce: two consecutive observations of an empty inbox with no
-		// call unanswered, so a burst that momentarily empties the channel
-		// doesn't end the grace period while a sender is mid-stream.
-		empty := 0
-		for empty < 2 && ctx.Err() == nil {
-			if m.nuc.LCM.InboxDepth() == 0 && m.unanswered.Load() == 0 {
-				empty++
-			} else {
-				empty = 0
-			}
-			if empty < 2 {
-				select {
-				case <-ctx.Done():
-				case <-time.After(10 * time.Millisecond):
-				}
-			}
-		}
-
-		_ = m.nuc.Flush(ctx)
-
-		m.detachOnce.Do(func() {
-			close(m.detached)
-			m.nuc.Close()
-			if m.server != nil {
-				m.server.Wait()
-			}
-		})
-	})
+	}
+	m.teardown(ctx)
 	return err
 }
 
@@ -1108,11 +1017,51 @@ func (m *Module) Drain(ctx context.Context) error {
 // it; peers discover the death only by failing to reach the endpoints.
 // Used by the chaos harness; a clean shutdown is Detach.
 func (m *Module) Kill() {
+	m.teardown(nil)
+}
+
+// leave withdraws the module's record, once. A Name Server module retires
+// its own record from its own shard (Server.Retire), pushing the death
+// notice to its replica peers inline; other modules deregister through
+// the naming service. A module that never registered, or was already
+// killed, has nothing to withdraw.
+func (m *Module) leave() (err error) {
+	m.leaveOnce.Do(func() {
+		switch {
+		case m.closed() || m.cfg.NoRegister || m.UAdd().IsTemp():
+		case m.server != nil:
+			m.server.Retire(m.UAdd())
+		default:
+			err = m.naming.Deregister(m.UAdd())
+		}
+	})
+	return err
+}
+
+// teardown closes the ComMod, once: new sends fail with ErrDetached, the
+// write queues get until flush expires to reach the wire (Kill passes
+// nil and skips them), then the Nucleus closes and a Name Server's
+// dispatch loop is awaited.
+func (m *Module) teardown(flush context.Context) {
 	m.detachOnce.Do(func() {
 		close(m.detached)
+		if flush != nil {
+			if err := m.nuc.Flush(flush); err != nil {
+				m.errs.Report(errlog.CodeDroppedMsg, "ali", "teardown flush: %v", err)
+			}
+		}
 		m.nuc.Close()
 		if m.server != nil {
 			m.server.Wait()
 		}
 	})
+}
+
+func (m *Module) closed() bool {
+	select {
+	case <-m.detached:
+		return true
+	default:
+		return false
+	}
 }

@@ -67,7 +67,7 @@ func TestUnpackableBodyRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = a.Send(b.UAdd(), "bad", make(chan int))
+	err = a.SendMsg(context.Background(), b.UAdd(), "bad", make(chan int))
 	if !errors.Is(err, core.ErrNotConverter) {
 		t.Errorf("got %v, want ErrNotConverter", err)
 	}
@@ -100,7 +100,7 @@ func TestStaleImageRejectedAtReceiver(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := envelope(t, "p", img)
-	if err := sender.Nucleus().LCM.Send(u, wire.ModeImage, 0, env); err != nil {
+	if err := sender.Nucleus().LCM.SendContext(context.Background(), u, wire.ModeImage, 0, env); err != nil {
 		t.Fatal(err)
 	}
 	d, err := recv.Recv(2 * time.Second)
@@ -171,7 +171,7 @@ func TestUnknownMachineDefaultsToPacked(t *testing.T) {
 		done <- d.Mode()
 	}()
 	type msg struct{ A int32 }
-	if err := sender.Send(recv.UAdd(), "m", msg{A: 1}); err != nil {
+	if err := sender.SendMsg(context.Background(), recv.UAdd(), "m", msg{A: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -210,7 +210,7 @@ func TestReplyErrorSurfacesAsRemote(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out string
-	err = client.Call(u, "q", "x", &out)
+	err = client.CallContext(context.Background(), u, "q", "x", &out)
 	if !errors.Is(err, lcm.ErrRemote) {
 		t.Fatalf("got %v, want ErrRemote", err)
 	}
@@ -229,10 +229,10 @@ func TestDetachedModuleRefusesWork(t *testing.T) {
 	if err := m.Detach(); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Send(1234, "t", "x"); !errors.Is(err, core.ErrDetached) {
+	if err := m.SendMsg(context.Background(), 1234, "t", "x"); !errors.Is(err, core.ErrDetached) {
 		t.Errorf("send after detach: %v", err)
 	}
-	if err := m.Call(1234, "t", "x", nil); !errors.Is(err, core.ErrDetached) {
+	if err := m.CallContext(context.Background(), 1234, "t", "x", nil); !errors.Is(err, core.ErrDetached) {
 		t.Errorf("call after detach: %v", err)
 	}
 }
@@ -292,7 +292,7 @@ func TestDrainWaitsForCallBeingServed(t *testing.T) {
 	}()
 	called := make(chan error, 1)
 	var reply string
-	go func() { called <- client.Call(u, "ping", "work", &reply) }()
+	go func() { called <- client.CallContext(context.Background(), u, "ping", "work", &reply) }()
 
 	<-taken
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -369,7 +369,7 @@ func TestDrainWaitsThroughReplyRefusedBeforeSending(t *testing.T) {
 		t.Fatal(err)
 	}
 	called := make(chan error, 1)
-	go func() { called <- client.Call(u, "ping", "work", nil) }()
+	go func() { called <- client.CallContext(context.Background(), u, "ping", "work", nil) }()
 	d, err := server.Recv(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@
 package errnet
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -198,7 +199,7 @@ func (p *Publisher) PublishOnce() {
 		dst = u
 		p.mu.Unlock()
 	}
-	if err := p.m.SendCL(dst, MsgReport, rep); err != nil {
+	if err := p.m.SendMsg(context.TODO(), dst, MsgReport, rep, core.WithConnless); err != nil {
 		p.mu.Lock()
 		p.collector = addr.Nil // re-locate next round
 		p.mu.Unlock()
@@ -212,7 +213,7 @@ func QueryFleet(m *core.Module, collectorName string) (FleetView, error) {
 		return FleetView{}, err
 	}
 	var out FleetView
-	if err := m.ServiceCall(u, MsgQuery, QueryRequest{}, &out); err != nil {
+	if err := m.CallContext(context.TODO(), u, MsgQuery, QueryRequest{}, &out, core.WithService); err != nil {
 		return FleetView{}, err
 	}
 	return out, nil

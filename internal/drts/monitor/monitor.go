@@ -11,6 +11,7 @@
 package monitor
 
 import (
+	"context"
 	"errors"
 	"sort"
 	"sync"
@@ -218,7 +219,7 @@ func (c *Client) Flush() {
 		server = u
 		c.mu.Unlock()
 	}
-	if err := c.m.SendCL(server, MsgBatch, batch); err != nil {
+	if err := c.m.SendMsg(context.TODO(), server, MsgBatch, batch, core.WithConnless); err != nil {
 		c.mu.Lock()
 		c.dropped += int64(len(batch.Records))
 		c.serverU = addr.Nil // relocate next time
@@ -251,7 +252,7 @@ func QueryStats(m *core.Module, monitorName string) (Stats, error) {
 		return Stats{}, err
 	}
 	var out Stats
-	if err := m.ServiceCall(u, MsgStats, StatsRequest{}, &out); err != nil {
+	if err := m.CallContext(context.TODO(), u, MsgStats, StatsRequest{}, &out, core.WithService); err != nil {
 		return Stats{}, err
 	}
 	return out, nil

@@ -12,6 +12,7 @@
 package proctl
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -194,7 +195,7 @@ func Start(ctl *core.Module, agentName, name string, attrs map[string]string) (a
 		return addr.Nil, err
 	}
 	var reply StartReply
-	if err := ctl.ServiceCall(u, MsgStart, StartRequest{Name: name, Attrs: attrs}, &reply); err != nil {
+	if err := ctl.CallContext(context.TODO(), u, MsgStart, StartRequest{Name: name, Attrs: attrs}, &reply, core.WithService); err != nil {
 		return addr.Nil, err
 	}
 	return addr.UAdd(reply.UAdd), nil
@@ -207,7 +208,7 @@ func Stop(ctl *core.Module, agentName, name string) error {
 		return err
 	}
 	var ack Ack
-	return ctl.ServiceCall(u, MsgStop, StopRequest{Name: name}, &ack)
+	return ctl.CallContext(context.TODO(), u, MsgStop, StopRequest{Name: name}, &ack, core.WithService)
 }
 
 // List asks the named agent what it runs.
@@ -217,7 +218,7 @@ func List(ctl *core.Module, agentName string) ([]string, error) {
 		return nil, err
 	}
 	var reply ListReply
-	if err := ctl.ServiceCall(u, MsgList, ListRequest{}, &reply); err != nil {
+	if err := ctl.CallContext(context.TODO(), u, MsgList, ListRequest{}, &reply, core.WithService); err != nil {
 		return nil, err
 	}
 	return reply.Names, nil

@@ -1,6 +1,7 @@
 package proctl_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -95,7 +96,7 @@ func TestStartListStop(t *testing.T) {
 	}
 	// The module is callable.
 	var reply string
-	if err := f.ctl.Call(u, "q", "hello", &reply); err != nil {
+	if err := f.ctl.CallContext(context.Background(), u, "q", "hello", &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "vax-1:hello" {
@@ -147,7 +148,7 @@ func TestRelocateKeepsOldAddressWorking(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := f.ctl.Call(u, "q", "one", &reply); err != nil {
+	if err := f.ctl.CallContext(context.Background(), u, "q", "one", &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply != "vax-1:one" {
@@ -166,7 +167,7 @@ func TestRelocateKeepsOldAddressWorking(t *testing.T) {
 	deadline := time.Now().Add(3 * time.Second)
 	var callErr error
 	for time.Now().Before(deadline) {
-		callErr = f.ctl.Call(u, "q", "two", &reply)
+		callErr = f.ctl.CallContext(context.Background(), u, "q", "two", &reply)
 		if callErr == nil {
 			break
 		}

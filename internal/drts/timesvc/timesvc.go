@@ -15,6 +15,7 @@
 package timesvc
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -148,7 +149,7 @@ func (c *Corrector) Sync() error {
 
 	t0 := time.Now()
 	var reply Reply
-	if err := c.m.ServiceCall(server, MsgTime, Reply{}, &reply); err != nil {
+	if err := c.m.CallContext(context.TODO(), server, MsgTime, Reply{}, &reply, core.WithService); err != nil {
 		// The server may have relocated; drop the cached address so the
 		// next sync re-locates.
 		c.mu.Lock()

@@ -171,7 +171,7 @@ func TestUnknownCallIsRefusedAndDrainStaysPrompt(t *testing.T) {
 	}
 
 	start := time.Now()
-	err = clientMod.Call(u, "weather", "tomorrow", nil)
+	err = clientMod.CallContext(context.Background(), u, "weather", "tomorrow", nil)
 	if !errors.Is(err, lcm.ErrRemote) || !strings.Contains(err.Error(), "weather") {
 		t.Errorf("call of a type the server does not serve: %v", err)
 	}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -184,7 +185,7 @@ func PairOverIPCS(kind string) (*Env, error) {
 func (e *Env) RoundTrip(payloadLen int) error {
 	body := EchoBody{Payload: make([]byte, payloadLen)}
 	var out EchoBody
-	if err := e.Client.Call(e.Dst, "echo", body, &out); err != nil {
+	if err := e.Client.CallContext(context.Background(), e.Dst, "echo", body, &out); err != nil {
 		return err
 	}
 	if len(out.Payload) != payloadLen {
@@ -198,7 +199,7 @@ func (e *Env) RoundTrip(payloadLen int) error {
 func (e *Env) RoundTripImage() error {
 	in := ImageBody{A: 1, B: 2, C: 3, D: 4, E: 5.5, F: 6.5, H: 7, I: 8}
 	var out ImageBody
-	if err := e.Client.Call(e.Dst, "image", in, &out); err != nil {
+	if err := e.Client.CallContext(context.Background(), e.Dst, "image", in, &out); err != nil {
 		return err
 	}
 	if out != in {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"io"
 	"sort"
@@ -229,7 +230,7 @@ func AdaptiveVsAlwaysPacked(w io.Writer) error {
 		call := func() error {
 			in := ImageBody{A: 9, E: 1.25}
 			var out ImageBody
-			return client.Call(u, "image", in, &out)
+			return client.CallContext(context.Background(), u, "image", in, &out)
 		}
 		if err := call(); err != nil {
 			return 0, err
@@ -339,7 +340,7 @@ func FirstSendVsWarm(w io.Writer) error {
 	}
 	sender.Tracer().Clear()
 	start := time.Now()
-	if err := sender.Send(u, "m", "first"); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "m", "first"); err != nil {
 		return err
 	}
 	first := time.Since(start)
@@ -347,7 +348,7 @@ func FirstSendVsWarm(w io.Writer) error {
 	firstEvents := len(sender.Tracer().Events())
 
 	sender.Tracer().Clear()
-	ts, err := timings(300, func() error { return sender.Send(u, "m", "warm") })
+	ts, err := timings(300, func() error { return sender.SendMsg(context.Background(), u, "m", "warm") })
 	if err != nil {
 		return err
 	}
@@ -398,7 +399,7 @@ func RelocationBlackout(w io.Writer) error {
 	}
 	call := func() error {
 		var out EchoBody
-		return client.Call(u, "echo", EchoBody{Payload: []byte("x")}, &out)
+		return client.CallContext(context.Background(), u, "echo", EchoBody{Payload: []byte("x")}, &out)
 	}
 	// Static phase: no losses.
 	staticCalls := 200

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -12,7 +13,7 @@ import (
 
 	"ntcs/internal/addr"
 	"ntcs/internal/core"
-	"ntcs/internal/ipcs/tcpnet"
+	"ntcs/internal/ipcs"
 	"ntcs/internal/machine"
 	"ntcs/internal/stats"
 	"ntcs/internal/ursa"
@@ -22,10 +23,9 @@ import (
 // E-SERVE: the ROADMAP-item-5 artifact. An open-loop driver replays
 // Poisson-arrival query traffic from N simulated users against sharded
 // URSA index/search/doc backends behind a gateway, over real tcpnet —
-// the first number that exercises the compiled codecs (PR 5), the
-// event-driven substrate (PR 6), the sharded name service (PR 7), the
-// C1M memory diet (PR 9) and the sharded epoll pollers (PR 10) in one
-// serving path.
+// the first number that exercises the compiled codecs, the event-driven
+// substrate, the sharded name service, the C1M memory diet and the epoll
+// poller in one serving path.
 //
 // Open loop means arrivals are scheduled by the Poisson clock, not by
 // request completion: a slow reply delays nothing behind it, so the
@@ -70,8 +70,7 @@ type ServeResult struct {
 	P99us  int64 `json:"p99_us"`
 	P999us int64 `json:"p999_us"`
 
-	PollerShards    int      `json:"poller_shards"`
-	ShardDispatches []uint64 `json:"shard_dispatches"` // delta per poller shard
+	Dispatches uint64 `json:"dispatches"` // drain tasks the substrate pools scheduled
 }
 
 // ServeWorld is a built serving topology, reusable across measured
@@ -180,7 +179,7 @@ func BuildServeWorld(cfg ServeConfig) (*ServeWorld, error) {
 				return nil, fmt.Errorf("serve: locate %s shard %d: %w", base, s, err)
 			}
 			var ack ursa.IngestReply
-			if err := ingester.Call(u, ursa.MsgIngest, ursa.IngestRequest{Docs: docs}, &ack); err != nil {
+			if err := ingester.CallContext(context.Background(), u, ursa.MsgIngest, ursa.IngestRequest{Docs: docs}, &ack); err != nil {
 				return nil, fmt.Errorf("serve: ingest shard %d: %w", s, err)
 			}
 			if ack.Count != int64(len(docs)) {
@@ -206,14 +205,14 @@ func BuildServeWorld(cfg ServeConfig) (*ServeWorld, error) {
 			for i := 0; i < cfg.Warm; i++ {
 				var reply ursa.SearchReply
 				q := sw.queries[(s+i)%len(sw.queries)]
-				if err := m.Call(sw.search[s], ursa.MsgSearch, ursa.SearchRequest{Query: q, Limit: 5}, &reply); err != nil {
+				if err := m.CallContext(context.Background(), sw.search[s], ursa.MsgSearch, ursa.SearchRequest{Query: q, Limit: 5}, &reply); err != nil {
 					return nil, fmt.Errorf("serve: warm-up call shard %d: %w", s, err)
 				}
 			}
 		}
 	}
-	sw.logf("serve: world up — %d shards, %d clients, %d users, poller shards %d\n",
-		cfg.Shards, cfg.Conns, cfg.Users, tcpnet.PollerShards())
+	sw.logf("serve: world up — %d shards, %d clients, %d users\n",
+		cfg.Shards, cfg.Conns, cfg.Users)
 	return sw, nil
 }
 
@@ -244,17 +243,13 @@ func (sw *ServeWorld) Run(rateQPS float64, duration time.Duration) (ServeResult,
 	var sent, completed, errors, shed, corrupted atomic.Uint64
 	inflight := make(chan struct{}, cfg.MaxInFlight)
 
-	pollerShards := tcpnet.PollerShards()
-	dispatchBefore := make([]uint64, pollerShards)
-	for i := range dispatchBefore {
-		dispatchBefore[i] = tcpnet.ShardDispatches(i)
-	}
+	dispatchBefore := ipcs.PollerDispatches()
 
 	perUser := rateQPS / float64(cfg.Users)
 	start := time.Now()
 	end := start.Add(duration)
-	var wg sync.WaitGroup      // user clocks
-	var reqWg sync.WaitGroup   // outstanding requests
+	var wg sync.WaitGroup    // user clocks
+	var reqWg sync.WaitGroup // outstanding requests
 	for u := 0; u < cfg.Users; u++ {
 		wg.Add(1)
 		go func(u int) {
@@ -284,7 +279,7 @@ func (sw *ServeWorld) Run(rateQPS float64, duration time.Duration) (ServeResult,
 					defer func() { <-inflight; reqWg.Done() }()
 					s := sw.shardOf(q)
 					var reply ursa.SearchReply
-					err := m.Call(sw.search[s], ursa.MsgSearch, ursa.SearchRequest{Query: q, Limit: 5}, &reply)
+					err := m.CallContext(context.Background(), sw.search[s], ursa.MsgSearch, ursa.SearchRequest{Query: q, Limit: 5}, &reply)
 					lat := time.Since(scheduled)
 					if err != nil {
 						errors.Add(1)
@@ -307,14 +302,14 @@ func (sw *ServeWorld) Run(rateQPS float64, duration time.Duration) (ServeResult,
 	elapsed := time.Since(start)
 
 	res := ServeResult{
-		OfferedQPS:   rateQPS,
-		DurationSec:  elapsed.Seconds(),
-		Sent:         sent.Load(),
-		Completed:    completed.Load(),
-		Errors:       errors.Load(),
-		Shed:         shed.Load(),
-		Corrupted:    corrupted.Load(),
-		PollerShards: pollerShards,
+		OfferedQPS:  rateQPS,
+		DurationSec: elapsed.Seconds(),
+		Sent:        sent.Load(),
+		Completed:   completed.Load(),
+		Errors:      errors.Load(),
+		Shed:        shed.Load(),
+		Corrupted:   corrupted.Load(),
+		Dispatches:  ipcs.PollerDispatches() - dispatchBefore,
 	}
 	res.AchievedQPS = float64(res.Completed) / elapsed.Seconds()
 	if v, ok := reg.Snapshot().Histograms["serve.query_latency"]; ok {
@@ -322,10 +317,6 @@ func (sw *ServeWorld) Run(rateQPS float64, duration time.Duration) (ServeResult,
 		res.P90us = v.Quantile(0.90).Microseconds()
 		res.P99us = v.Quantile(0.99).Microseconds()
 		res.P999us = v.Quantile(0.999).Microseconds()
-	}
-	res.ShardDispatches = make([]uint64, pollerShards)
-	for i := range res.ShardDispatches {
-		res.ShardDispatches[i] = tcpnet.ShardDispatches(i) - dispatchBefore[i]
 	}
 	sw.logf("serve: offered %.0f qps for %.1fs → achieved %.0f qps (%d ok, %d err, %d shed, %d corrupt) p50=%dµs p99=%dµs p999=%dµs\n",
 		rateQPS, elapsed.Seconds(), res.AchievedQPS, res.Completed, res.Errors, res.Shed, res.Corrupted,

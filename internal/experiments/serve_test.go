@@ -2,28 +2,18 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"runtime"
 	"testing"
 	"time"
-
-	"ntcs/internal/ipcs/tcpnet"
 )
 
 // TestServeGate is the CI-sized E-SERVE gate: a short open-loop window
-// against sharded backends with the poller pinned to 2 shards must
-// complete real queries, return zero corrupted replies, and show every
-// poller shard dispatching work. Runs under -race in tier-1.
+// against sharded backends must complete real queries, return zero
+// corrupted replies, and show the poller dispatching work. Runs under
+// -race in tier-1.
 func TestServeGate(t *testing.T) {
-	if err := tcpnet.SetPollerShards(2); err != nil {
-		t.Fatalf("SetPollerShards(2): %v", err)
-	}
-	defer func() {
-		if err := tcpnet.SetPollerShards(0); err != nil {
-			t.Fatalf("restore poller shards: %v", err)
-		}
-	}()
-
 	sw, err := BuildServeWorld(ServeConfig{
 		Shards: 2,
 		Users:  32,
@@ -51,32 +41,20 @@ func TestServeGate(t *testing.T) {
 	if res.Errors > res.Sent/10 {
 		t.Fatalf("serve-gate: %d errors out of %d sent", res.Errors, res.Sent)
 	}
-	if res.PollerShards != 2 {
-		t.Fatalf("serve-gate: poller shards = %d, want 2", res.PollerShards)
-	}
-	for i, d := range res.ShardDispatches {
-		if d == 0 {
-			t.Fatalf("serve-gate: poller shard %d dispatched nothing (deltas %v)", i, res.ShardDispatches)
-		}
+	if res.Dispatches == 0 {
+		t.Fatal("serve-gate: the poller dispatched nothing")
 	}
 	if res.P50us <= 0 || res.P99us < res.P50us {
 		t.Fatalf("serve-gate: implausible quantiles p50=%dµs p99=%dµs", res.P50us, res.P99us)
 	}
 }
 
-// benchPhase is one poller configuration's sweep in BENCH_PR10.json.
-type benchPhase struct {
-	PollerShards  int           `json:"poller_shards"`
-	Windows       []ServeResult `json:"windows"`
-	SaturationQPS float64       `json:"saturation_qps"`
-	FixedLoad     *ServeResult  `json:"fixed_load"` // sub-saturation tail measurement
-}
-
-// TestBenchServe is `make bench-serve`: the same-run sharded-vs-single
-// comparison behind BENCH_PR10.json. Both phases run in this one
-// process with identical topology and corpus — only NTCS poller
-// sharding differs — mirroring the E-MEM same-run methodology. Gated
-// behind NTCS_SCALE because a real saturation sweep takes minutes.
+// TestBenchServe is `make bench-serve`: a saturation sweep of the serving
+// path plus its tail at a fixed sub-saturation load, printed as JSON.
+// Gated behind NTCS_SCALE because a real saturation sweep takes minutes.
+// BENCH_PR10.json keeps the earlier same-run comparison of a sharded
+// poller against one loop (ratio 1.00 on two cores), the record behind
+// running one loop.
 func TestBenchServe(t *testing.T) {
 	if os.Getenv("NTCS_SCALE") == "" {
 		t.Skip("set NTCS_SCALE=1 to run the serving bench (see `make bench-serve`)")
@@ -95,57 +73,30 @@ func TestBenchServe(t *testing.T) {
 		window     = 5 * time.Second
 		maxWindows = 8
 	)
-
-	runPhase := func(shards int) benchPhase {
-		if err := tcpnet.SetPollerShards(shards); err != nil {
-			t.Fatalf("SetPollerShards(%d): %v", shards, err)
-		}
-		sw, err := BuildServeWorld(cfg)
-		if err != nil {
-			t.Fatalf("BuildServeWorld (poller shards %d): %v", shards, err)
-		}
-		defer sw.Close()
-
-		windows, err := sw.Saturate(startQPS, keepUp, window, maxWindows)
-		if err != nil {
-			t.Fatalf("Saturate (poller shards %d): %v", shards, err)
-		}
-		ph := benchPhase{
-			PollerShards:  tcpnet.PollerShards(),
-			Windows:       windows,
-			SaturationQPS: SaturationQPS(windows, keepUp),
-		}
-		// Tail latency at a fixed sub-saturation load (half the knee),
-		// where queueing noise doesn't mask the per-request cost.
-		fixed := ph.SaturationQPS / 2
-		if fixed < startQPS/2 {
-			fixed = startQPS / 2
-		}
-		r, err := sw.Run(fixed, window)
-		if err != nil {
-			t.Fatalf("fixed-load run (poller shards %d): %v", shards, err)
-		}
-		ph.FixedLoad = &r
-		for _, w := range append(windows, r) {
-			if w.Corrupted != 0 {
-				t.Fatalf("bench-serve: %d corrupted replies (poller shards %d)", w.Corrupted, shards)
-			}
-		}
-		return ph
+	sw, err := BuildServeWorld(cfg)
+	if err != nil {
+		t.Fatalf("BuildServeWorld: %v", err)
 	}
+	defer sw.Close()
 
-	single := runPhase(1)
-	sharded := runPhase(0) // 0 = default: min(GOMAXPROCS, 8)
-	if err := tcpnet.SetPollerShards(0); err != nil {
-		t.Fatalf("restore poller shards: %v", err)
+	windows, err := sw.Saturate(startQPS, keepUp, window, maxWindows)
+	if err != nil {
+		t.Fatalf("Saturate: %v", err)
 	}
-
-	ratio := 0.0
-	if single.SaturationQPS > 0 {
-		ratio = sharded.SaturationQPS / single.SaturationQPS
+	saturation := SaturationQPS(windows, keepUp)
+	// Tail latency at a fixed sub-saturation load (half the knee), where
+	// queueing noise doesn't mask the per-request cost.
+	fixed, err := sw.Run(max(saturation/2, startQPS/2), window)
+	if err != nil {
+		t.Fatalf("fixed-load run: %v", err)
 	}
-	report := map[string]any{
-		"bench":      "E-SERVE open-loop serving, sharded vs single poller (same run)",
+	for _, w := range append(windows, fixed) {
+		if w.Corrupted != 0 {
+			t.Fatalf("bench-serve: %d corrupted replies", w.Corrupted)
+		}
+	}
+	out, err := json.MarshalIndent(map[string]any{
+		"bench":      "E-SERVE open-loop serving",
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"num_cpu":    runtime.NumCPU(),
 		"config": map[string]any{
@@ -153,20 +104,12 @@ func TestBenchServe(t *testing.T) {
 			"docs_per_shard": cfg.Docs, "start_qps": startQPS, "keep_up": keepUp,
 			"window_sec": window.Seconds(),
 		},
-		"single_poller":    single,
-		"sharded_poller":   sharded,
-		"saturation_ratio": ratio,
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
+		"windows":        windows,
+		"saturation_qps": saturation,
+		"fixed_load":     fixed,
+	}, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("../../BENCH_PR10.json", append(out, '\n'), 0o644); err != nil {
-		t.Fatalf("write BENCH_PR10.json: %v", err)
-	}
-	t.Logf("bench-serve: single=%.0f qps sharded=%.0f qps ratio=%.2fx (GOMAXPROCS=%d) → BENCH_PR10.json",
-		single.SaturationQPS, sharded.SaturationQPS, ratio, runtime.GOMAXPROCS(0))
-	if runtime.GOMAXPROCS(0) > 1 && ratio < 1.0 {
-		t.Errorf("bench-serve: sharded pollers slower than single on a multi-core host (%.2fx)", ratio)
-	}
+	fmt.Println(string(out))
 }

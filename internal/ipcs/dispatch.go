@@ -28,8 +28,6 @@ type Pool struct {
 	queue      []Task
 	workers    int
 	maxWorkers int
-
-	wakeups atomic.Uint64 // workers spawned by this pool
 }
 
 // NewPool creates a dispatcher. maxWorkers caps concurrent workers;
@@ -53,17 +51,11 @@ func (p *Pool) Schedule(t Task) {
 		p.workers++
 		p.mu.Unlock()
 		pollerWakeups.Add(1)
-		p.wakeups.Add(1)
 		go p.work()
 		return
 	}
 	p.mu.Unlock()
 }
-
-// Wakeups returns how many workers this pool has spawned — the per-pool
-// slice of the process-wide PollerWakeups, used by sharded substrates to
-// expose per-shard dispatch economics.
-func (p *Pool) Wakeups() uint64 { return p.wakeups.Load() }
 
 // work drains the queue and exits when it runs dry.
 func (p *Pool) work() {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -14,24 +13,21 @@ import (
 	"ntcs/internal/ipcs"
 )
 
-// The sharded reader: min(GOMAXPROCS, 8) independent epoll instances,
-// each with one goroutine blocked in epoll_wait and its own drain pool,
-// multiplexing the process's tcpnet connections by fd hash. A connection
-// with no traffic costs no goroutine and no poller work; a busy process
-// spreads event handling across cores instead of funneling every byte
-// through one epoll loop and one mutex.
+// The event-driven reader: one epoll instance per process, with one
+// goroutine blocked in epoll_wait and one ipcs.Pool draining ready
+// connections. A connection with no traffic costs no goroutine and no
+// poller work.
 //
 // Connection identity travels in epoll_data itself: each registration
-// claims a slot in the owning shard's table and the slot index is what
-// the kernel hands back, so dispatching an event is an atomic pointer
-// load — no map, no lock, nothing shared between shards. The table is
-// published copy-on-grow through an atomic pointer; the event loop
-// snapshots it once per batch. (A dense slice beats a hash table here:
-// slot indices are small, reused via a free list, and the loop's read
-// needs no hashing at all.) A slot freed while its last events are still
-// in a returned batch reads as nil and is skipped; if the slot was
-// already reused, the new conn absorbs at worst one spurious drain,
-// serialized by its pending counter.
+// claims a slot in the poller's table and the slot index is what the
+// kernel hands back, so dispatching an event is an atomic pointer load —
+// no map, no lock. The table is published copy-on-grow through an atomic
+// pointer; the event loop snapshots it once per batch. (A dense slice
+// beats a hash table here: slot indices are small, reused via a free
+// list, and the loop's read needs no hashing at all.) A slot freed while
+// its last events are still in a returned batch reads as nil and is
+// skipped; if the slot was already reused, the new conn absorbs at worst
+// one spurious drain, serialized by its pending counter.
 //
 // Registration uses edge-triggered epoll. The classic missed-event race
 // (an edge firing between "drain hit EAGAIN" and "drain task exits") is
@@ -39,16 +35,8 @@ import (
 // event and schedules a drain only on the 0→1 transition; the drain
 // re-runs until it can CAS the counter back to zero.
 type poller struct {
-	epfd  int
-	pool  *ipcs.Pool
-	wakeR int // pipe read end registered as wakeSentinel
-	wakeW int
-	dying atomic.Bool
-
-	// Per-shard event-loop counters (exposed via ShardPolls et al).
-	polls       atomic.Uint64
-	dispatches  atomic.Uint64
-	fullBatches atomic.Uint64
+	epfd int
+	pool *ipcs.Pool
 
 	// table is the published slot array read lock-free by the event loop.
 	// mu guards only registration bookkeeping (slot allocation), never
@@ -66,10 +54,9 @@ type pollSlot struct {
 
 // connOS is the linux slice of conn: the epoll registration state and the
 // partial-frame carry between drains. poller is set exactly once when the
-// conn joins a shard and never cleared while the conn lives — an atomic
-// load is the registration check (the old onEpoll bool was written in add
-// and read unsynchronized from detachRecv/wakeRecv). detached makes the
-// epoll deregistration idempotent across Close and the terminal drain.
+// conn registers and never cleared while the conn lives — an atomic load
+// is the registration check. detached makes the epoll deregistration
+// idempotent across Close and the terminal drain.
 type connOS struct {
 	rc       syscall.RawConn
 	fd       int
@@ -80,186 +67,35 @@ type connOS struct {
 	pend     []byte
 }
 
-// pollerSet is one generation of shards. It is replaced wholesale only by
-// SetPollerShards (a bench/test hook); steady-state processes build it
-// once on first Start.
-type pollerSet struct {
-	shards []*poller
-}
-
-var (
-	pollerMu sync.Mutex // guards gPollers replacement
-	gPollers atomic.Pointer[pollerSet]
-)
-
 // epollET is the edge-trigger flag; spelled as a uint32 because the
 // syscall constant is a negative int on some arches.
 const epollET = uint32(1) << 31
-
-// wakeSentinel is the epoll_data value of each shard's wake pipe: closing
-// an epoll fd does not unblock a thread parked in epoll_wait, so teardown
-// writes a byte here instead.
-const wakeSentinel = int32(-1)
 
 const (
 	initialEventBuf = 128
 	maxEventBuf     = 4096
 )
 
-// maxPollerShards caps the default shard count.
-const maxPollerShards = 8
+var (
+	pollerOnce sync.Once
+	gPoller    *poller // nil if epoll is unavailable: every conn falls back
+)
 
-// configuredShards is the shard count a fresh poller set would use:
-// min(GOMAXPROCS, maxPollerShards).
-func configuredShards() int {
-	return min(runtime.GOMAXPROCS(0), maxPollerShards)
-}
-
-// ConfiguredShards reports the poller shard count this process would use
-// (0 on platforms without the epoll path) — the bound for registering
-// per-shard ipcs.poller.* counters.
-func ConfiguredShards() int { return configuredShards() }
-
-// PollerShards reports the live shard count: 0 until the first epoll
-// registration creates the set.
-func PollerShards() int {
-	if ps := gPollers.Load(); ps != nil {
-		return len(ps.shards)
-	}
-	return 0
-}
-
-func shardAt(i int) *poller {
-	ps := gPollers.Load()
-	if ps == nil || i < 0 || i >= len(ps.shards) {
-		return nil
-	}
-	return ps.shards[i]
-}
-
-// ShardPolls returns shard i's epoll_wait round count.
-func ShardPolls(i int) uint64 {
-	if p := shardAt(i); p != nil {
-		return p.polls.Load()
-	}
-	return 0
-}
-
-// ShardDispatches returns how many drain tasks shard i has scheduled.
-func ShardDispatches(i int) uint64 {
-	if p := shardAt(i); p != nil {
-		return p.dispatches.Load()
-	}
-	return 0
-}
-
-// ShardWakeups returns how many drain workers shard i's pool has spawned.
-func ShardWakeups(i int) uint64 {
-	if p := shardAt(i); p != nil {
-		return p.pool.Wakeups()
-	}
-	return 0
-}
-
-func getPollerSet() (*pollerSet, error) {
-	if ps := gPollers.Load(); ps != nil {
-		return ps, nil
-	}
-	pollerMu.Lock()
-	defer pollerMu.Unlock()
-	if ps := gPollers.Load(); ps != nil {
-		return ps, nil
-	}
-	ps, err := newPollerSet(configuredShards())
-	if err != nil {
-		return nil, err
-	}
-	gPollers.Store(ps)
-	return ps, nil
-}
-
-// SetPollerShards replaces the process poller set with a fresh one of n
-// shards (n <= 0 selects the configured default). Bench/test hook only:
-// it must run with every tcpnet connection closed — connections
-// registered with the old set stop receiving events when its epoll fds
-// are torn down. Mirrors the E-MEM same-run methodology: one process can
-// measure shards=1 against shards=N back to back.
-func SetPollerShards(n int) error {
-	pollerMu.Lock()
-	defer pollerMu.Unlock()
-	if n <= 0 {
-		n = configuredShards()
-	}
-	ps, err := newPollerSet(n)
-	if err != nil {
-		return err
-	}
-	old := gPollers.Swap(ps)
-	if old != nil {
-		for _, p := range old.shards {
-			p.shutdown()
-		}
-	}
-	return nil
-}
-
-func newPollerSet(n int) (*pollerSet, error) {
-	ps := &pollerSet{shards: make([]*poller, n)}
-	for i := range ps.shards {
-		p, err := newPoller()
+// processPoller returns the process's poller, creating it on the first
+// registration.
+func processPoller() *poller {
+	pollerOnce.Do(func() {
+		epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
 		if err != nil {
-			for _, q := range ps.shards[:i] {
-				q.shutdown()
-			}
-			return nil, err
+			return
 		}
-		ps.shards[i] = p
-	}
-	return ps, nil
+		gPoller = &poller{epfd: epfd, pool: ipcs.NewPool(0)}
+		go gPoller.loop()
+	})
+	return gPoller
 }
 
-// shardFor hashes an fd onto a shard. fds are dense small integers, so a
-// multiplicative hash (Knuth's 2654435761) spreads consecutive fds
-// instead of clustering even/odd.
-func (ps *pollerSet) shardFor(fd int) *poller {
-	if len(ps.shards) == 1 {
-		return ps.shards[0]
-	}
-	h := uint32(fd) * 2654435761
-	return ps.shards[h%uint32(len(ps.shards))]
-}
-
-func newPoller() (*poller, error) {
-	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet: epoll_create: %w", err)
-	}
-	var pfd [2]int
-	if err := syscall.Pipe2(pfd[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
-		syscall.Close(epfd)
-		return nil, fmt.Errorf("tcpnet: wake pipe: %w", err)
-	}
-	p := &poller{epfd: epfd, pool: ipcs.NewPool(0), wakeR: pfd[0], wakeW: pfd[1]}
-	ev := syscall.EpollEvent{Events: uint32(syscall.EPOLLIN), Fd: wakeSentinel}
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, pfd[0], &ev); err != nil {
-		syscall.Close(epfd)
-		syscall.Close(pfd[0])
-		syscall.Close(pfd[1])
-		return nil, fmt.Errorf("tcpnet: register wake pipe: %w", err)
-	}
-	go p.loop()
-	return p, nil
-}
-
-// shutdown asks the loop to exit and close the shard's fds. Safe while
-// the loop is parked in epoll_wait (the wake byte unblocks it); a full
-// pipe means a wake is already pending, so EAGAIN is fine.
-func (p *poller) shutdown() {
-	p.dying.Store(true)
-	var b [1]byte
-	_, _ = syscall.Write(p.wakeW, b[:])
-}
-
+// loop runs for the life of the process.
 func (p *poller) loop() {
 	events := make([]syscall.EpollEvent, initialEventBuf)
 	for {
@@ -270,7 +106,6 @@ func (p *poller) loop() {
 		if err != nil {
 			return
 		}
-		p.polls.Add(1)
 		ipcs.CountPoll()
 		var tbl []*pollSlot
 		if t := p.table.Load(); t != nil {
@@ -278,12 +113,6 @@ func (p *poller) loop() {
 		}
 		for i := 0; i < n; i++ {
 			idx := events[i].Fd
-			if idx == wakeSentinel {
-				if p.drainWake() {
-					return
-				}
-				continue
-			}
 			if uint32(idx) >= uint32(len(tbl)) {
 				continue
 			}
@@ -292,15 +121,13 @@ func (p *poller) loop() {
 				continue // freed while this batch was in flight
 			}
 			if c.pending.Add(1) == 1 {
-				p.dispatches.Add(1)
 				p.pool.Schedule(c)
 			}
 		}
 		if n == len(events) {
 			// The kernel had at least a full buffer's worth ready: the
 			// buffer is undersized for this load. Double it (bounded) so
-			// a hot shard drains more readiness per syscall.
-			p.fullBatches.Add(1)
+			// a busy loop drains more readiness per syscall.
 			ipcs.CountFullBatch()
 			if len(events) < maxEventBuf {
 				events = make([]syscall.EpollEvent, 2*len(events))
@@ -309,27 +136,7 @@ func (p *poller) loop() {
 	}
 }
 
-// drainWake empties the wake pipe; returns true when the shard is dying,
-// after closing its fds (the loop is the last user of epfd, so closing
-// here cannot race a concurrent epoll_wait).
-func (p *poller) drainWake() bool {
-	var buf [64]byte
-	for {
-		n, err := syscall.Read(p.wakeR, buf[:])
-		if err != nil || n < len(buf) {
-			break
-		}
-	}
-	if !p.dying.Load() {
-		return false
-	}
-	syscall.Close(p.epfd)
-	syscall.Close(p.wakeR)
-	syscall.Close(p.wakeW)
-	return true
-}
-
-// add registers c with this shard: claim a slot, publish the conn
+// add registers c with the poller: claim a slot, publish the conn
 // pointer, then hand the slot index to the kernel. The atomic stores
 // (slot's conn pointer, then c.poller) happen before EpollCtl, so by the
 // time the loop can see an event for the slot, both are visible.
@@ -380,7 +187,7 @@ func (p *poller) remove(c *conn) {
 	p.mu.Unlock()
 }
 
-// startRecv joins the conn's fd-hashed poller shard, falling back to a
+// startRecv registers the conn with the process poller, falling back to a
 // blocking reader goroutine if epoll or the raw fd is unavailable.
 // Setting NTCS_NO_EPOLL forces the fallback so the portable path can be
 // exercised on Linux; the variable is read per Start (not cached) so
@@ -396,10 +203,8 @@ func (c *conn) startRecv() {
 			var fd int
 			if cerr := rc.Control(func(f uintptr) { fd = int(f) }); cerr == nil {
 				c.fd = fd
-				if ps, err := getPollerSet(); err == nil {
-					if ps.shardFor(fd).add(c) == nil {
-						return
-					}
+				if p := processPoller(); p != nil && p.add(c) == nil {
+					return
 				}
 			}
 		}
@@ -407,9 +212,9 @@ func (c *conn) startRecv() {
 	c.startBlockingReader()
 }
 
-// detachRecv deregisters from the owning shard exactly once. c.poller
-// stays set so a post-detach wakeRecv can still schedule the terminal
-// drain on the shard's pool.
+// detachRecv deregisters from the poller exactly once. c.poller stays
+// set so a post-detach wakeRecv can still schedule the terminal drain on
+// the poller's pool.
 func (c *conn) detachRecv() {
 	p := c.poller.Load()
 	if p == nil {

@@ -5,7 +5,6 @@ package tcpnet
 import (
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,54 +15,38 @@ import (
 )
 
 // TestPollerShardConformance runs the full ipcs contract suite (including
-// the per-conn callback FIFO and serial-callback tests) against poller
-// shard counts 1, 2 and GOMAXPROCS: the receive contract must not depend
-// on how many epoll loops the process runs.
+// the per-conn callback FIFO and serial-callback tests) as N concurrent
+// copies, each on its own Net, for N = 1 and 2. Every copy's conns
+// register with the one process-wide epoll loop and drain through its
+// one pool, so the receive contract must not depend on how many
+// independent transports share that loop. (The name dates from the
+// sharded poller, when N was the number of epoll loops.)
 func TestPollerShardConformance(t *testing.T) {
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	seen := map[int]bool{}
-	for _, n := range counts {
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
+	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			if err := SetPollerShards(n); err != nil {
-				t.Fatalf("SetPollerShards(%d): %v", n, err)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					ipcstest.Run(t, func(t *testing.T) ipcs.Network {
+						return New(fmt.Sprintf("tcp-shared-loop-%d", i))
+					})
+				}(i)
 			}
-			if got := PollerShards(); got != n {
-				t.Fatalf("PollerShards = %d, want %d", got, n)
-			}
-			ipcstest.Run(t, func(t *testing.T) ipcs.Network {
-				return New("tcp-shard-test")
-			})
+			wg.Wait()
 		})
-	}
-	if err := SetPollerShards(0); err != nil {
-		t.Fatalf("restore default shards: %v", err)
 	}
 }
 
-// TestShardCountersAdvance drives traffic through enough connections to
-// touch every shard and asserts each shard's poll/dispatch counters move
-// — the observability the per-shard ipcs.poller.* counters promise.
-func TestShardCountersAdvance(t *testing.T) {
+// TestPollerCountersAdvance drives traffic through the poller and
+// asserts the process-wide ipcs.poller.* poll, dispatch and wakeup
+// counters move — the observability every module's registry surfaces.
+func TestPollerCountersAdvance(t *testing.T) {
 	if os.Getenv("NTCS_NO_EPOLL") != "" {
-		t.Skip("NTCS_NO_EPOLL: conns use the blocking reader, pollers see no traffic")
+		t.Skip("NTCS_NO_EPOLL: conns use the blocking reader, the poller sees no traffic")
 	}
-	const shards = 2
-	if err := SetPollerShards(shards); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := SetPollerShards(0); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	var before [shards]uint64
-	for i := range before {
-		before[i] = ShardDispatches(i)
-	}
+	polls, dispatches, wakeups := ipcs.PollerPolls(), ipcs.PollerDispatches(), ipcs.PollerWakeups()
 
 	n := New("tcp-counters")
 	l, err := n.Listen("")
@@ -86,10 +69,8 @@ func TestShardCountersAdvance(t *testing.T) {
 		}
 	}()
 
-	// 32 connections: the odds that a 2-way fd hash leaves a shard empty
-	// are ~2^-31.
 	var got atomic.Int64
-	const conns, msgs = 32, 20
+	const conns, msgs = 8, 20
 	var cs []ipcs.Conn
 	for i := 0; i < conns; i++ {
 		c, err := n.Dial(l.Addr())
@@ -126,16 +107,14 @@ func TestShardCountersAdvance(t *testing.T) {
 	for got.Load() < int64(conns*msgs)/2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	for i := 0; i < shards; i++ {
-		if ShardDispatches(i) == before[i] {
-			t.Errorf("shard %d dispatches did not advance (still %d)", i, before[i])
-		}
-		if ShardPolls(i) == 0 {
-			t.Errorf("shard %d polls = 0", i)
-		}
-		if ShardWakeups(i) == 0 {
-			t.Errorf("shard %d wakeups = 0", i)
-		}
+	if ipcs.PollerPolls() == polls {
+		t.Error("poller polls did not advance")
+	}
+	if ipcs.PollerDispatches() == dispatches {
+		t.Error("poller dispatches did not advance")
+	}
+	if ipcs.PollerWakeups() == wakeups {
+		t.Error("poller wakeups did not advance")
 	}
 }
 
@@ -185,8 +164,8 @@ func TestPendShrinkAfterLargeFrame(t *testing.T) {
 }
 
 // TestStartCloseChurnUnderTraffic churns connection Start/Close while
-// peers are mid-send — the race-test companion to replacing the
-// unsynchronized onEpoll bool with the atomic shard registration. Run
+// peers are mid-send — the race-test companion to the atomic poller
+// registration (an atomic pointer, not an unsynchronized bool). Run
 // under -race this exercises add/detachRecv/wakeRecv interleavings; the
 // assertion is simply that every callback terminates with the terminal
 // error exactly once.

@@ -2,7 +2,7 @@
 
 package tcpnet
 
-// Off Linux there is no sharded epoll poller: each started connection
+// Off Linux there is no epoll poller: each started connection
 // gets one blocking-reader goroutine. The ipcs contract is identical;
 // only the goroutine economics differ.
 
@@ -16,18 +16,3 @@ func (c *conn) wakeRecv()   {}
 
 // Run exists so the conn satisfies ipcs.Task on every platform.
 func (c *conn) Run() {}
-
-// ConfiguredShards reports 0: no epoll path, no shards to instrument.
-func ConfiguredShards() int { return 0 }
-
-// PollerShards reports 0 off Linux.
-func PollerShards() int { return 0 }
-
-// SetPollerShards is a no-op off Linux (the bench comparison degenerates
-// to two identical blocking-reader runs).
-func SetPollerShards(n int) error { return nil }
-
-// ShardPolls, ShardDispatches and ShardWakeups report 0 off Linux.
-func ShardPolls(i int) uint64      { return 0 }
-func ShardDispatches(i int) uint64 { return 0 }
-func ShardWakeups(i int) uint64    { return 0 }

@@ -141,7 +141,7 @@ type conn struct {
 	vecs     net.Buffers
 
 	// Receive side. cb and term are touched only by the serialized
-	// receive path: either a poller shard's drain task (Run, at most one
+	// receive path: either the poller's drain task (Run, at most one
 	// in flight — see connOS.pending) or the fallback blocking-reader
 	// goroutine. cb is written once in Start, before any delivery can
 	// happen. Message buffers are carved from pooled arenas (see
@@ -150,7 +150,7 @@ type conn struct {
 	termOnce sync.Once
 	term     bool // terminal delivered; stop parsing (receive path only)
 
-	// Platform receive state: on linux, the epoll shard registration and
+	// Platform receive state: on linux, the epoll registration and
 	// the partial-frame carry between drains (see poller_linux.go);
 	// empty elsewhere.
 	connOS

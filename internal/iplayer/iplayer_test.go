@@ -341,10 +341,11 @@ func TestDestinationDeathPropagatesCloseToOriginator(t *testing.T) {
 	b.close() // destination module dies
 
 	// §4.3: the gateway detects the dead LVC, closes the associated IVC,
-	// and the close propagates to the originator.
+	// and the close propagates to the originator. The originator drops
+	// the circuit before it records the teardown, so wait for both.
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if len(a.layer.OpenCircuits()) == 0 && g.layer.RelayCount() == 0 {
+		if len(a.layer.OpenCircuits()) == 0 && g.layer.RelayCount() == 0 && a.errs.Count(errlog.CodeIVCTorn) > 0 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)

@@ -95,7 +95,7 @@ func TestCallTimeoutMatchesDeadlineExceeded(t *testing.T) {
 	naming.add(2001, b.nuc.Endpoints()[0])
 	serveMute(b)
 
-	_, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("ping"))
+	_, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("ping"))
 	if !errors.Is(err, lcm.ErrCallTimeout) {
 		t.Fatalf("Call = %v, want ErrCallTimeout", err)
 	}
@@ -125,7 +125,7 @@ func TestRemoteErrorStructured(t *testing.T) {
 		}
 	}()
 
-	_, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("ping"))
+	_, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("ping"))
 	if !errors.Is(err, lcm.ErrRemote) {
 		t.Fatalf("Call = %v, want ErrRemote", err)
 	}

@@ -374,17 +374,13 @@ func (l *Layer) header(dst addr.UAdd, mode wire.Mode, flags uint16, seq, span ui
 	return h
 }
 
-// Send transmits one message, establishing circuits and recovering from
-// relocations transparently (§3.5). Mode selects the payload conversion;
-// flags may include FlagService (suppresses hooks) and FlagConnless
-// (single attempt, no recovery).
-func (l *Layer) Send(dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) error {
-	return l.SendContext(context.Background(), dst, mode, flags, payload)
-}
-
-// SendContext is Send honoring ctx: circuit establishment, reconnection
-// backoff and fault resolution all end early on cancellation (a datagram
-// already handed to the layers below is not recalled).
+// SendContext transmits one message, establishing circuits and
+// recovering from relocations transparently (§3.5). Mode selects the
+// payload conversion; flags may include FlagService (suppresses hooks)
+// and FlagConnless (the connectionless protocol: one attempt, no
+// recovery, no relocation, no hooks). Circuit establishment, reconnection
+// backoff and fault resolution all end early on cancellation of ctx (a
+// datagram already handed to the layers below is not recalled).
 func (l *Layer) SendContext(ctx context.Context, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) error {
 	return l.SendSpan(ctx, l.NewSpan(), dst, mode, flags, payload)
 }
@@ -550,15 +546,10 @@ func (l *Layer) addressFault(target addr.UAdd) (addr.UAdd, error) {
 	return newU, nil
 }
 
-// Call sends synchronously and waits for the Reply (the paper's
-// send/receive/reply primitives).
-func (l *Layer) Call(dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (*Delivery, error) {
-	return l.CallContext(context.Background(), dst, mode, flags, payload)
-}
-
-// CallContext is Call honoring ctx: cancellation or an expiring deadline
-// ends the reply wait early with ctx.Err(). The fixed CallTimeout still
-// applies as an upper bound.
+// CallContext sends synchronously and waits for the Reply (the paper's
+// send/receive/reply primitives). Cancellation or an expiring deadline of
+// ctx ends the reply wait early with ctx.Err(); the fixed CallTimeout
+// still applies as an upper bound.
 func (l *Layer) CallContext(ctx context.Context, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (*Delivery, error) {
 	return l.CallSpan(ctx, l.NewSpan(), dst, mode, flags, payload)
 }
@@ -650,12 +641,6 @@ func (l *Layer) reply(d *Delivery, mode wire.Mode, flags uint16, payload []byte)
 // ReplyError answers a Call with an error the caller sees as ErrRemote.
 func (l *Layer) ReplyError(d *Delivery, msg string) error {
 	return l.Reply(d, wire.ModePacked, wire.FlagError|wire.FlagService, []byte(msg))
-}
-
-// SendCL is the connectionless protocol: one attempt, no recovery, no
-// relocation, no hooks.
-func (l *Layer) SendCL(dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) error {
-	return l.Send(dst, mode, flags|wire.FlagConnless, payload)
 }
 
 // Ping probes a module's liveness (used by the Name Server's forwarding

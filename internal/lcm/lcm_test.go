@@ -1,6 +1,7 @@
 package lcm_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -153,7 +154,7 @@ func TestSendRecvDirect(t *testing.T) {
 	naming.add(2001, b.nuc.Endpoints()[0])
 	naming.add(2000, a.nuc.Endpoints()[0])
 
-	if err := a.nuc.LCM.Send(2001, wire.ModePacked, 0, []byte("hello")); err != nil {
+	if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, 0, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
 	d, err := b.nuc.LCM.Recv(2 * time.Second)
@@ -176,7 +177,7 @@ func TestCallReply(t *testing.T) {
 	naming.add(2001, b.nuc.Endpoints()[0])
 	serveEcho(b)
 
-	d, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("ping"))
+	d, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestCallReply(t *testing.T) {
 	// Sequential calls match their own replies.
 	for i := 0; i < 5; i++ {
 		msg := fmt.Sprintf("m%d", i)
-		d, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte(msg))
+		d, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte(msg))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,7 +214,7 @@ func TestConcurrentCallsMatchReplies(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			msg := fmt.Sprintf("c%d", i)
-			d, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte(msg))
+			d, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte(msg))
 			if err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return
@@ -240,7 +241,7 @@ func TestReplyError(t *testing.T) {
 		_ = b.nuc.LCM.ReplyError(d, "no such document")
 	}()
 
-	_, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("fetch"))
+	_, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("fetch"))
 	if !errors.Is(err, lcm.ErrRemote) {
 		t.Fatalf("got %v, want ErrRemote", err)
 	}
@@ -257,7 +258,7 @@ func TestCallTimeout(t *testing.T) {
 	b := newModule(t, net, "b", 2001, naming, modOpts{})
 	naming.add(2001, b.nuc.Endpoints()[0])
 	// b never replies.
-	_, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("void"))
+	_, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("void"))
 	if !errors.Is(err, lcm.ErrCallTimeout) {
 		t.Fatalf("got %v, want ErrCallTimeout", err)
 	}
@@ -277,7 +278,7 @@ func TestLateReplyAbsorbed(t *testing.T) {
 		time.Sleep(200 * time.Millisecond) // past a's timeout
 		_ = b.nuc.LCM.Reply(d, wire.ModePacked, 0, []byte("too late"))
 	}()
-	if _, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("x")); !errors.Is(err, lcm.ErrCallTimeout) {
+	if _, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("x")); !errors.Is(err, lcm.ErrCallTimeout) {
 		t.Fatalf("got %v", err)
 	}
 	// The late reply is absorbed and recorded, not delivered to the inbox.
@@ -304,7 +305,7 @@ func TestDynamicReconfigurationForwarding(t *testing.T) {
 	serveEcho(b)
 
 	// Warm the circuit.
-	if _, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("1")); err != nil {
+	if _, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -323,7 +324,7 @@ func TestDynamicReconfigurationForwarding(t *testing.T) {
 	serveEcho(b2)
 
 	// The old address still works from the application's viewpoint.
-	d, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("2"))
+	d, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("2"))
 	if err != nil {
 		t.Fatalf("call after relocation: %v", err)
 	}
@@ -338,7 +339,7 @@ func TestDynamicReconfigurationForwarding(t *testing.T) {
 	}
 	// The forwarding table now short-circuits: no second resolver call.
 	calls := naming.forwardCalls.Load()
-	if _, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("3")); err != nil {
+	if _, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("3")); err != nil {
 		t.Fatal(err)
 	}
 	if naming.forwardCalls.Load() != calls {
@@ -352,7 +353,7 @@ func TestNoReplacementReturnsError(t *testing.T) {
 	a := newModule(t, net, "a", 2000, naming, modOpts{})
 	b := newModule(t, net, "b", 2001, naming, modOpts{})
 	naming.add(2001, b.nuc.Endpoints()[0])
-	if err := a.nuc.LCM.Send(2001, wire.ModePacked, 0, []byte("1")); err != nil {
+	if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, 0, []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	b.nuc.Close()
@@ -360,7 +361,7 @@ func TestNoReplacementReturnsError(t *testing.T) {
 	var err error
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		err = a.nuc.LCM.Send(2001, wire.ModePacked, 0, []byte("2"))
+		err = a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, 0, []byte("2"))
 		if err != nil {
 			break
 		}
@@ -382,7 +383,7 @@ func TestStillAliveTriggersReconnect(t *testing.T) {
 	naming.add(2001, b.nuc.Endpoints()[0])
 	serveEcho(b)
 
-	if _, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("1")); err != nil {
+	if _, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("1")); err != nil {
 		t.Fatal(err)
 	}
 	// Break the link without killing b.
@@ -391,7 +392,7 @@ func TestStillAliveTriggersReconnect(t *testing.T) {
 	net.Isolate("b", false)
 	serveEcho(b) // its recv loop may have exited with the broken circuits
 
-	d, err := a.nuc.LCM.Call(2001, wire.ModePacked, 0, []byte("2"))
+	d, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("2"))
 	if err != nil {
 		t.Fatalf("call after link repair: %v", err)
 	}
@@ -406,7 +407,7 @@ func TestConnectionlessNoRecovery(t *testing.T) {
 	a := newModule(t, net, "a", 2000, naming, modOpts{})
 	b := newModule(t, net, "b", 2001, naming, modOpts{})
 	naming.add(2001, b.nuc.Endpoints()[0])
-	if err := a.nuc.LCM.SendCL(2001, wire.ModePacked, 0, []byte("cl")); err != nil {
+	if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, wire.FlagConnless, []byte("cl")); err != nil {
 		t.Fatal(err)
 	}
 	if d, err := b.nuc.LCM.Recv(2 * time.Second); err != nil || string(d.Payload) != "cl" {
@@ -416,7 +417,7 @@ func TestConnectionlessNoRecovery(t *testing.T) {
 	var err error
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		err = a.nuc.LCM.SendCL(2001, wire.ModePacked, 0, []byte("cl2"))
+		err = a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, wire.FlagConnless, []byte("cl2"))
 		if err != nil {
 			break
 		}
@@ -454,7 +455,7 @@ func TestNameServerFaultPatchRedialsWellKnown(t *testing.T) {
 	serveEcho(ns)
 	a := newModule(t, net, "a", 2000, naming, modOpts{wellKnown: wk})
 
-	if _, err := a.nuc.LCM.Call(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("q1")); err != nil {
+	if _, err := a.nuc.LCM.CallContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("q1")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -465,7 +466,7 @@ func TestNameServerFaultPatchRedialsWellKnown(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	var outageErr error
 	for time.Now().Before(deadline) {
-		outageErr = a.nuc.LCM.Send(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("during outage"))
+		outageErr = a.nuc.LCM.SendContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("during outage"))
 		if outageErr != nil {
 			break
 		}
@@ -485,7 +486,7 @@ func TestNameServerFaultPatchRedialsWellKnown(t *testing.T) {
 	// redialed connection succeeds.
 	ns2 := newModule(t, net, "ns2", addr.NameServer, nil, modOpts{hint: "ns"})
 	serveEcho(ns2)
-	d, err := a.nuc.LCM.Call(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("q2"))
+	d, err := a.nuc.LCM.CallContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("q2"))
 	if err != nil {
 		t.Fatalf("call after NS restart: %v", err)
 	}
@@ -513,14 +514,14 @@ func TestNameServerCircuitBreakPathologyWithoutPatch(t *testing.T) {
 	a.nuc.LCM.SetResolver(recursiveResolver)
 	a.nuc.IP.SetDirectory(newFakeNaming())
 
-	if _, err := a.nuc.LCM.Call(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("q1")); err != nil {
+	if _, err := a.nuc.LCM.CallContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("q1")); err != nil {
 		t.Fatal(err)
 	}
 
 	ns.nuc.Close() // the Name Server dies; its circuit is dead
 	time.Sleep(20 * time.Millisecond)
 
-	err := a.nuc.LCM.Send(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("q2"))
+	err := a.nuc.LCM.SendContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("q2"))
 	if err == nil {
 		t.Fatal("send to dead NS should fail")
 	}
@@ -544,7 +545,7 @@ type recursingResolver struct {
 
 func (r *recursingResolver) Forward(old addr.UAdd) (addr.UAdd, error) {
 	r.calls.Add(1)
-	_, err := r.layer.Call(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("forward?"))
+	_, err := r.layer.CallContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("forward?"))
 	if err != nil {
 		return addr.Nil, err
 	}
@@ -575,13 +576,13 @@ func TestHooksFireOnOrdinarySendsOnly(t *testing.T) {
 		},
 	})
 
-	if err := a.nuc.LCM.Send(2001, wire.ModePacked, 0, []byte("user data")); err != nil {
+	if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, 0, []byte("user data")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.nuc.LCM.Send(2001, wire.ModePacked, wire.FlagService, []byte("service data")); err != nil {
+	if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, wire.FlagService, []byte("service data")); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.nuc.LCM.SendCL(2001, wire.ModePacked, 0, []byte("connless")); err != nil {
+	if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, wire.FlagConnless, []byte("connless")); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -603,7 +604,7 @@ func TestRecvHookOnInbound(t *testing.T) {
 
 	events := make(chan lcm.Event, 4)
 	b.nuc.LCM.SetHooks(lcm.Hooks{Record: func(ev lcm.Event) { events <- ev }})
-	if err := a.nuc.LCM.Send(2001, wire.ModePacked, 0, []byte("x")); err != nil {
+	if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, 0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -651,7 +652,7 @@ func TestCloseUnblocksRecv(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv not unblocked by Close")
 	}
-	if err := a.nuc.LCM.Send(2001, wire.ModePacked, 0, nil); !errors.Is(err, lcm.ErrClosed) {
+	if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, 0, nil); !errors.Is(err, lcm.ErrClosed) {
 		t.Errorf("send after close: %v", err)
 	}
 }
@@ -684,7 +685,7 @@ func TestTAddResidueZeroAfterRegistration(t *testing.T) {
 	defer nuc.Close()
 
 	// Communication 1: "registration" (carries the TAdd).
-	if _, err := nuc.LCM.Call(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("register")); err != nil {
+	if _, err := nuc.LCM.CallContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("register")); err != nil {
 		t.Fatal(err)
 	}
 	if ns.nuc.TAddResidue() == 0 {
@@ -693,7 +694,7 @@ func TestTAddResidueZeroAfterRegistration(t *testing.T) {
 	// The module adopts its real UAdd.
 	id.set(5000)
 	// Communication 2: any message from the real UAdd purges the TAdds.
-	if _, err := nuc.LCM.Call(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("confirm")); err != nil {
+	if _, err := nuc.LCM.CallContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("confirm")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

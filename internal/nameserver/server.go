@@ -681,7 +681,7 @@ func (s *Server) sendReplicaBatch(batch []nsp.RecordRec) {
 	s.replRounds.Inc()
 	s.replRecs.Add(uint64(len(batch)))
 	for _, peer := range peers {
-		if err := s.cfg.LCM.SendCL(peer, wire.ModePacked, wire.FlagService, payload); err != nil {
+		if err := s.cfg.LCM.SendContext(context.Background(), peer, wire.ModePacked, wire.FlagService|wire.FlagConnless, payload); err != nil {
 			s.cfg.Errors.Report(errlog.CodeDroppedMsg, "ns", "replicate to %v: %v", peer, err)
 		}
 	}

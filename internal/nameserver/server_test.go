@@ -1,6 +1,7 @@
 package nameserver_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestRawProtocolPaths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := lcmLayer.Call(addr.NameServer, wire.ModePacked, wire.FlagService, payload)
+		d, err := lcmLayer.CallContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestRawProtocolPaths(t *testing.T) {
 		}
 	})
 	t.Run("malformed payload", func(t *testing.T) {
-		d, err := lcmLayer.Call(addr.NameServer, wire.ModePacked, wire.FlagService, []byte("not packed"))
+		d, err := lcmLayer.CallContext(context.Background(), addr.NameServer, wire.ModePacked, wire.FlagService, []byte("not packed"))
 		if err != nil {
 			t.Fatal(err)
 		}

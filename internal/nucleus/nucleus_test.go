@@ -1,6 +1,7 @@
 package nucleus
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -139,7 +140,7 @@ func TestEndToEndThroughNucleus(t *testing.T) {
 		}
 		_ = b.LCM.Reply(d, wire.ModePacked, 0, []byte("pong"))
 	}()
-	d, err := a.LCM.Call(2001, wire.ModePacked, 0, []byte("ping"))
+	d, err := a.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("ping"))
 	if err != nil {
 		t.Fatal(err)
 	}

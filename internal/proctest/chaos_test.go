@@ -1,6 +1,7 @@
 package proctest_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -102,7 +103,7 @@ func (dr *driver) run(name string) {
 			var got string
 			u, err := dr.mod.Locate(name)
 			if err == nil {
-				err = dr.mod.Call(u, "q", msg, &got)
+				err = dr.mod.CallContext(context.Background(), u, "q", msg, &got)
 			}
 			dr.mu.Lock()
 			switch {

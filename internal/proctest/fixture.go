@@ -1,6 +1,7 @@
 package proctest
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -144,7 +145,7 @@ func VerifyEcho(tb testing.TB, d *Deployment, workerName string) {
 		tb.Fatalf("proctest: locate %s: %v", workerName, err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "over real sockets", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "over real sockets", &reply); err != nil {
 		tb.Fatalf("proctest: call %s: %v", workerName, err)
 	}
 	if reply != "echo:over real sockets" {

@@ -1,6 +1,7 @@
 package proctest_test
 
 import (
+	"context"
 	"strings"
 	"syscall"
 	"testing"
@@ -74,7 +75,7 @@ func TestGracefulShutdownBinaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(oldU, "q", "pre-drain", &reply); err != nil {
+	if err := client.CallContext(context.Background(), oldU, "q", "pre-drain", &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -104,7 +105,7 @@ func TestGracefulShutdownBinaries(t *testing.T) {
 	}
 	ok := proctest.PollUntil(drainBudget, func() bool {
 		var got string
-		return client.Call(oldU, "q", "post-relocate", &got) == nil && got == "echo:post-relocate"
+		return client.CallContext(context.Background(), oldU, "q", "post-relocate", &got) == nil && got == "echo:post-relocate"
 	})
 	if !ok {
 		t.Error("call to the drained worker's old UAdd never forwarded to the replacement")

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -495,7 +494,7 @@ const (
 	NSAEPulled     = "ns.antientropy.pulled"
 	NSAEPushed     = "ns.antientropy.pushed"
 	NSHandlerWaits = "ns.handler_waits" // requests that waited for a handler slot
-	NSTombstones   = "ns.tombstones"   // gauge: dead records retained
+	NSTombstones   = "ns.tombstones"    // gauge: dead records retained
 	NSTombstonesGC = "ns.tombstones_gc"
 
 	// retry budgets (suffixed with the budget name by the retry package)
@@ -530,11 +529,3 @@ const (
 	// grows adaptively; a climbing counter means sustained saturation).
 	IPCSPollerFullBatches = "ipcs.poller.full_batches"
 )
-
-// IPCSPollerShard names one shard's counter, e.g.
-// ipcs.poller.shard0.dispatches — kind is "polls", "dispatches" or
-// "wakeups". Sharded substrates (tcpnet's epoll loops) register one set
-// per shard so load balance is visible in ntcsstat.
-func IPCSPollerShard(i int, kind string) string {
-	return "ipcs.poller.shard" + strconv.Itoa(i) + "." + kind
-}

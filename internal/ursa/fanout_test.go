@@ -1,6 +1,7 @@
 package ursa_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -83,7 +84,7 @@ func (b *bed) ingest(from *core.Module, backend string, docs []ursa.Document) {
 		b.t.Fatal(err)
 	}
 	var ack ursa.IngestReply
-	if err := from.Call(u, ursa.MsgIngest, ursa.IngestRequest{Docs: docs}, &ack); err != nil {
+	if err := from.CallContext(context.Background(), u, ursa.MsgIngest, ursa.IngestRequest{Docs: docs}, &ack); err != nil {
 		b.t.Fatal(err)
 	}
 }
@@ -516,7 +517,7 @@ func serialSearch(m *core.Module, indexU, docsU addr.UAdd, req ursa.SearchReques
 	scores := make(map[int64]int64)
 	for _, term := range terms {
 		var postings ursa.IndexLookupReply
-		if err := m.Call(indexU, ursa.MsgIndexLookup, ursa.IndexLookupRequest{Term: term}, &postings); err != nil {
+		if err := m.CallContext(context.Background(), indexU, ursa.MsgIndexLookup, ursa.IndexLookupRequest{Term: term}, &postings); err != nil {
 			return ursa.SearchReply{}, fmt.Errorf("index lookup %q: %w", term, err)
 		}
 		for _, p := range postings.Postings {
@@ -542,7 +543,7 @@ func serialSearch(m *core.Module, indexU, docsU addr.UAdd, req ursa.SearchReques
 	}
 	for i := range hits {
 		var doc ursa.Document
-		if err := m.Call(docsU, ursa.MsgFetch, ursa.FetchRequest{DocID: hits[i].DocID}, &doc); err != nil {
+		if err := m.CallContext(context.Background(), docsU, ursa.MsgFetch, ursa.FetchRequest{DocID: hits[i].DocID}, &doc); err != nil {
 			continue
 		}
 		hits[i].Title = doc.Title

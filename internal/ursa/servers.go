@@ -345,7 +345,7 @@ func (s *SearchServer) search(req SearchRequest) (SearchReply, error) {
 	// Round 2. A missing title degrades the hit, not the query.
 	s.scatter(len(hits), func(i int) {
 		var doc Document
-		if s.m.Call(docsU, MsgFetch, FetchRequest{DocID: hits[i].DocID}, &doc) == nil {
+		if s.m.CallContext(context.Background(), docsU, MsgFetch, FetchRequest{DocID: hits[i].DocID}, &doc) == nil {
 			hits[i].Title = doc.Title
 		}
 	})

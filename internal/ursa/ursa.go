@@ -18,6 +18,7 @@
 package ursa
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -154,7 +155,7 @@ func (c *Client) Search(query string, limit int) (SearchReply, error) {
 		c.searchU = u
 	}
 	var reply SearchReply
-	err := c.m.Call(c.searchU, MsgSearch, SearchRequest{Query: query, Limit: int64(limit)}, &reply)
+	err := c.m.CallContext(context.TODO(), c.searchU, MsgSearch, SearchRequest{Query: query, Limit: int64(limit)}, &reply)
 	return reply, err
 }
 
@@ -168,7 +169,7 @@ func (c *Client) Fetch(id int64) (Document, error) {
 		c.docsU = u
 	}
 	var doc Document
-	err := c.m.Call(c.docsU, MsgFetch, FetchRequest{DocID: id}, &doc)
+	err := c.m.CallContext(context.TODO(), c.docsU, MsgFetch, FetchRequest{DocID: id}, &doc)
 	return doc, err
 }
 
@@ -180,7 +181,7 @@ func (c *Client) Ingest(docs []Document) error {
 			return fmt.Errorf("locate %s: %w", name, err)
 		}
 		var ack IngestReply
-		if err := c.m.Call(u, MsgIngest, IngestRequest{Docs: docs}, &ack); err != nil {
+		if err := c.m.CallContext(context.TODO(), u, MsgIngest, IngestRequest{Docs: docs}, &ack); err != nil {
 			return fmt.Errorf("ingest into %s: %w", name, err)
 		}
 		if ack.Count != int64(len(docs)) {

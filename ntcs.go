@@ -13,7 +13,7 @@
 //	m, _ := ntcs.Attach(ntcs.Config{ Name: "host-1", Machine: machine.VAX, ... })
 //	searcher, _ := m.Locate("searcher")
 //	var hits SearchReply
-//	err := m.Call(searcher, "search", SearchRequest{Terms: "retrieval"}, &hits)
+//	err := m.CallContext(ctx, searcher, "search", SearchRequest{Terms: "retrieval"}, &hits)
 //
 // The architecture is the paper's, layer for layer:
 //
@@ -119,14 +119,18 @@ type RemoteError = lcm.RemoteError
 // SuggestedWait, shed load, or block without WithNoBlock.
 type BackpressureError = ndlayer.BackpressureError
 
-// SendOption tunes Module.SendMsg: WithNoCopy for opaque []byte bodies,
-// WithNoBlock for fail-fast backpressure.
+// SendOption tunes Module.SendMsg and Module.CallContext: WithNoCopy for
+// opaque []byte bodies, WithNoBlock for fail-fast backpressure,
+// WithService for DRTS traffic the monitoring/time hooks must not see,
+// WithConnless for the single-attempt connectionless protocol.
 type SendOption = core.SendOption
 
 // Send options.
 const (
-	WithNoCopy  = core.WithNoCopy
-	WithNoBlock = core.WithNoBlock
+	WithNoCopy   = core.WithNoCopy
+	WithNoBlock  = core.WithNoBlock
+	WithService  = core.WithService
+	WithConnless = core.WithConnless
 )
 
 // Attach binds a module to the NTCS (§3.2): it creates communication

@@ -1,6 +1,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -80,7 +81,7 @@ func TestFirstSendRecursionScenario(t *testing.T) {
 	sender.Tracer().SetEnabled(true)
 	sender.Tracer().Clear()
 
-	if err := sender.Send(u, "greeting", "first contact"); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "greeting", "first contact"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,7 +119,7 @@ func TestFirstSendRecursionScenario(t *testing.T) {
 	firstDepth := tr.MaxDepth()
 	firstEvents := len(tr.Events())
 	tr.Clear()
-	if err := sender.Send(u, "greeting", "second contact"); err != nil {
+	if err := sender.SendMsg(context.Background(), u, "greeting", "second contact"); err != nil {
 		t.Fatal(err)
 	}
 	if warm := tr.MaxDepth(); warm >= firstDepth {
@@ -159,7 +160,7 @@ func TestFigure21ApplicationsView(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "x", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "x", &reply); err != nil {
 		t.Fatal(err)
 	}
 	seq := client.Tracer().LayerSequence()
@@ -197,7 +198,7 @@ func TestFigure22NucleusLayering(t *testing.T) {
 	}
 	client.Tracer().SetEnabled(true)
 	client.Tracer().Clear()
-	if err := client.Send(u, "t", "x"); err != nil {
+	if err := client.SendMsg(context.Background(), u, "t", "x"); err != nil {
 		t.Fatal(err)
 	}
 	_ = server
@@ -269,7 +270,7 @@ func TestFigure23NSPFunnel(t *testing.T) {
 		t.Errorf("resolve through NSP = %d, want 1", got)
 	}
 	var reply string
-	if err := client.Call(u, "q", "warm", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "warm", &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -284,7 +285,7 @@ func TestFigure23NSPFunnel(t *testing.T) {
 	client.Tracer().Clear()
 	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
-		if err := client.Call(u, "q", "again", &reply); err == nil {
+		if err := client.CallContext(context.Background(), u, "q", "again", &reply); err == nil {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -312,10 +313,10 @@ func TestFigure24ComModVeneer(t *testing.T) {
 	}
 	m.Tracer().SetEnabled(true)
 	m.Tracer().Clear()
-	if err := m.Send(0, "t", "x"); err == nil {
+	if err := m.SendMsg(context.Background(), 0, "t", "x"); err == nil {
 		t.Fatal("nil destination must be rejected")
 	}
-	if err := m.Send(m.UAdd(), "", "x"); err == nil {
+	if err := m.SendMsg(context.Background(), m.UAdd(), "", "x"); err == nil {
 		t.Fatal("empty type must be rejected")
 	}
 	for _, ev := range m.Tracer().Events() {
@@ -324,7 +325,7 @@ func TestFigure24ComModVeneer(t *testing.T) {
 		}
 	}
 	// And the trace renders a readable tree (the §6.2 aid).
-	if err := m.Send(0, "t", "x"); err == nil {
+	if err := m.SendMsg(context.Background(), 0, "t", "x"); err == nil {
 		t.Fatal("unexpected success")
 	}
 	tree := m.Tracer().Tree()

@@ -95,7 +95,7 @@ func TestShardedNameService(t *testing.T) {
 			t.Fatalf("Locate(%q) = %v, want %v", name, u, servers[s].UAdd())
 		}
 		var reply string
-		if err := client.Call(u, "q", "hi", &reply); err != nil || reply != "echo:hi" {
+		if err := client.CallContext(context.Background(), u, "q", "hi", &reply); err != nil || reply != "echo:hi" {
 			t.Fatalf("Call via shard %d: %q, %v", s, reply, err)
 		}
 	}
@@ -207,7 +207,7 @@ func TestShardKillChaos(t *testing.T) {
 			u, err := client.Locate(names[0])
 			if err == nil {
 				var reply string
-				err = client.Call(u, "q", "ping", &reply)
+				err = client.CallContext(context.Background(), u, "q", "ping", &reply)
 			}
 			mu.Lock()
 			samples = append(samples, sample{at: time.Now(), ok: err == nil})
@@ -247,7 +247,7 @@ func TestShardKillChaos(t *testing.T) {
 		t.Fatalf("Locate(%q) with shard 1 dead: %v", names[0], err)
 	}
 	var reply string
-	if err := client.Call(u0, "q", "after", &reply); err != nil || reply != "echo:after" {
+	if err := client.CallContext(context.Background(), u0, "q", "after", &reply); err != nil || reply != "echo:after" {
 		t.Fatalf("Call on surviving shard: %q, %v", reply, err)
 	}
 

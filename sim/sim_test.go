@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -117,7 +118,7 @@ func TestCloseDetachesEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	if err := m.Send(m.UAdd(), "t", "x"); err == nil {
+	if err := m.SendMsg(context.Background(), m.UAdd(), "t", "x"); err == nil {
 		t.Error("module should be detached after world close")
 	}
 	w.Close() // idempotent

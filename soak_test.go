@@ -1,6 +1,7 @@
 package ntcs_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -78,7 +79,7 @@ func TestRelocationAcrossGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reply string
-	if err := client.Call(u, "q", "one", &reply); err != nil {
+	if err := client.CallContext(context.Background(), u, "q", "one", &reply); err != nil {
 		t.Fatal(err)
 	}
 
@@ -95,7 +96,7 @@ func TestRelocationAcrossGateway(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	var callErr error
 	for time.Now().Before(deadline) {
-		callErr = client.Call(u, "q", "two", &reply)
+		callErr = client.CallContext(context.Background(), u, "q", "two", &reply)
 		if callErr == nil {
 			break
 		}
@@ -183,7 +184,7 @@ func TestSoakMixedTraffic(t *testing.T) {
 				msg := fmt.Sprintf("s%d-%d", c, i)
 				var reply string
 				calls.Add(1)
-				if err := mod.Call(u, "q", msg, &reply); err != nil {
+				if err := mod.CallContext(context.Background(), u, "q", msg, &reply); err != nil {
 					callErrs.Add(1)
 					continue
 				}
@@ -261,7 +262,7 @@ func TestSoakRelocationChurn(t *testing.T) {
 		// Burst against the current incarnation.
 		for i := 0; i < 20; i++ {
 			var reply string
-			if err := client.Call(u, "q", "x", &reply); err != nil {
+			if err := client.CallContext(context.Background(), u, "q", "x", &reply); err != nil {
 				failed++
 			} else {
 				ok++
@@ -283,7 +284,7 @@ func TestSoakRelocationChurn(t *testing.T) {
 		recovered := false
 		for time.Now().Before(deadline) {
 			var reply string
-			if err := client.Call(u, "q", "probe", &reply); err == nil {
+			if err := client.CallContext(context.Background(), u, "q", "probe", &reply); err == nil {
 				recovered = true
 				break
 			}
