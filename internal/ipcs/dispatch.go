@@ -23,11 +23,18 @@ type Task interface {
 // The queue is unbounded: a callback is allowed to Send (even back into
 // the connection that invoked it), so Schedule must never block on pool
 // capacity or it could deadlock a worker against itself.
+//
+// A steady pool allocates nothing: the queue's backing array is reused
+// (queue[head:] is pending; the consumed prefix is reclaimed when the
+// queue drains or the array fills), and the worker function is bound
+// once, since `go p.work()` would build a method-value closure per spawn.
 type Pool struct {
 	mu         sync.Mutex
 	queue      []Task
+	head       int
 	workers    int
 	maxWorkers int
+	workFn     func()
 }
 
 // NewPool creates a dispatcher. maxWorkers caps concurrent workers;
@@ -39,19 +46,28 @@ func NewPool(maxWorkers int) *Pool {
 			maxWorkers = 8
 		}
 	}
-	return &Pool{maxWorkers: maxWorkers}
+	p := &Pool{maxWorkers: maxWorkers}
+	p.workFn = p.work
+	return p
 }
 
 // Schedule enqueues t and ensures a worker will run it. Never blocks.
 func (p *Pool) Schedule(t Task) {
 	pollerDispatches.Add(1)
 	p.mu.Lock()
+	if p.head > 0 && len(p.queue) == cap(p.queue) {
+		// Full array with a consumed prefix: slide the pending tail down
+		// instead of letting append grow past what is actually queued.
+		n := copy(p.queue, p.queue[p.head:])
+		clear(p.queue[n:])
+		p.queue, p.head = p.queue[:n], 0
+	}
 	p.queue = append(p.queue, t)
 	if p.workers < p.maxWorkers {
 		p.workers++
 		p.mu.Unlock()
 		pollerWakeups.Add(1)
-		go p.work()
+		go p.workFn()
 		return
 	}
 	p.mu.Unlock()
@@ -61,19 +77,15 @@ func (p *Pool) Schedule(t Task) {
 func (p *Pool) work() {
 	for {
 		p.mu.Lock()
-		if len(p.queue) == 0 {
+		if p.head == len(p.queue) {
+			p.queue, p.head = p.queue[:0], 0
 			p.workers--
 			p.mu.Unlock()
 			return
 		}
-		t := p.queue[0]
-		p.queue[0] = nil
-		p.queue = p.queue[1:]
-		if len(p.queue) == 0 {
-			// Reset so the backing array is reusable instead of crawling
-			// forward forever.
-			p.queue = nil
-		}
+		t := p.queue[p.head]
+		p.queue[p.head] = nil
+		p.head++
 		p.mu.Unlock()
 		t.Run()
 	}

@@ -9,14 +9,23 @@ import (
 	"sync"
 	"sync/atomic"
 	"syscall"
+	"time"
 
 	"ntcs/internal/ipcs"
 )
 
 // The event-driven reader: one epoll instance per process, with one
-// goroutine blocked in epoll_wait and one ipcs.Pool draining ready
-// connections. A connection with no traffic costs no goroutine and no
-// poller work.
+// loop goroutine and one ipcs.Pool draining ready connections. A
+// connection with no traffic costs no goroutine and no poller work.
+//
+// The loop never blocks an OS thread in epoll_wait. An epoll fd is
+// itself pollable, so ours is registered with the Go runtime's netpoller
+// like any socket: the loop polls it with a zero timeout and, once the
+// inner queue is empty, parks in the runtime until the runtime's own
+// epoll reports it readable. A wake-up is then an ordinary goroutine
+// made ready by netpoll, and the pool worker the loop spawns runs on the
+// same P as soon as the loop parks again — no thread wake, no
+// cross-thread hand-off.
 //
 // Connection identity travels in epoll_data itself: each registration
 // claims a slot in the poller's table and the slot index is what the
@@ -37,6 +46,15 @@ import (
 type poller struct {
 	epfd int
 	pool *ipcs.Pool
+
+	// file wraps epfd for the runtime netpoller and rc is its raw view,
+	// inside which the loop runs. file must stay referenced: its
+	// finalizer would close epfd.
+	file *os.File
+	rc   syscall.RawConn
+
+	// events is the loop's epoll_wait buffer (loop goroutine only).
+	events []syscall.EpollEvent
 
 	// table is the published slot array read lock-free by the event loop.
 	// mu guards only registration bookkeeping (slot allocation), never
@@ -85,26 +103,74 @@ var (
 // registration.
 func processPoller() *poller {
 	pollerOnce.Do(func() {
-		epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
+		p, err := newPoller()
 		if err != nil {
 			return
 		}
-		gPoller = &poller{epfd: epfd, pool: ipcs.NewPool(0)}
-		go gPoller.loop()
+		gPoller = p
+		go p.loop()
 	})
 	return gPoller
 }
 
-// loop runs for the life of the process.
+// newPoller creates the epoll instance and hands it to the runtime
+// netpoller. os.NewFile registers a non-blocking fd with the netpoller
+// when it can; SetReadDeadline is the check that it did (it reports
+// ErrNoDeadline for an fd the runtime cannot poll), and without it there
+// is no poller and every conn uses the blocking reader.
+func newPoller() (*poller, error) {
+	epfd, err := syscall.EpollCreate1(syscall.EPOLL_CLOEXEC)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.SetNonblock(epfd, true); err != nil {
+		syscall.Close(epfd)
+		return nil, err
+	}
+	f := os.NewFile(uintptr(epfd), "tcpnet-epoll")
+	rc, err := f.SyscallConn()
+	if err == nil {
+		err = f.SetReadDeadline(time.Time{})
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &poller{
+		epfd:   epfd,
+		pool:   ipcs.NewPool(0),
+		file:   f,
+		rc:     rc,
+		events: make([]syscall.EpollEvent, initialEventBuf),
+	}, nil
+}
+
+// loop runs for the life of the process inside one read on the epoll
+// fd's RawConn: each time poll reports the inner queue empty, the
+// runtime parks the goroutine until epfd is readable and calls poll
+// again. Read returns only if epfd fails, which never happens (it is
+// never closed); then the loop stops, as the blocking form did on an
+// epoll_wait error.
 func (p *poller) loop() {
-	events := make([]syscall.EpollEvent, initialEventBuf)
+	_ = p.rc.Read(p.poll)
+}
+
+// poll drains the inner epoll queue without blocking, dispatching every
+// ready conn. It reports false — park in the runtime netpoller — only
+// when a wait returns no events. Draining first is what makes parking
+// safe: the runtime's registration of epfd is edge-triggered, so events
+// still queued when the loop parked would raise no new edge.
+func (p *poller) poll(fd uintptr) bool {
 	for {
-		n, err := syscall.EpollWait(p.epfd, events, -1)
+		n, err := syscall.EpollWait(int(fd), p.events, 0)
 		if err == syscall.EINTR {
 			continue
 		}
 		if err != nil {
-			return
+			return true
+		}
+		if n == 0 {
+			return false
 		}
 		ipcs.CountPoll()
 		var tbl []*pollSlot
@@ -112,7 +178,7 @@ func (p *poller) loop() {
 			tbl = *t
 		}
 		for i := 0; i < n; i++ {
-			idx := events[i].Fd
+			idx := p.events[i].Fd
 			if uint32(idx) >= uint32(len(tbl)) {
 				continue
 			}
@@ -124,13 +190,13 @@ func (p *poller) loop() {
 				p.pool.Schedule(c)
 			}
 		}
-		if n == len(events) {
+		if n == len(p.events) {
 			// The kernel had at least a full buffer's worth ready: the
 			// buffer is undersized for this load. Double it (bounded) so
 			// a busy loop drains more readiness per syscall.
 			ipcs.CountFullBatch()
-			if len(events) < maxEventBuf {
-				events = make([]syscall.EpollEvent, 2*len(events))
+			if len(p.events) < maxEventBuf {
+				p.events = make([]syscall.EpollEvent, 2*len(p.events))
 			}
 		}
 	}
@@ -173,18 +239,29 @@ func (p *poller) add(c *conn) error {
 	return nil
 }
 
-// remove deregisters c; safe against fd reuse because it runs before the
-// fd is closed. The slot is freed after the kernel stops generating
-// events for it; a stale event already in a returned batch sees nil (or
-// the slot's next tenant, which absorbs one spurious no-op drain).
+// remove deregisters c. The slot is freed after the kernel stops
+// generating events for it; a stale event already in a returned batch
+// sees nil (or the slot's next tenant, which absorbs one spurious no-op
+// drain).
 func (p *poller) remove(c *conn) {
-	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, c.fd, nil)
+	// DEL runs under the conn's own fd reference, so a Close racing a
+	// terminal drain cannot close the fd — and let a new conn reuse its
+	// number — in the middle of it; with the fd pinned and registered,
+	// DEL cannot fail. If Close got there first, Control refuses and
+	// there is nothing to delete: the registration goes with the fd's
+	// last reference.
+	_ = c.rc.Control(p.del)
 	p.mu.Lock()
 	if c.slot < uint32(len(p.slots)) && p.slots[c.slot].c.Load() == c {
 		p.slots[c.slot].c.Store(nil)
 		p.free = append(p.free, c.slot)
 	}
 	p.mu.Unlock()
+}
+
+// del is remove's RawConn callback; see there why its error is moot.
+func (p *poller) del(fd uintptr) {
+	_ = syscall.EpollCtl(p.epfd, syscall.EPOLL_CTL_DEL, int(fd), nil)
 }
 
 // startRecv registers the conn with the process poller, falling back to a
@@ -242,18 +319,45 @@ func (c *conn) wakeRecv() {
 // errAgain marks a drained socket (EAGAIN).
 var errAgain = errors.New("tcpnet: drained")
 
-// readOnce performs one non-blocking read on the raw fd. The RawConn
-// read keeps the fd pinned against a concurrent Close.
-func (c *conn) readOnce(buf []byte) (int, error) {
-	var n int
-	var rerr error
-	cerr := c.rc.Read(func(fd uintptr) bool {
-		n, rerr = syscall.Read(int(fd), buf)
-		return true // one-shot: never park in the runtime poller
-	})
-	if cerr != nil {
+// drainScratch is what a drain borrows: the 64 KiB read buffer plus the
+// RawConn read callback, bound to it once when the scratch is made. A
+// closure built per read would escape (RawConn.Read takes it through an
+// interface) and carry its results with it — several allocations per
+// frame on a busy conn.
+type drainScratch struct {
+	buf  []byte
+	n    int
+	err  error
+	read func(fd uintptr) bool
+}
+
+// scratchPool holds the drain scratches. They are borrowed per drain
+// rather than retained per conn: only conns actively inside a drain hold
+// one, so the cost scales with dispatch-pool width, not conn count.
+var scratchPool = sync.Pool{
+	New: func() any {
+		s := &drainScratch{buf: make([]byte, 64<<10)}
+		s.read = s.readFd
+		return s
+	},
+}
+
+// readFd is the RawConn callback: one non-blocking read, never parking in
+// the runtime poller (the epoll loop, not the runtime, reports the conn
+// readable).
+func (s *drainScratch) readFd(fd uintptr) bool {
+	s.n, s.err = syscall.Read(int(fd), s.buf)
+	return true
+}
+
+// readOnce performs one non-blocking read on the raw fd into s.buf. The
+// RawConn read keeps the fd pinned against a concurrent Close.
+func (c *conn) readOnce(s *drainScratch) (int, error) {
+	if cerr := c.rc.Read(s.read); cerr != nil {
 		return 0, cerr
 	}
+	n, rerr := s.n, s.err
+	s.err = nil
 	if rerr == syscall.EAGAIN || rerr == syscall.EWOULDBLOCK {
 		return 0, errAgain
 	}
@@ -279,28 +383,21 @@ func (c *conn) Run() {
 	}
 }
 
-// scratchPool holds the 64 KiB drain read buffers. They are borrowed per
-// drain rather than retained per conn: only conns actively inside a drain
-// hold one, so the cost scales with dispatch-pool width, not conn count.
-var scratchPool = sync.Pool{
-	New: func() any {
-		s := make([]byte, 64<<10)
-		return &s
-	},
-}
-
+// drain reads until EAGAIN. A short read does not mean drained: a FIN
+// queued behind the data raises no new edge, so only the read after it
+// (EAGAIN, or zero bytes for the FIN) tells the two apart.
 func (c *conn) drain() {
 	if c.term {
 		return
 	}
-	sp := scratchPool.Get().(*[]byte)
+	s := scratchPool.Get().(*drainScratch)
 	a := arenaPool.Get().(*recvArena)
 	defer func() {
 		arenaPool.Put(a)
-		scratchPool.Put(sp)
+		scratchPool.Put(s)
 	}()
 	for {
-		n, err := c.readOnce(*sp)
+		n, err := c.readOnce(s)
 		if err == errAgain {
 			return
 		}
@@ -312,7 +409,7 @@ func (c *conn) drain() {
 			c.deliverTerminal(fmt.Errorf("tcpnet: recv: %w (%v)", ipcs.ErrClosed, err))
 			return
 		}
-		c.feed((*sp)[:n], a)
+		c.feed(s.buf[:n], a)
 		if c.term {
 			return
 		}

@@ -5,6 +5,8 @@ package tcpnet
 import (
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -116,6 +118,131 @@ func TestPollerCountersAdvance(t *testing.T) {
 	if ipcs.PollerWakeups() == wakeups {
 		t.Error("poller wakeups did not advance")
 	}
+}
+
+// loopbackPair joins two started conns over loopback and returns the
+// dialed one, a; each frame the accepted side receives is signalled on
+// got, so a caller with one frame in flight never blocks the drain.
+func loopbackPair(t *testing.T) (a ipcs.Conn, got <-chan struct{}) {
+	t.Helper()
+	delivered := make(chan struct{}, 1)
+	n := New("tcp-pair")
+	l, err := n.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	accepted := make(chan ipcs.Conn, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			t.Error(err)
+		}
+		accepted <- c
+	}()
+	a, err = n.Dial(l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := <-accepted
+	if b == nil {
+		a.Close()
+		t.FailNow()
+	}
+	t.Cleanup(func() {
+		a.Close()
+		b.Close()
+	})
+	a.Start(func([]byte, error) {})
+	b.Start(func(msg []byte, err error) {
+		if err == nil {
+			delivered <- struct{}{}
+		}
+	})
+	return a, delivered
+}
+
+// TestFrameRoundTripZeroAlloc is the frame path's allocation gate: a warm
+// loopback Send, the poller wake-up, the pool's drain and the delivery
+// allocate nothing per frame. Only arena refills remain — one 64 KiB
+// arena per thousand 64-byte frames — so the budget is 0.05 per frame.
+func TestFrameRoundTripZeroAlloc(t *testing.T) {
+	if os.Getenv("NTCS_NO_EPOLL") != "" {
+		t.Skip("NTCS_NO_EPOLL: the blocking reader is not the gated path")
+	}
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop items, so drains refill their scratch")
+	}
+	a, got := loopbackPair(t)
+	msg := make([]byte, 64)
+	roundTrip := func() {
+		if err := a.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	for i := 0; i < 1000; i++ {
+		roundTrip()
+	}
+	const frames = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < frames; i++ {
+		roundTrip()
+	}
+	runtime.ReadMemStats(&after)
+	if perFrame := float64(after.Mallocs-before.Mallocs) / frames; perFrame >= 0.05 {
+		t.Fatalf("Send + drain + delivery = %.3f allocs/frame, want < 0.05", perFrame)
+	}
+}
+
+// TestPollerParksInRuntime pins where the event loop waits: once traffic
+// stops, its goroutine is parked in the runtime netpoller ("IO wait"),
+// and no goroutine holds an OS thread in syscall.EpollWait.
+func TestPollerParksInRuntime(t *testing.T) {
+	if os.Getenv("NTCS_NO_EPOLL") != "" {
+		t.Skip("NTCS_NO_EPOLL: conns use the blocking reader, no poller runs")
+	}
+	a, got := loopbackPair(t)
+	for i := 0; i < 100; i++ {
+		if err := a.Send([]byte("ping")); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	var dump string
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		dump = goroutineDump()
+		state, blocked := loopState(dump)
+		if strings.HasPrefix(state, "IO wait") && !blocked {
+			return
+		}
+	}
+	state, blocked := loopState(dump)
+	t.Fatalf("poller loop state %q, goroutine in syscall.EpollWait: %v\n%s", state, blocked, dump)
+}
+
+func goroutineDump() string {
+	buf := make([]byte, 1<<20)
+	return string(buf[:runtime.Stack(buf, true)])
+}
+
+// loopState finds the poller loop's goroutine in a dump and returns its
+// wait state (the bracketed part of "goroutine N [state]:"), and whether
+// any goroutine is inside syscall.EpollWait.
+func loopState(dump string) (state string, inEpollWait bool) {
+	for _, g := range strings.Split(dump, "\n\n") {
+		if strings.Contains(g, "syscall.EpollWait(") {
+			inEpollWait = true
+		}
+		if strings.Contains(g, "tcpnet.(*poller).loop(") {
+			head, _, _ := strings.Cut(g, "\n")
+			if i, j := strings.Index(head, "["), strings.Index(head, "]"); i >= 0 && j > i {
+				state = head[i+1 : j]
+			}
+		}
+	}
+	return state, inEpollWait
 }
 
 // TestPendShrinkAfterLargeFrame is the satellite regression test for the

@@ -135,10 +135,13 @@ type conn struct {
 	// per-conn overhead on an idle mesh. Sends instead hand a prefix+payload
 	// iovec list straight to writev. prefixes and vecs are retained across
 	// calls so a steady sender stops allocating; entries are nilled after
-	// each write so the retained array never pins caller buffers.
+	// each write so the retained array never pins caller buffers. nb is
+	// the copy of vecs that net.Buffers.WriteTo consumes: a local copy
+	// would escape through WriteTo's pointer receiver on every send.
 	sendMu   sync.Mutex
 	prefixes []byte
 	vecs     net.Buffers
+	nb       net.Buffers
 
 	// Receive side. cb and term are touched only by the serialized
 	// receive path: either the poller's drain task (Run, at most one
@@ -234,16 +237,19 @@ func (c *conn) Send(msg []byte) error {
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	var hdr [4]byte
-	putLen(hdr[:], uint32(len(msg)))
-	vecs := append(c.vecs[:0], hdr[:], msg)
-	c.vecs = vecs
-	// WriteTo consumes the slice header as it drains; give it a copy so
-	// the backing array stays reusable. hdr outlives the call: WriteTo is
-	// synchronous.
-	nb := vecs
-	_, err := nb.WriteTo(c.c)
-	c.vecs[0], c.vecs[1] = nil, nil // don't pin msg in the retained array
+	c.prefixes = append(c.prefixes[:0], 0, 0, 0, 0)
+	putLen(c.prefixes, uint32(len(msg)))
+	c.vecs = append(c.vecs[:0], c.prefixes, msg)
+	return c.writeVecs()
+}
+
+// writeVecs hands c.vecs to one writev; sendMu is held. WriteTo consumes
+// the slice header as it drains, so it gets the c.nb copy and the
+// backing array of c.vecs stays reusable.
+func (c *conn) writeVecs() error {
+	c.nb = c.vecs
+	_, err := c.nb.WriteTo(c.c)
+	clear(c.vecs) // don't pin caller buffers in the retained array
 	if err != nil {
 		return fmt.Errorf("tcpnet: send: %w (%v)", ipcs.ErrClosed, err)
 	}
@@ -281,17 +287,7 @@ func (c *conn) SendBatch(msgs [][]byte) error {
 	}
 	c.prefixes = prefixes
 	c.vecs = vecs
-	// WriteTo consumes the slice header as it drains; give it a copy so
-	// the backing array stays reusable.
-	nb := vecs
-	_, err := nb.WriteTo(c.c)
-	for i := range vecs {
-		vecs[i] = nil // don't pin caller buffers in the retained array
-	}
-	if err != nil {
-		return fmt.Errorf("tcpnet: send: %w (%v)", ipcs.ErrClosed, err)
-	}
-	return nil
+	return c.writeVecs()
 }
 
 // arenaSize is one receive arena: large enough that a drain of small

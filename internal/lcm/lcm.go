@@ -619,9 +619,11 @@ func (l *Layer) Reply(d *Delivery, mode wire.Mode, flags uint16, payload []byte)
 		l.cfg.Tracer.Span(d.Header.Span, trace.LayerLCM, "reply", d.Src().String())
 	}
 	defer func() { exit(err) }()
-	err = l.reply(d, mode, flags, payload)
+	// Counted before the send: whoever has seen the reply arrive must
+	// also see it counted (a caller scraping lcm.replies right after
+	// its call returns).
 	l.replies.Inc()
-	return err
+	return l.reply(d, mode, flags, payload)
 }
 
 func (l *Layer) reply(d *Delivery, mode wire.Mode, flags uint16, payload []byte) error {
@@ -775,6 +777,15 @@ func (l *Layer) deliverInbox(d *Delivery) {
 		// than on delivery.
 		if l.overflowed.CompareAndSwap(false, true) {
 			l.cfg.Errors.Report(errlog.CodeDroppedMsg, "lcm", "inbox overflow; dropping messages (first from %v)", d.Header.Src)
+		}
+		if d.IsCall() {
+			// A one-way send is dropped, as documented; a call is refused
+			// at once so its caller does not wait out CallTimeout. The
+			// refusal never waits for credit: this is the delivering
+			// worker, and a stalled reply would stall the circuit. A
+			// refusal that cannot be sent leaves the caller to its
+			// timeout, which is all the drop gave it before.
+			_ = l.Reply(d, wire.ModePacked, wire.FlagError|wire.FlagService|wire.FlagNoBlock, []byte(ErrInboxOverflow.Error()))
 		}
 	}
 }

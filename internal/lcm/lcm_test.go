@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -248,6 +249,67 @@ func TestReplyError(t *testing.T) {
 	if want := "no such document"; !errors.Is(err, lcm.ErrRemote) || err.Error() == want {
 		// the message is embedded
 		_ = want
+	}
+}
+
+// TestInboxOverflowRefusesCalls: a call that finds the callee's inbox full
+// is answered at once with an error reply naming the overflow, instead of
+// being dropped and left to the caller's CallTimeout.
+func TestInboxOverflowRefusesCalls(t *testing.T) {
+	net := memnet.New("one", memnet.Options{})
+	naming := newFakeNaming()
+	a := newModule(t, net, "a", 2000, naming, modOpts{callTimeout: 5 * time.Second})
+	b := newModule(t, net, "b", 2001, naming, modOpts{})
+	naming.add(2001, b.nuc.Endpoints()[0])
+	// Open the circuit first (a ping never touches the inbox), so the
+	// refusal time below is not the handshake's.
+	if err := a.nuc.LCM.Ping(2001, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// b never calls Recv: its inbox (the default 256) fills and stays
+	// full, and every call past it must be refused.
+	const calls, inbox = 300, 256
+	ctx, cancel := context.WithCancel(context.Background())
+	type result struct {
+		err  error
+		took time.Duration
+	}
+	results := make(chan result, calls)
+	for i := 0; i < calls; i++ {
+		go func() {
+			start := time.Now()
+			_, err := a.nuc.LCM.CallContext(ctx, 2001, wire.ModePacked, 0, []byte("q"))
+			results <- result{err, time.Since(start)}
+		}()
+	}
+	received := 0
+	defer func() {
+		cancel() // releases the calls parked in b's inbox
+		for ; received < calls; received++ {
+			<-results
+		}
+	}()
+	timeout := time.After(2 * time.Second)
+	for i := 0; i < calls-inbox; i++ {
+		select {
+		case r := <-results:
+			received++
+			if !errors.Is(r.err, lcm.ErrRemote) || !strings.Contains(r.err.Error(), lcm.ErrInboxOverflow.Error()) {
+				t.Fatalf("refused call %d: %v, want an ErrRemote naming the inbox overflow", i, r.err)
+			}
+			if r.took > 200*time.Millisecond {
+				t.Errorf("refused call %d took %v, want < 200ms", i, r.took)
+			}
+		case <-timeout:
+			t.Fatalf("%d of %d calls past the inbox refused within 2s; the rest are waiting out CallTimeout", i, calls-inbox)
+		}
+	}
+	select {
+	case r := <-results:
+		received++
+		t.Fatalf("a call held in the inbox returned: %v", r.err)
+	case <-time.After(50 * time.Millisecond):
 	}
 }
 
