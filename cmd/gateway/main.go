@@ -50,7 +50,7 @@ func main() {
 // SIGTERM drains gracefully, SIGINT detaches directly.
 func serve(rt *cli.ProcRuntime, drainT time.Duration) error {
 	fmt.Println(rt.ReadyLine())
-	if cli.WaitSignals() == syscall.SIGTERM {
+	if rt.WaitSignals() == syscall.SIGTERM {
 		if err := rt.Drain(drainT); err != nil {
 			fmt.Fprintln(os.Stderr, "gateway: drain:", err)
 		}

@@ -116,7 +116,7 @@ func parsePeers(spec string, m machine.Type) ([]peer, error) {
 // tombstone keeps §3.5 forwarding intact), SIGINT detaches directly.
 func serve(rt *cli.ProcRuntime, drainT time.Duration) error {
 	fmt.Println(rt.ReadyLine())
-	if cli.WaitSignals() == syscall.SIGTERM {
+	if rt.WaitSignals() == syscall.SIGTERM {
 		if err := rt.Drain(drainT); err != nil {
 			fmt.Fprintln(os.Stderr, "nameserver: drain:", err)
 		}

@@ -78,7 +78,7 @@ func runWorker(topoPath, proc, httpAddr string, drainT time.Duration) error {
 		go echoServe(rt.Mod)
 	}
 	fmt.Println(rt.ReadyLine())
-	if cli.WaitSignals() == syscall.SIGTERM {
+	if rt.WaitSignals() == syscall.SIGTERM {
 		if err := rt.Drain(drainT); err != nil {
 			fmt.Fprintln(os.Stderr, "ursad: drain:", err)
 		}

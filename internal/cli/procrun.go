@@ -38,6 +38,7 @@ type ProcRuntime struct {
 	StatsAddr string // bound stats listener, "" when off
 
 	statsSrv *http.Server
+	signals  chan os.Signal
 }
 
 // StartProc boots the named topology entry: it opens the entry's
@@ -70,6 +71,7 @@ func StartProc(opts ProcOptions) (*ProcRuntime, error) {
 		}
 		rt.statsSrv, rt.StatsAddr = srv, bound
 	}
+	rt.catchSignals()
 	return rt, nil
 }
 
@@ -157,7 +159,17 @@ func NewRuntime(mod *core.Module, httpAddr string) (*ProcRuntime, error) {
 		}
 		rt.statsSrv, rt.StatsAddr = srv, bound
 	}
+	rt.catchSignals()
 	return rt, nil
+}
+
+// catchSignals starts catching SIGINT and SIGTERM before the caller prints
+// ReadyLine: a harness may signal the moment it reads that line, and a
+// SIGTERM arriving before the handler is installed would kill the process
+// instead of draining it.
+func (rt *ProcRuntime) catchSignals() {
+	rt.signals = make(chan os.Signal, 1)
+	signal.Notify(rt.signals, os.Interrupt, syscall.SIGTERM)
 }
 
 // ReadyLine is the machine-readable boot announcement the process harness
@@ -204,11 +216,10 @@ func (rt *ProcRuntime) Close() {
 	_ = rt.Mod.Detach()
 }
 
-// WaitSignals blocks until SIGINT or SIGTERM.
-func WaitSignals() os.Signal {
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	signal.Stop(sig)
+// WaitSignals blocks until SIGINT or SIGTERM, including one that arrived
+// after the runtime was built but before this call.
+func (rt *ProcRuntime) WaitSignals() os.Signal {
+	s := <-rt.signals
+	signal.Stop(rt.signals)
 	return s
 }

@@ -110,15 +110,8 @@ type Config struct {
 	// Timeouts; zero selects defaults.
 	CallTimeout time.Duration
 	OpenTimeout time.Duration
-	// DisableNSFaultPatch reproduces the §6.3 pathology (tests only).
-	DisableNSFaultPatch bool
 	// InboxSize bounds undelivered messages.
 	InboxSize int
-	// ForcePacked disables the §5 adaptive selection and always converts
-	// (the XDR-style baseline the paper implicitly argues against:
-	// "Messages between identical machines are simply byte-copied ...
-	// thus avoiding needless conversions"). Ablation experiments only.
-	ForcePacked bool
 	// CreditWindow is the per-circuit receive window this module
 	// advertises: how many unconsumed data frames a peer may have in
 	// flight toward it. Zero or less selects the default (1024).
@@ -237,20 +230,19 @@ func Attach(cfg Config) (*Module, error) {
 	m.id = newIdentity(startU, cfg.Machine, cfg.Name)
 
 	nuc, err := nucleus.New(nucleus.Config{
-		Networks:            cfg.Networks,
-		EndpointHints:       cfg.EndpointHints,
-		Identity:            m.id,
-		WellKnown:           cfg.WellKnown,
-		RelayEnabled:        cfg.Kind == KindGateway,
-		Tracer:              m.tracer,
-		Errors:              m.errs,
-		Stats:               m.stats,
-		CallTimeout:         cfg.CallTimeout,
-		OpenTimeout:         cfg.OpenTimeout,
-		DisableNSFaultPatch: cfg.DisableNSFaultPatch,
-		InboxSize:           cfg.InboxSize,
-		CreditWindow:        cfg.CreditWindow,
-		CreditWaitMax:       cfg.CreditWaitMax,
+		Networks:      cfg.Networks,
+		EndpointHints: cfg.EndpointHints,
+		Identity:      m.id,
+		WellKnown:     cfg.WellKnown,
+		RelayEnabled:  cfg.Kind == KindGateway,
+		Tracer:        m.tracer,
+		Errors:        m.errs,
+		Stats:         m.stats,
+		CallTimeout:   cfg.CallTimeout,
+		OpenTimeout:   cfg.OpenTimeout,
+		InboxSize:     cfg.InboxSize,
+		CreditWindow:  cfg.CreditWindow,
+		CreditWaitMax: cfg.CreditWaitMax,
 	})
 	if err != nil {
 		return nil, err
@@ -521,11 +513,7 @@ func (m *Module) destInfo(dst addr.UAdd) (lcm.DestInfo, bool) {
 		if mt == machine.Unknown {
 			return lcm.DestInfo{}, errUnknownDest
 		}
-		mode := wire.SelectMode(m.cfg.Machine, mt)
-		if m.cfg.ForcePacked {
-			mode = wire.ModePacked
-		}
-		return lcm.DestInfo{Target: target, Machine: mt, Mode: mode}, nil
+		return lcm.DestInfo{Target: target, Machine: mt, Mode: wire.SelectMode(m.cfg.Machine, mt)}, nil
 	})
 	if err != nil {
 		return lcm.DestInfo{}, false
@@ -575,7 +563,7 @@ func (m *Module) encode(dst addr.UAdd, msgType string, body any) (wire.Mode, []b
 		err  error
 	)
 	imageOK := false
-	if !m.cfg.ForcePacked && body != nil {
+	if body != nil {
 		if info, ok := m.destInfo(dst); ok {
 			imageOK = info.Mode == wire.ModeImage
 		}

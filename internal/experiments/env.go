@@ -1,9 +1,10 @@
-// Package experiments regenerates the paper's evaluation. ICDCS '86
-// papers of this kind carried no quantitative tables — §7 "Results" is
-// qualitative — so each experiment here quantifies one of the paper's
-// claims or reproduces one of its figures, as indexed in DESIGN.md and
-// recorded in EXPERIMENTS.md. The same environments back the testing.B
-// benchmarks in the repository root and the ntcsbench table printer.
+// Package experiments holds the fixtures the paper's quantified claims
+// run on. The paper's §7 "Results" is qualitative, so each E-* entry in
+// EXPERIMENTS.md is a claim, not a table: experiments_test.go asserts
+// each one on a deterministic quantity (bytes, counters, trace depth,
+// route length), and the testing.B series in the repository root times
+// it on the same environments built here. serve.go is the open-loop
+// serving driver behind `make bench-serve` and `make serve-gate`.
 package experiments
 
 import (
@@ -87,8 +88,9 @@ func serveEcho(m *core.Module) {
 // gateways over zero-latency in-memory networks. hops = 0 puts both on
 // one network. clientMachine and serverMachine select the simulated
 // hardware.
-func PairWithHops(hops int, clientMachine, serverMachine machine.Type) (*Env, error) {
+func PairWithHops(hops int, clientMachine, serverMachine machine.Type) (_ *Env, err error) {
 	w := sim.NewWorld()
+	defer closeOnError(w, &err)
 	// Networks net0 … net<hops>; NS on net0 with the client.
 	for i := 0; i <= hops; i++ {
 		w.AddNetwork(fmt.Sprintf("net%d", i), memnet.Options{})
@@ -138,8 +140,9 @@ func PairWithHops(hops int, clientMachine, serverMachine machine.Type) (*Env, er
 
 // PairOverIPCS builds a same-network pair over the named IPCS kind:
 // "memnet", "tcp", or "mbx" (E-PORT).
-func PairOverIPCS(kind string) (*Env, error) {
+func PairOverIPCS(kind string) (_ *Env, err error) {
 	w := sim.NewWorld()
+	defer closeOnError(w, &err)
 	switch kind {
 	case "memnet":
 		w.AddNetwork("net", memnet.Options{})
@@ -210,3 +213,11 @@ func (e *Env) RoundTripImage() error {
 
 // Close tears the environment down.
 func (e *Env) Close() { e.World.Close() }
+
+// closeOnError closes a half-built world when its builder fails, so the
+// listeners and goroutines it already started do not outlive the error.
+func closeOnError(w *sim.World, err *error) {
+	if *err != nil {
+		w.Close()
+	}
+}

@@ -35,24 +35,27 @@ import (
 
 // ServeConfig shapes one serving topology.
 type ServeConfig struct {
-	Shards  int   // URSA backend shard groups (index+docs+search each)
-	Users   int   // simulated users (independent Poisson streams)
-	Conns   int   // client modules the users multiplex onto (0: min(Users, 16))
-	Docs    int   // corpus documents per shard (0: 200)
-	Queries int   // distinct query texts (0: 200)
-	Seed    int64 // corpus/query/arrival randomness (0: 1)
-
-	// Warm is the per-client, per-shard number of unmeasured warm-up
-	// queries (0: 2) — opens circuits, fills name and destination caches.
-	Warm int
-
-	// MaxInFlight bounds concurrent outstanding requests; an arrival that
-	// finds the bound exhausted is shed and counted (an overloaded open
-	// system must drop, not queue unboundedly). 0: 4096.
-	MaxInFlight int
+	Shards int // URSA backend shard groups (index+docs+search each)
+	Users  int // simulated users (independent Poisson streams)
+	Conns  int // client modules the users multiplex onto (0: min(Users, 16))
+	Docs   int // corpus documents per shard (0: 200)
 
 	Out io.Writer // optional progress log
 }
+
+const (
+	serveQueries = 200 // distinct query texts
+	serveSeed    = 1   // corpus/query/arrival randomness
+
+	// serveWarm is the per-client, per-shard number of unmeasured warm-up
+	// queries — opens circuits, fills name and destination caches.
+	serveWarm = 2
+
+	// serveMaxInFlight bounds concurrent outstanding requests; an arrival
+	// that finds the bound exhausted is shed and counted (an overloaded
+	// open system must drop, not queue unboundedly).
+	serveMaxInFlight = 4096
+)
 
 // ServeResult is one measured window.
 type ServeResult struct {
@@ -99,18 +102,6 @@ func (c *ServeConfig) fill() {
 	if c.Docs <= 0 {
 		c.Docs = 200
 	}
-	if c.Queries <= 0 {
-		c.Queries = 200
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Warm <= 0 {
-		c.Warm = 2
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 4096
-	}
 }
 
 func (sw *ServeWorld) logf(format string, args ...any) {
@@ -124,11 +115,12 @@ func (sw *ServeWorld) logf(format string, args ...any) {
 // access tcpnet network, and a gateway bridging the two — every query
 // crosses the gateway and two real TCP hops, as the paper's host
 // processors did.
-func BuildServeWorld(cfg ServeConfig) (*ServeWorld, error) {
+func BuildServeWorld(cfg ServeConfig) (_ *ServeWorld, err error) {
 	cfg.fill()
 	sw := &ServeWorld{cfg: cfg}
 	w := sim.NewWorld()
 	sw.w = w
+	defer closeOnError(w, &err)
 	w.AddTCPNetwork("backbone")
 	w.AddTCPNetwork("access")
 
@@ -168,7 +160,7 @@ func BuildServeWorld(cfg ServeConfig) (*ServeWorld, error) {
 	sw.titles = make([]map[int64]string, cfg.Shards)
 	ingester := sw.clients[0]
 	for s := 0; s < cfg.Shards; s++ {
-		docs := ursa.GenerateCorpus(cfg.Docs, cfg.Seed+int64(s))
+		docs := ursa.GenerateCorpus(cfg.Docs, serveSeed+int64(s))
 		sw.titles[s] = make(map[int64]string, len(docs))
 		for _, d := range docs {
 			sw.titles[s][d.ID] = d.Title
@@ -187,7 +179,7 @@ func BuildServeWorld(cfg ServeConfig) (*ServeWorld, error) {
 			}
 		}
 	}
-	sw.queries = ursa.Queries(cfg.Queries, cfg.Seed+97)
+	sw.queries = ursa.Queries(serveQueries, serveSeed+97)
 
 	// Resolve each shard's search server once (clients share the
 	// resolution through the call below) and warm every client→shard
@@ -202,7 +194,7 @@ func BuildServeWorld(cfg ServeConfig) (*ServeWorld, error) {
 	}
 	for _, m := range sw.clients {
 		for s := 0; s < cfg.Shards; s++ {
-			for i := 0; i < cfg.Warm; i++ {
+			for i := 0; i < serveWarm; i++ {
 				var reply ursa.SearchReply
 				q := sw.queries[(s+i)%len(sw.queries)]
 				if err := m.CallContext(context.Background(), sw.search[s], ursa.MsgSearch, ursa.SearchRequest{Query: q, Limit: 5}, &reply); err != nil {
@@ -241,7 +233,7 @@ func (sw *ServeWorld) Run(rateQPS float64, duration time.Duration) (ServeResult,
 	hist := reg.Histogram("serve.query_latency")
 
 	var sent, completed, errors, shed, corrupted atomic.Uint64
-	inflight := make(chan struct{}, cfg.MaxInFlight)
+	inflight := make(chan struct{}, serveMaxInFlight)
 
 	dispatchBefore := ipcs.PollerDispatches()
 
@@ -254,7 +246,7 @@ func (sw *ServeWorld) Run(rateQPS float64, duration time.Duration) (ServeResult,
 		wg.Add(1)
 		go func(u int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(u)*2654435761))
+			rng := rand.New(rand.NewSource(serveSeed + int64(u)*2654435761))
 			m := sw.clients[u%len(sw.clients)]
 			next := start
 			for {
@@ -361,21 +353,4 @@ func SaturationQPS(results []ServeResult, keepUp float64) float64 {
 		}
 	}
 	return best
-}
-
-// URSAServe is the experiments-harness entry: a compact E-SERVE run
-// (small N — the full sweep lives behind `make bench-serve`).
-func URSAServe(w io.Writer) error {
-	fmt.Fprintln(w, "E-SERVE — open-loop URSA serving: Poisson users vs sharded backends (ROADMAP item 5)")
-	sw, err := BuildServeWorld(ServeConfig{Shards: 2, Users: 16, Conns: 8, Out: w})
-	if err != nil {
-		return err
-	}
-	defer sw.Close()
-	if _, err := sw.Run(300, 2*time.Second); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "  claim: the serving path holds its tail while arrivals are open-loop.")
-	fmt.Fprintln(w)
-	return nil
 }

@@ -129,12 +129,14 @@ type Config struct {
 	// Zero selects 3 attempts of jittered backoff from 20ms.
 	ReconnectPolicy retry.Policy
 	// DisableNSFaultPatch removes the §6.3 patch from the address-fault
-	// handler, reproducing the paper's pathology (tests only).
+	// handler, reproducing the paper's pathology (tests only; the stack
+	// tests set it on a nucleus-built layer).
 	DisableNSFaultPatch bool
-	// MaxFaultDepth is the recursion bound standing in for the 1986 stack
-	// (the paper observed genuine stack overflows); default 8.
-	MaxFaultDepth int32
 }
+
+// maxFaultDepth is the address-fault recursion bound standing in for the
+// 1986 stack (the paper observed genuine stack overflows).
+const maxFaultDepth = 8
 
 // Delivery is one message handed to the module: the unit of Recv.
 type Delivery struct {
@@ -212,9 +214,6 @@ func New(cfg Config) (*Layer, error) {
 	}
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = 256
-	}
-	if cfg.MaxFaultDepth <= 0 {
-		cfg.MaxFaultDepth = 8
 	}
 	if cfg.ReconnectPolicy.IsZero() {
 		cfg.ReconnectPolicy = retry.Policy{
@@ -512,7 +511,7 @@ func isAddressFault(err error) bool {
 func (l *Layer) addressFault(target addr.UAdd) (addr.UAdd, error) {
 	depth := l.faultDepth.Add(1)
 	defer l.faultDepth.Add(-1)
-	if depth > l.cfg.MaxFaultDepth {
+	if depth > maxFaultDepth {
 		// The 1986 implementation "recursively ran through this whole
 		// thing until either the stack overflowed, or the connection could
 		// be reestablished". The depth bound is our stack.

@@ -112,17 +112,19 @@ func newModule(t *testing.T, net ipcs.Network, name string, u addr.UAdd, naming 
 	}
 	errs := errlog.NewTable(name, 0)
 	nuc, err := nucleus.New(nucleus.Config{
-		Networks:            []ipcs.Network{net},
-		EndpointHints:       map[string]string{net.ID(): hint},
-		Identity:            ident{u: u, m: machine.VAX, name: name},
-		WellKnown:           o.wellKnown,
-		Errors:              errs,
-		CallTimeout:         o.callTimeout,
-		OpenTimeout:         2 * time.Second,
-		DisableNSFaultPatch: o.disablePatch,
+		Networks:      []ipcs.Network{net},
+		EndpointHints: map[string]string{net.ID(): hint},
+		Identity:      ident{u: u, m: machine.VAX, name: name},
+		WellKnown:     o.wellKnown,
+		Errors:        errs,
+		CallTimeout:   o.callTimeout,
+		OpenTimeout:   2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if o.disablePatch {
+		nuc.LCM.DisableNSFaultPatch()
 	}
 	if naming != nil {
 		nuc.SetNaming(naming)

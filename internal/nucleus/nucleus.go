@@ -61,10 +61,6 @@ type Config struct {
 	// Timeouts; zero values select layer defaults.
 	CallTimeout time.Duration
 	OpenTimeout time.Duration
-	// DisableNSFaultPatch and MaxFaultDepth configure the §6.3 pathology
-	// reproduction (tests only).
-	DisableNSFaultPatch bool
-	MaxFaultDepth       int32
 	// InboxSize bounds the LCM inbox.
 	InboxSize int
 	// CreditWindow is the per-circuit receive window every binding
@@ -164,16 +160,14 @@ func New(cfg Config) (*Nucleus, error) {
 	n.IP = ip
 
 	lcmLayer, err := lcm.New(lcm.Config{
-		IP:                  ip,
-		Identity:            cfg.Identity,
-		WellKnown:           cfg.WellKnown,
-		Tracer:              cfg.Tracer,
-		Errors:              cfg.Errors,
-		Stats:               cfg.Stats,
-		CallTimeout:         cfg.CallTimeout,
-		InboxSize:           cfg.InboxSize,
-		DisableNSFaultPatch: cfg.DisableNSFaultPatch,
-		MaxFaultDepth:       cfg.MaxFaultDepth,
+		IP:          ip,
+		Identity:    cfg.Identity,
+		WellKnown:   cfg.WellKnown,
+		Tracer:      cfg.Tracer,
+		Errors:      cfg.Errors,
+		Stats:       cfg.Stats,
+		CallTimeout: cfg.CallTimeout,
+		InboxSize:   cfg.InboxSize,
 	})
 	if err != nil {
 		n.closeBindings()
