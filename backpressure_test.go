@@ -14,16 +14,28 @@ import (
 	"ntcs/sim"
 )
 
+// endpointOn returns m's physical address on the network netID.
+func endpointOn(t *testing.T, m *core.Module, netID string) string {
+	t.Helper()
+	for _, ep := range m.Endpoints() {
+		if ep.Network == netID {
+			return ep.Addr
+		}
+	}
+	t.Fatalf("%s has no endpoint on %s", m.Name(), netID)
+	return ""
+}
+
 // TestBackpressureDirect starves a direct circuit of credit — the
-// receiver's admission valve is throttled to a trickle — and asserts the
+// simulator holds every grant the receiver sends — and asserts the
 // full contract: WithNoBlock sends fail fast with an error matching
 // ntcs.ErrBackpressure whose inspectable form carries the peer and queue
 // depth; blocking sends give up after the module's CreditWaitMax; every
 // send that returned nil is delivered intact and in order; and once the
-// valve reopens, sending works again.
+// hold is released, sending works again.
 func TestBackpressureDirect(t *testing.T) {
 	w := sim.NewWorld()
-	w.AddNetwork("ring", memnet.Options{})
+	ring := w.AddNetwork("ring", memnet.Options{})
 	nsHost := w.MustHost("ns-host", machine.Apollo, "ring")
 	if _, err := w.StartNameServer(nsHost, "ns"); err != nil {
 		t.Fatal(err)
@@ -51,11 +63,21 @@ func TestBackpressureDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Slow-loris the receiver: its ND-Layer still drains frames, but hands
-	// out almost no fresh credit.
-	recv.SetAdmissionRate(0.1)
-
+	// Open the circuit while the receiver is healthy: the hold below
+	// stalls the open handshake's answer too.
 	ctx := context.Background()
+	if err := sender.SendMsg(ctx, u, "prime", []byte("prime")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recv.Recv(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	// Slow-loris the receiver: its ND-Layer still drains frames, but none
+	// of its credit grants arrive.
+	recvAddr := endpointOn(t, recv, "ring")
+	ring.Hold(recvAddr, true)
+
 	accepted := 0
 	// fill pumps WithNoBlock sends until the window refuses one, and
 	// returns that refusal (nil if the circuit never pushed back).
@@ -75,14 +97,14 @@ func TestBackpressureDirect(t *testing.T) {
 	}
 	bperr := fill()
 	if bperr == nil {
-		t.Fatalf("no WithNoBlock send was refused after %d accepted (window %d, admission throttled)", accepted, window)
+		t.Fatalf("no WithNoBlock send was refused after %d accepted (window %d, receiver held)", accepted, window)
 	}
 	// The first refusal can race a grant already in flight; let it land,
-	// then top the window back up so the starvation is stable (the next
-	// admission token is ten seconds out at 0.1 grants/sec).
+	// then top the window back up so the starvation is stable (every
+	// later grant stays held).
 	time.Sleep(200 * time.Millisecond)
 	if again := fill(); again == nil {
-		t.Fatalf("window kept refilling after the admission valve closed (%d accepted)", accepted)
+		t.Fatalf("window kept refilling while the receiver was held (%d accepted)", accepted)
 	}
 	var bp *ntcs.BackpressureError
 	if !errors.As(bperr, &bp) {
@@ -120,8 +142,8 @@ func TestBackpressureDirect(t *testing.T) {
 		}
 	}
 
-	// Heal: with the valve open the circuit drains and sends succeed again.
-	recv.SetAdmissionRate(0)
+	// Heal: with the hold released the circuit drains and sends succeed again.
+	ring.Hold(recvAddr, false)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if err := sender.SendMsg(ctx, u, "seq", []byte("healed"), ntcs.WithNoBlock); err == nil {
@@ -130,7 +152,7 @@ func TestBackpressureDirect(t *testing.T) {
 			t.Fatal(err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("circuit never recovered after admission valve reopened")
+			t.Fatal("circuit never recovered after the hold was released")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -150,7 +172,7 @@ func TestBackpressureDirect(t *testing.T) {
 func TestBackpressureAcrossGateway(t *testing.T) {
 	w := sim.NewWorld()
 	w.AddNetwork("alpha", memnet.Options{})
-	w.AddNetwork("beta", memnet.Options{})
+	beta := w.AddNetwork("beta", memnet.Options{})
 	nsHost := w.MustHost("ns-host", machine.Apollo, "alpha")
 	if _, err := w.StartNameServer(nsHost, "ns"); err != nil {
 		t.Fatal(err)
@@ -192,7 +214,8 @@ func TestBackpressureAcrossGateway(t *testing.T) {
 	// chain down. While relay workers wait, the gateway stops consuming the
 	// sender's frames, so the sender's own first hop may legitimately feel
 	// backpressure too — propagation toward the origin, not a failure.
-	recv.SetAdmissionRate(0.1)
+	recvAddr := endpointOn(t, recv, "beta")
+	beta.Hold(recvAddr, true)
 	deadline := time.Now().Add(30 * time.Second)
 	for gw.Stats().Snapshot().Counters["nd.backpressure.drops"] == 0 {
 		if time.Now().After(deadline) {
@@ -221,7 +244,7 @@ func TestBackpressureAcrossGateway(t *testing.T) {
 	// verify end-to-end delivery still works over the same chain. The
 	// first-hop window may still be exhausted while the backlog drains, so
 	// backpressure refusals here are retried, not fatal.
-	recv.SetAdmissionRate(0)
+	beta.Hold(recvAddr, false)
 	for i := 0; ; i++ {
 		if err := sender.SendMsg(context.Background(), u, "seq", []byte("after-heal")); err != nil && !errors.Is(err, ntcs.ErrBackpressure) {
 			t.Fatalf("post-heal send: %v", err)
@@ -245,13 +268,13 @@ func TestBackpressureAcrossGateway(t *testing.T) {
 }
 
 // TestSlowLorisChaosEpisode drives the same failure through the chaos
-// harness: a scheduled SlowLorisEpisode throttles the receiver
+// harness: a scheduled SlowLorisEpisode holds the receiver's grants
 // mid-stream, the episode's stats delta shows backpressure engaging, and
-// the heal event restores flow — the congestion analogue of the soak's
-// cable pulls.
+// the heal event restores flow — the congestion analogue of a cable
+// pull.
 func TestSlowLorisChaosEpisode(t *testing.T) {
 	w := sim.NewWorld()
-	w.AddNetwork("ring", memnet.Options{})
+	ring := w.AddNetwork("ring", memnet.Options{})
 	nsHost := w.MustHost("ns-host", machine.Apollo, "ring")
 	if _, err := w.StartNameServer(nsHost, "ns"); err != nil {
 		t.Fatal(err)
@@ -279,7 +302,7 @@ func TestSlowLorisChaosEpisode(t *testing.T) {
 	}
 
 	chaos := sim.NewChaos(7).ObserveStats(w.StatsTotals)
-	chaos.SlowLorisEpisode(50*time.Millisecond, 300*time.Millisecond, "loris-receiver", recv, 0.1)
+	chaos.SlowLorisEpisode(ring, endpointOn(t, recv, "ring"), 50*time.Millisecond, 300*time.Millisecond)
 	// A terminal marker event so the last episode's delta is recorded too.
 	chaos.Schedule(500*time.Millisecond, "end", func() {})
 
@@ -329,5 +352,85 @@ func TestSlowLorisChaosEpisode(t *testing.T) {
 			t.Fatal("sends still refused after the slow-loris healed")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRelayParksAWindowAcrossGateway pins the relay's parking queue. With
+// the receiver's grants held, a burst of one and a half windows reaches
+// the gateway: what the downstream credit covers goes out at once, the
+// rest waits parked on the downstream circuit, and nothing is shed. On
+// release every frame arrives, in order. A relay that refused whenever
+// the downstream window was empty would shed the burst's tail.
+func TestRelayParksAWindowAcrossGateway(t *testing.T) {
+	w := sim.NewWorld()
+	w.AddNetwork("alpha", memnet.Options{})
+	beta := w.AddNetwork("beta", memnet.Options{})
+	nsHost := w.MustHost("ns-host", machine.Apollo, "alpha")
+	if _, err := w.StartNameServer(nsHost, "ns"); err != nil {
+		t.Fatal(err)
+	}
+	gw, err := w.StartGateway(w.MustHost("gw-host", machine.Apollo, "alpha", "beta"), "gw-ab")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(w.Close)
+
+	const window, burst = 8, 12
+	recv, err := w.AttachConfig(w.MustHost("recv-host", machine.VAX, "beta"), core.Config{
+		Name:         "park-receiver",
+		CreditWindow: window,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender, err := w.Attach(w.MustHost("send-host", machine.VAX, "alpha"), "park-sender", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := sender.Locate("park-receiver")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := sender.SendMsg(ctx, u, "seq", []byte("prime")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recv.Recv(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	recvAddr := endpointOn(t, recv, "beta")
+	beta.Hold(recvAddr, true)
+	relayed := func() uint64 { return gw.Stats().Snapshot().Counters["ip.relays"] }
+	base := relayed()
+	for i := 0; i < burst; i++ {
+		if err := sender.SendMsg(ctx, u, "seq", []byte(fmt.Sprintf("b-%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for relayed() < base+burst {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway relayed %d of %d burst frames", relayed()-base, burst)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	beta.Hold(recvAddr, false)
+
+	for i := 0; i < burst; i++ {
+		d, err := recv.Recv(5 * time.Second)
+		if err != nil {
+			t.Fatalf("after %d burst deliveries: %v", i, err)
+		}
+		var body []byte
+		if err := d.Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("b-%02d", i); string(body) != want {
+			t.Fatalf("burst delivery %d: body %q, want %q", i, body, want)
+		}
+	}
+	if drops := gw.Stats().Snapshot().Counters["nd.backpressure.drops"]; drops != 0 {
+		t.Errorf("gateway shed %d frames of a burst within one parked window", drops)
 	}
 }

@@ -45,7 +45,6 @@ func main() {
 		peerMach    = flag.String("peer-machine", "", "peer hosts' machine type (defaults to -machine)")
 		antiEntropy = flag.Duration("anti-entropy", 0, "digest reconciliation interval with one peer per tick (0 = off)")
 		tombTTL     = flag.Duration("tombstone-ttl", 0, "retain dead records (and their forwarding) this long (0 = forever)")
-		maxHandlers = flag.Int("max-handlers", 0, "bound on concurrent request handlers (0 = default, negative = unbounded)")
 		topoPath    = flag.String("topo", "", "topology file; boots this process's entry instead of the hand flags")
 		proc        = flag.String("proc", "", "process name within -topo (defaults to -name)")
 		httpAddr    = flag.String("http", "", "serve /stats, /stats.json, expvar and pprof on this address (off when empty)")
@@ -55,7 +54,7 @@ func main() {
 	if err := run(config{
 		bind: *bind, name: *name, machName: *machName, slot: *slot,
 		peers: *peers, peerMach: *peerMach,
-		antiEntropy: *antiEntropy, tombTTL: *tombTTL, maxHandlers: *maxHandlers,
+		antiEntropy: *antiEntropy, tombTTL: *tombTTL,
 		topoPath: *topoPath, proc: *proc, httpAddr: *httpAddr, drainT: *drainT,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "nameserver:", err)
@@ -68,7 +67,6 @@ type config struct {
 	slot                 int
 	peers, peerMach      string
 	antiEntropy, tombTTL time.Duration
-	maxHandlers          int
 	topoPath, proc       string
 	httpAddr             string
 	drainT               time.Duration
@@ -176,7 +174,6 @@ func run(cfg config) error {
 		ServerID:       uint16(cfg.slot + 1),
 		NSAntiEntropy:  cfg.antiEntropy,
 		NSTombstoneTTL: cfg.tombTTL,
-		NSMaxHandlers:  cfg.maxHandlers,
 	})
 	if err != nil {
 		return err

@@ -214,6 +214,67 @@ func TestLossyNetworkDegradesWithoutWedging(t *testing.T) {
 	if cleanErr != nil {
 		t.Fatalf("system wedged after loss stopped: %v", cleanErr)
 	}
+
+	// One-way traffic on small windows. Lost data frames leave the
+	// receiver's consumed count short and lost grants leave the sender's
+	// watermark stale, until a sender is a whole window ahead of grants
+	// that will never come. Only the credit probe resyncs the two; one
+	// circuit is healed by blocking sends, the other by WithNoBlock sends.
+	if _, err := w.AttachConfig(w.MustHost("vax-3", machine.VAX, "ring"),
+		ntcs.Config{Name: "sink", CreditWindow: 8, InboxSize: 4096}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sources := make([]*ntcs.Module, 2)
+	var su ntcs.UAdd
+	for i := range sources {
+		src, err := w.AttachConfig(w.MustHost(fmt.Sprintf("vax-%d", 4+i), machine.VAX, "ring"),
+			ntcs.Config{Name: fmt.Sprintf("source-%d", i), CreditWaitMax: 200 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if su, err = src.Locate("sink"); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.SendMsg(ctx, su, "tick", []byte("open")); err != nil {
+			t.Fatal(err)
+		}
+		sources[i] = src
+	}
+	blocking, noBlock := sources[0], sources[1]
+
+	net.SetLossProb(0.20)
+	for i := 0; i < 200; i++ {
+		for _, src := range sources {
+			if err := src.SendMsg(ctx, su, "tick", []byte("lossy"), ntcs.WithNoBlock); err != nil {
+				time.Sleep(time.Millisecond) // let grants catch up
+			}
+		}
+	}
+	net.SetLossProb(0)
+
+	// Blocking sends probe halfway through their credit wait.
+	for i := 0; i < 32; i++ {
+		if err := blocking.SendMsg(ctx, su, "tick", []byte("healed")); err != nil {
+			t.Fatalf("blocking send %d after the loss stopped: %v", i, err)
+		}
+	}
+	// A refused WithNoBlock send probes too, so the circuit recovers
+	// within a bound.
+	deadline = time.Now().Add(2 * time.Second)
+	for {
+		err := noBlock.SendMsg(ctx, su, "tick", []byte("healed"), ntcs.WithNoBlock)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ntcs.ErrBackpressure) {
+			t.Fatalf("WithNoBlock send after the loss stopped: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("WithNoBlock sends still refused 2s after the loss stopped: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestInboxOverflowDropsVisibly floods a receiver with a tiny inbox: the

@@ -102,14 +102,14 @@ func TestPerSenderFIFOAcrossGateway(t *testing.T) {
 
 // TestPerSenderFIFOUnderBackpressure runs the ordering guarantee through
 // a credit famine: several senders stream numbered messages at a receiver
-// whose circuit windows are small, and mid-stream the receiver's
-// admission valve is throttled so every sender exhausts its credit and
-// blocks. When the valve reopens the blocked sends complete, and the
+// whose circuit windows are small, and mid-stream the simulator holds the
+// receiver's credit grants so every sender exhausts its credit and
+// blocks. When the hold is released the blocked sends complete, and the
 // receiver must still observe every stream in its original order —
 // backpressure may delay a sender, never reorder one.
 func TestPerSenderFIFOUnderBackpressure(t *testing.T) {
 	w := sim.NewWorld()
-	w.AddNetwork("ring", memnet.Options{})
+	ring := w.AddNetwork("ring", memnet.Options{})
 	nsHost := w.MustHost("ns-host", machine.Apollo, "ring")
 	if _, err := w.StartNameServer(nsHost, "ns"); err != nil {
 		t.Fatal(err)
@@ -155,12 +155,13 @@ func TestPerSenderFIFOUnderBackpressure(t *testing.T) {
 	}
 
 	// Let the streams get going, then starve them of credit mid-flight and
-	// heal shortly after. Window 8 against a 0.5 grants/sec trickle stalls
-	// every sender almost immediately.
+	// heal shortly after. With window 8 and every grant held, each sender
+	// stalls almost immediately.
 	time.Sleep(20 * time.Millisecond)
-	recv.SetAdmissionRate(0.5)
+	recvAddr := endpointOn(t, recv, "ring")
+	ring.Hold(recvAddr, true)
 	time.Sleep(300 * time.Millisecond)
-	recv.SetAdmissionRate(0)
+	ring.Hold(recvAddr, false)
 
 	next := make([]int, senders)
 	for got := 0; got < senders*perSender; got++ {

@@ -102,9 +102,6 @@ type Config struct {
 	// NSTombstoneTTL, when positive, garbage-collects dead naming records
 	// this long after death (name servers only).
 	NSTombstoneTTL time.Duration
-	// NSMaxHandlers bounds concurrent name-server request handlers; 0
-	// selects the default, negative disables the bound (name servers only).
-	NSMaxHandlers int
 	// TraceCapacity sizes the causal trace ring (0 = default).
 	TraceCapacity int
 	// Timeouts; zero selects defaults.
@@ -333,7 +330,6 @@ func (m *Module) attachNameServer() error {
 		Tracer:       m.tracer,
 		Errors:       m.errs,
 		Stats:        m.stats,
-		MaxHandlers:  m.cfg.NSMaxHandlers,
 		AntiEntropy:  m.cfg.NSAntiEntropy,
 		TombstoneTTL: m.cfg.NSTombstoneTTL,
 	})
@@ -384,15 +380,6 @@ func (m *Module) SetNameServerReplicas(peers []addr.UAdd) {
 	if m.server != nil {
 		m.server.SetReplicas(peers)
 	}
-}
-
-// SetAdmissionRate bounds how fast this module hands out circuit credit
-// to its peers, in grants per second per attached network (0 removes the
-// bound). Lowering the rate throttles every sender at the source — the
-// adaptive arm of the flow-control design — without tearing circuits or
-// dropping accepted frames.
-func (m *Module) SetAdmissionRate(perSec float64) {
-	m.nuc.SetAdmissionRate(perSec)
 }
 
 // SetClock installs the DRTS corrected-time source used for monitor

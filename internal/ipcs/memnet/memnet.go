@@ -157,6 +157,26 @@ func (n *Net) Isolate(physAddr string, isolated bool) {
 	}
 }
 
+// Hold stalls (held) or releases delivery of every frame an endpoint
+// sends on the connections it accepted: a receiver that keeps consuming
+// but whose answers stop arriving (the slow loris). Held frames queue in
+// order up to the connection's queue bound; nothing is dropped or broken,
+// and releasing delivers the backlog. An endpoint not listening is ignored.
+func (n *Net) Hold(physAddr string, held bool) {
+	n.mu.Lock()
+	l := n.listeners[physAddr]
+	n.mu.Unlock()
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	l.held = held
+	for _, c := range l.conns {
+		c.send.setHeld(held)
+	}
+	l.mu.Unlock()
+}
+
 // SetDown fails the entire network (or brings it back). Existing
 // connections break; new operations return ErrNetworkDown.
 func (n *Net) SetDown(down bool) {
@@ -208,6 +228,7 @@ type listener struct {
 
 	mu       sync.Mutex
 	conns    []*conn
+	held     bool // Hold: accepted conns' outbound delivery stalls
 	closed   chan struct{}
 	isClosed bool
 }
@@ -219,6 +240,9 @@ func (l *listener) Accept() (ipcs.Conn, error) {
 	case c := <-l.pending:
 		l.mu.Lock()
 		l.conns = append(l.conns, c)
+		if l.held {
+			c.send.setHeld(true)
+		}
 		l.mu.Unlock()
 		return c, nil
 	case <-l.closed:
@@ -288,6 +312,7 @@ type pipe struct {
 	cb            ipcs.RecvFunc
 	dispatching   bool // a drain is queued or running (or a timer is armed)
 	termDelivered bool
+	held          bool // Net.Hold: queued items wait, unless closed
 }
 
 // item timestamps are unix nanos rather than time.Time: an idle mesh
@@ -345,7 +370,7 @@ func (p *pipe) start(cb ipcs.RecvFunc) {
 // maybeScheduleLocked queues a drain if there is deliverable work and no
 // drain is already in flight. Caller holds p.mu.
 func (p *pipe) maybeScheduleLocked() {
-	if p.cb == nil || p.dispatching {
+	if p.cb == nil || p.dispatching || p.stalledLocked() {
 		return
 	}
 	if len(p.items) == 0 && (!p.closed || p.termDelivered) {
@@ -376,6 +401,11 @@ func (p *pipe) Run() {
 			p.mu.Unlock()
 			return
 		}
+		if p.stalledLocked() {
+			p.dispatching = false // setHeld(false) schedules the next drain
+			p.mu.Unlock()
+			return
+		}
 		it := p.items[0]
 		if wait := time.Duration(it.at - time.Now().UnixNano()); wait > 0 {
 			// Keep dispatching set: the timer owns the next drain.
@@ -395,6 +425,18 @@ func (p *pipe) Run() {
 		p.mu.Unlock()
 		cb(it.data, nil)
 	}
+}
+
+// stalledLocked reports whether a hold keeps the queue undelivered; a
+// closed pipe drains regardless. Caller holds p.mu.
+func (p *pipe) stalledLocked() bool { return p.held && !p.closed }
+
+// setHeld stalls or releases the pipe's delivery (Net.Hold).
+func (p *pipe) setHeld(held bool) {
+	p.mu.Lock()
+	p.held = held
+	p.maybeScheduleLocked()
+	p.mu.Unlock()
 }
 
 func (p *pipe) write(data []byte) error {

@@ -176,6 +176,41 @@ func TestIsolateBreaksEndpoint(t *testing.T) {
 	}
 }
 
+func TestHoldStallsAcceptedSideUntilRelease(t *testing.T) {
+	n := New("alpha", Options{})
+	client, server := dialPair(t, n)
+	toClient := recvChan(client)
+	toServer := recvChan(server)
+	n.Hold("svc", true)
+
+	// The held endpoint still receives...
+	if err := client.Send([]byte("in")); err != nil {
+		t.Fatal(err)
+	}
+	if got := recvOne(t, toServer); string(got) != "in" {
+		t.Fatalf("held endpoint received %q", got)
+	}
+	// ...but what it sends waits, queued and unbroken.
+	for _, m := range []string{"a", "b", "c"} {
+		if err := server.Send([]byte(m)); err != nil {
+			t.Fatalf("send while held: %v", err)
+		}
+	}
+	select {
+	case ev := <-toClient:
+		t.Fatalf("delivered while held: %q (err %v)", ev.msg, ev.err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	// Release delivers the backlog in order.
+	n.Hold("svc", false)
+	for _, want := range []string{"a", "b", "c"} {
+		if got := recvOne(t, toClient); string(got) != want {
+			t.Fatalf("after release got %q, want %q", got, want)
+		}
+	}
+}
+
 func TestSetDownFailsEverything(t *testing.T) {
 	n := New("alpha", Options{})
 	client, server := dialPair(t, n)

@@ -54,7 +54,7 @@ type poller struct {
 	rc   syscall.RawConn
 
 	// events is the loop's epoll_wait buffer (loop goroutine only).
-	events []syscall.EpollEvent
+	events [eventBuf]syscall.EpollEvent
 
 	// table is the published slot array read lock-free by the event loop.
 	// mu guards only registration bookkeeping (slot allocation), never
@@ -89,10 +89,10 @@ type connOS struct {
 // syscall constant is a negative int on some arches.
 const epollET = uint32(1) << 31
 
-const (
-	initialEventBuf = 128
-	maxEventBuf     = 4096
-)
+// eventBuf is how many readiness events one epoll_wait returns at most.
+// A full batch is counted (ipcs.PollerFullBatches) and simply followed by
+// another wait: poll drains the queue before it parks.
+const eventBuf = 128
 
 var (
 	pollerOnce sync.Once
@@ -137,11 +137,10 @@ func newPoller() (*poller, error) {
 		return nil, err
 	}
 	return &poller{
-		epfd:   epfd,
-		pool:   ipcs.NewPool(0),
-		file:   f,
-		rc:     rc,
-		events: make([]syscall.EpollEvent, initialEventBuf),
+		epfd: epfd,
+		pool: ipcs.NewPool(0),
+		file: f,
+		rc:   rc,
 	}, nil
 }
 
@@ -162,7 +161,7 @@ func (p *poller) loop() {
 // still queued when the loop parked would raise no new edge.
 func (p *poller) poll(fd uintptr) bool {
 	for {
-		n, err := syscall.EpollWait(int(fd), p.events, 0)
+		n, err := syscall.EpollWait(int(fd), p.events[:], 0)
 		if err == syscall.EINTR {
 			continue
 		}
@@ -191,13 +190,7 @@ func (p *poller) poll(fd uintptr) bool {
 			}
 		}
 		if n == len(p.events) {
-			// The kernel had at least a full buffer's worth ready: the
-			// buffer is undersized for this load. Double it (bounded) so
-			// a busy loop drains more readiness per syscall.
 			ipcs.CountFullBatch()
-			if len(p.events) < maxEventBuf {
-				p.events = make([]syscall.EpollEvent, 2*len(p.events))
-			}
 		}
 	}
 }

@@ -91,13 +91,19 @@ type Config struct {
 	Errors *errlog.Table
 	// Stats receives the layer's counters; nil disables metering.
 	Stats *stats.Registry
-	// OpenTimeout bounds IVC establishment; default 5s.
+	// OpenTimeout bounds IVC establishment and its failover; default 5s.
 	OpenTimeout time.Duration
-	// FailoverPolicy tunes the route-recompute retries after a chained
-	// open fails (§4.3 recovery): each round excludes the gateways
-	// observed dead and re-reads the topology. Zero selects 3 rounds of
-	// jittered backoff from 10ms within the OpenTimeout budget.
-	FailoverPolicy retry.Policy
+}
+
+// failoverPolicy is the route-recompute retry after a chained open fails
+// (§4.3 recovery): each round excludes the gateways observed dead and
+// re-reads the topology. New budgets it by OpenTimeout.
+var failoverPolicy = retry.Policy{
+	Attempts:   3,
+	BaseDelay:  10 * time.Millisecond,
+	MaxDelay:   500 * time.Millisecond,
+	Multiplier: 2,
+	Jitter:     0.25,
 }
 
 // hop is one step of a computed route: dial Gateway over Via.
@@ -142,8 +148,9 @@ type pendingOpen struct {
 
 // Layer is one module's IP-Layer.
 type Layer struct {
-	cfg      Config
-	bindings map[string]*ndlayer.Binding
+	cfg           Config
+	failoverRetry retry.Policy // failoverPolicy, budgeted and metered
+	bindings      map[string]*ndlayer.Binding
 
 	// ivcs maps destination UAdd word → established circuit. It is
 	// consulted on every send, so it is a compact sharded wordmap: the
@@ -186,25 +193,17 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.OpenTimeout <= 0 {
 		cfg.OpenTimeout = 5 * time.Second
 	}
-	if cfg.FailoverPolicy.IsZero() {
-		cfg.FailoverPolicy = retry.Policy{
-			Attempts:   3,
-			BaseDelay:  10 * time.Millisecond,
-			MaxDelay:   500 * time.Millisecond,
-			Multiplier: 2,
-			Jitter:     0.25,
-			Budget:     cfg.OpenTimeout,
-		}
-	}
-	// Meter the failover budget whichever policy ended up installed.
-	cfg.FailoverPolicy.Retries = cfg.Stats.Counter(stats.RetryAttempts + ".ip_failover")
-	cfg.FailoverPolicy.GiveUps = cfg.Stats.Counter(stats.RetryGiveUps + ".ip_failover")
+	failover := failoverPolicy
+	failover.Budget = cfg.OpenTimeout
+	failover.Retries = cfg.Stats.Counter(stats.RetryAttempts + ".ip_failover")
+	failover.GiveUps = cfg.Stats.Counter(stats.RetryGiveUps + ".ip_failover")
 	l := &Layer{
-		cfg:        cfg,
-		bindings:   make(map[string]*ndlayer.Binding, len(cfg.Bindings)),
-		pending:    make(map[uint32]*pendingOpen),
-		relay:      make(map[*ndlayer.LVC]map[uint32]relayDest),
-		routeCache: make(map[string][]hop),
+		cfg:           cfg,
+		failoverRetry: failover,
+		bindings:      make(map[string]*ndlayer.Binding, len(cfg.Bindings)),
+		pending:       make(map[uint32]*pendingOpen),
+		relay:         make(map[*ndlayer.LVC]map[uint32]relayDest),
+		routeCache:    make(map[string][]hop),
 
 		relays:      cfg.Stats.Counter(stats.IPRelays),
 		hops:        cfg.Stats.Counter(stats.IPHops),
@@ -384,7 +383,7 @@ func (l *Layer) failover(ctx context.Context, dst addr.UAdd, destNet string, wel
 	}
 	noteFault(firstErr)
 
-	b := l.cfg.FailoverPolicy.Start()
+	b := l.failoverRetry.Start()
 	for b.Next(ctx, nil) {
 		if l.closed.Load() {
 			return nil, ErrClosed

@@ -122,12 +122,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// InboxSize bounds undelivered inbound messages; default 256.
 	InboxSize int
-	// ReconnectPolicy tunes the §3.5 "reestablish what appears to be a
-	// broken communication link" retries: after the naming service reports
-	// the peer still alive, redials back off under this policy instead of
-	// failing on the first refused attempt (the peer may be mid-restart).
-	// Zero selects 3 attempts of jittered backoff from 20ms.
-	ReconnectPolicy retry.Policy
 	// DisableNSFaultPatch removes the §6.3 patch from the address-fault
 	// handler, reproducing the paper's pathology (tests only; the stack
 	// tests set it on a nucleus-built layer).
@@ -163,7 +157,8 @@ func (d *Delivery) IsService() bool { return d.Header.Flags&wire.FlagService != 
 
 // Layer is one module's LCM-Layer.
 type Layer struct {
-	cfg Config
+	cfg       Config
+	reconnect retry.Policy // reconnectPolicy, budgeted and metered
 
 	seq atomic.Uint32
 
@@ -203,6 +198,18 @@ type Layer struct {
 	hCall        *stats.Histogram
 }
 
+// reconnectPolicy is the §3.5 "reestablish what appears to be a broken
+// communication link" retry: after the naming service reports the peer
+// still alive, redials back off instead of failing on the first refused
+// attempt (the peer may be mid-restart). New budgets it by CallTimeout.
+var reconnectPolicy = retry.Policy{
+	Attempts:   3,
+	BaseDelay:  20 * time.Millisecond,
+	MaxDelay:   500 * time.Millisecond,
+	Multiplier: 2,
+	Jitter:     0.25,
+}
+
 // New assembles the layer. The caller wires iplayer's Deliver to
 // (*Layer).HandleInbound.
 func New(cfg Config) (*Layer, error) {
@@ -215,25 +222,17 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.InboxSize <= 0 {
 		cfg.InboxSize = 256
 	}
-	if cfg.ReconnectPolicy.IsZero() {
-		cfg.ReconnectPolicy = retry.Policy{
-			Attempts:   3,
-			BaseDelay:  20 * time.Millisecond,
-			MaxDelay:   500 * time.Millisecond,
-			Multiplier: 2,
-			Jitter:     0.25,
-			Budget:     cfg.CallTimeout,
-		}
-	}
-	// Meter the reconnect budget whichever policy ended up installed.
-	cfg.ReconnectPolicy.Retries = cfg.Stats.Counter(stats.RetryAttempts + ".lcm_reconnect")
-	cfg.ReconnectPolicy.GiveUps = cfg.Stats.Counter(stats.RetryGiveUps + ".lcm_reconnect")
+	reconnect := reconnectPolicy
+	reconnect.Budget = cfg.CallTimeout
+	reconnect.Retries = cfg.Stats.Counter(stats.RetryAttempts + ".lcm_reconnect")
+	reconnect.GiveUps = cfg.Stats.Counter(stats.RetryGiveUps + ".lcm_reconnect")
 	l := &Layer{
-		cfg:   cfg,
-		fwd:   addr.NewForwardTable(),
-		dest:  NewDestCache(),
-		inbox: make(chan *Delivery, cfg.InboxSize),
-		done:  make(chan struct{}),
+		cfg:       cfg,
+		reconnect: reconnect,
+		fwd:       addr.NewForwardTable(),
+		dest:      NewDestCache(),
+		inbox:     make(chan *Delivery, cfg.InboxSize),
+		done:      make(chan struct{}),
 
 		sends:        cfg.Stats.Counter(stats.LCMSends),
 		calls:        cfg.Stats.Counter(stats.LCMCalls),
@@ -464,7 +463,7 @@ func (l *Layer) sendResolved(ctx context.Context, dst addr.UAdd, mode wire.Mode,
 			// broken communication link." The peer may be mid-restart (or
 			// the network mid-heal), so the redial backs off under the
 			// reconnect policy rather than failing on the first refusal.
-			return l.cfg.ReconnectPolicy.Do(ctx, l.done, func() error {
+			return l.reconnect.Do(ctx, l.done, func() error {
 				l.retries.Inc()
 				l.cfg.IP.DropCircuits(target)
 				h = l.header(target, mode, flags, seq, span)

@@ -34,13 +34,6 @@ type Config struct {
 	// assumed dead, as the 1986 implementation did before the probe was
 	// added).
 	PingTimeout time.Duration
-	// MaxHandlers bounds concurrent request handlers. The server must stay
-	// multi-threaded (the §3.5 probes recurse through the system it
-	// serves), but an unbounded spawn lets a registration storm OOM it.
-	// Default 512 — well above the §6.3 recursion depth, so the bound
-	// never deadlocks the recursion it exists to protect. Negative
-	// disables the bound.
-	MaxHandlers int
 	// AntiEntropy, when positive, runs periodic digest reconciliation
 	// with one replica peer per interval: a partitioned replica converges
 	// after heal instead of diverging forever. Zero disables (writes still
@@ -66,6 +59,13 @@ const replFlushWindow = 2 * time.Millisecond
 // replMaxBatch bounds one replication round.
 const replMaxBatch = 128
 
+// maxHandlers bounds concurrent request handlers. The server must stay
+// multi-threaded (the §3.5 probes recurse through the system it serves),
+// but a storm must wait in the LCM queue, not grow a goroutine per
+// request. 512 sits well above the §6.3 recursion depth, so the bound
+// never deadlocks the recursion it exists to protect.
+const maxHandlers = 512
+
 // Server is a running Name Server module.
 type Server struct {
 	cfg  Config
@@ -75,8 +75,7 @@ type Server struct {
 	replicas []addr.UAdd
 
 	replCh chan nsp.RecordRec
-	// sem bounds concurrent handlers (nil when MaxHandlers < 0).
-	sem chan struct{}
+	sem    chan struct{} // maxHandlers slots, one per running handler
 
 	// Instruments, resolved once at construction; nil pointers no-op.
 	ops          *stats.Counter
@@ -100,9 +99,6 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.PingTimeout == 0 {
 		cfg.PingTimeout = 300 * time.Millisecond
 	}
-	if cfg.MaxHandlers == 0 {
-		cfg.MaxHandlers = 512
-	}
 	// Compile the name-protocol plans before the first request arrives.
 	if err := pack.Precompile(nsp.Request{}, nsp.Response{}, nsp.RecordRec{}, nsp.EndpointRec{}, nsp.DigestRec{}); err != nil {
 		return nil, fmt.Errorf("nameserver: precompile: %w", err)
@@ -112,6 +108,7 @@ func NewServer(cfg Config) (*Server, error) {
 		done:     make(chan struct{}),
 		replicas: cfg.Replicas,
 		replCh:   make(chan nsp.RecordRec, 4*replMaxBatch),
+		sem:      make(chan struct{}, maxHandlers),
 
 		ops:          cfg.Stats.Counter(stats.NSOps),
 		replRounds:   cfg.Stats.Counter(stats.NSReplRounds),
@@ -123,9 +120,6 @@ func NewServer(cfg Config) (*Server, error) {
 		handlerWaits: cfg.Stats.Counter(stats.NSHandlerWaits),
 		tombGC:       cfg.Stats.Counter(stats.NSTombstonesGC),
 		tombstones:   cfg.Stats.Gauge(stats.NSTombstones),
-	}
-	if cfg.MaxHandlers > 0 {
-		s.sem = make(chan struct{}, cfg.MaxHandlers)
 	}
 	return s, nil
 }
@@ -186,26 +180,16 @@ func (s *Server) Run() {
 			}
 			continue
 		}
-		// The handler bound: a full semaphore means a storm is in
-		// progress — the accept loop waits (backpressure into the LCM
-		// queue) instead of letting the goroutine count grow without
-		// bound. The cap sits well above the §6.3 recursion depth, so the
-		// recursive probes a handler may trigger always find a free slot
-		// before the loop blocks.
-		if s.sem != nil {
-			select {
-			case s.sem <- struct{}{}:
-			default:
-				s.handlerWaits.Inc()
-				s.sem <- struct{}{}
-			}
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			s.handlerWaits.Inc()
+			s.sem <- struct{}{}
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if s.sem != nil {
-				defer func() { <-s.sem }()
-			}
+			defer func() { <-s.sem }()
 			s.handle(d)
 		}()
 	}

@@ -143,18 +143,10 @@ type Config struct {
 	Errors *errlog.Table
 	// Stats receives the layer's counters; nil disables metering.
 	Stats *stats.Registry
-	// OpenRetries and OpenRetryDelay tune "retry on open" (§2.2); defaults
-	// 3 and 2ms. The delay is the base of a jittered exponential backoff
-	// (see RetryPolicy) rather than the fixed sleep of the 1986 system.
-	OpenRetries    int
-	OpenRetryDelay time.Duration
 	// OpenTimeout bounds the open handshake; default 5s. It also caps the
-	// total dial-retry budget, so a caller is never held longer than one
-	// handshake timeout by a dead endpoint.
+	// total dial-retry budget (dialPolicy), so a caller is never held
+	// longer than one handshake timeout by a dead endpoint.
 	OpenTimeout time.Duration
-	// RetryPolicy, if non-zero, overrides the dial retry discipline
-	// derived from OpenRetries/OpenRetryDelay.
-	RetryPolicy retry.Policy
 	// CreditWindow is the receive window this binding advertises during
 	// the open handshake: how many unconsumed data frames a peer may have
 	// in flight toward us. Zero or less selects DefaultCreditWindow.
@@ -201,9 +193,8 @@ type Binding struct {
 	// instead of one goroutine per LVC.
 	flushers *ipcs.Pool
 
-	// admit rate-limits outgoing credit grants (receiver-side adaptive
-	// admission); unlimited until SetAdmissionRate.
-	admit admission
+	// dialRetry is dialPolicy, budgeted by OpenTimeout and metered.
+	dialRetry retry.Policy
 
 	// Instruments, resolved once at construction; nil pointers no-op.
 	framesIn    *stats.Counter
@@ -227,32 +218,16 @@ func New(cfg Config) (*Binding, error) {
 	if cfg.Network == nil || cfg.Identity == nil || cfg.Cache == nil || cfg.Deliver == nil {
 		return nil, errors.New("ndlayer: Network, Identity, Cache and Deliver are required")
 	}
-	if cfg.OpenRetries <= 0 {
-		cfg.OpenRetries = 3
-	}
-	if cfg.OpenRetryDelay <= 0 {
-		cfg.OpenRetryDelay = 2 * time.Millisecond
-	}
 	if cfg.OpenTimeout <= 0 {
 		cfg.OpenTimeout = 5 * time.Second
 	}
 	if cfg.CreditWaitMax <= 0 {
 		cfg.CreditWaitMax = DefaultCreditWaitMax
 	}
-	if cfg.RetryPolicy.IsZero() {
-		cfg.RetryPolicy = retry.Policy{
-			Attempts:   cfg.OpenRetries,
-			BaseDelay:  cfg.OpenRetryDelay,
-			MaxDelay:   100 * cfg.OpenRetryDelay,
-			Multiplier: 2,
-			Jitter:     0.25,
-			Budget:     cfg.OpenTimeout,
-		}
-	}
-	// Meter the dial-retry budget whichever policy (default or supplied)
-	// ended up installed.
-	cfg.RetryPolicy.Retries = cfg.Stats.Counter(stats.RetryAttempts + ".nd_dial")
-	cfg.RetryPolicy.GiveUps = cfg.Stats.Counter(stats.RetryGiveUps + ".nd_dial")
+	dialRetry := dialPolicy
+	dialRetry.Budget = cfg.OpenTimeout
+	dialRetry.Retries = cfg.Stats.Counter(stats.RetryAttempts + ".nd_dial")
+	dialRetry.GiveUps = cfg.Stats.Counter(stats.RetryGiveUps + ".nd_dial")
 	l, err := cfg.Network.Listen(cfg.EndpointHint)
 	if err != nil {
 		return nil, fmt.Errorf("ndlayer: listen: %w", err)
@@ -264,6 +239,8 @@ func New(cfg Config) (*Binding, error) {
 		opening:  make(map[addr.UAdd]chan struct{}),
 		done:     make(chan struct{}),
 		flushers: ipcs.NewPool(0),
+
+		dialRetry: dialRetry,
 
 		framesIn:    cfg.Stats.Counter(stats.NDFramesIn),
 		framesOut:   cfg.Stats.Counter(stats.NDFramesOut),
@@ -307,13 +284,25 @@ func (b *Binding) Endpoint() addr.Endpoint {
 
 // Credit flow-control defaults: the receive window advertised at open
 // (frames a peer may have in flight unconsumed), the bound on a blocking
-// send's wait for credit, and the retry cadence for grants withheld by
-// admission control.
+// send's wait for credit, and the back-off advised to a refused sender
+// (BackpressureError.SuggestedWait), which also spaces no-block probes.
 const (
 	DefaultCreditWindow  = 1024
 	DefaultCreditWaitMax = 2 * time.Second
-	grantRetryDelay      = 100 * time.Millisecond
+	backpressureWait     = 100 * time.Millisecond
 )
+
+// dialPolicy is "retry on open" (§2.2): three attempts on a jittered
+// exponential backoff from 2ms rather than the fixed sleep of the 1986
+// system, the whole sequence budgeted by the binding's OpenTimeout. A
+// variable only so a test can stretch it; New copies it.
+var dialPolicy = retry.Policy{
+	Attempts:   3,
+	BaseDelay:  2 * time.Millisecond,
+	MaxDelay:   200 * time.Millisecond,
+	Multiplier: 2,
+	Jitter:     0.25,
+}
 
 // openInfo is the packed control payload of TOpen/TOpenAck: the identity
 // exchange that fills endpoint caches without consulting the Name Server.
@@ -331,58 +320,6 @@ func (b *Binding) advertisedWindow() uint32 {
 		return DefaultCreditWindow
 	}
 	return uint32(b.cfg.CreditWindow)
-}
-
-// SetAdmissionRate caps how many credit grants per second this binding's
-// circuits hand out (receiver-side adaptive admission). Zero or negative
-// removes the cap. Throttling grants is how a deliberately slow receiver
-// exerts end-to-end backpressure instead of buffering without bound.
-func (b *Binding) SetAdmissionRate(perSec float64) {
-	b.admit.setRate(perSec)
-}
-
-// admission is the token bucket gating outgoing credit grants.
-type admission struct {
-	mu     sync.Mutex
-	rate   float64 // grants per second; 0 = unlimited
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func (a *admission) setRate(perSec float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if perSec <= 0 {
-		a.rate = 0
-		return
-	}
-	a.rate = perSec
-	a.burst = perSec / 4
-	if a.burst < 1 {
-		a.burst = 1
-	}
-	a.tokens = a.burst
-	a.last = time.Now()
-}
-
-func (a *admission) allow() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.rate <= 0 {
-		return true
-	}
-	now := time.Now()
-	a.tokens += now.Sub(a.last).Seconds() * a.rate
-	a.last = now
-	if a.tokens > a.burst {
-		a.tokens = a.burst
-	}
-	if a.tokens < 1 {
-		return false
-	}
-	a.tokens--
-	return true
 }
 
 // Open returns the LVC to dst, establishing one if necessary.
@@ -488,7 +425,7 @@ func (b *Binding) dial(ctx context.Context, dst addr.UAdd) (*LVC, *hsConn, error
 
 	var conn ipcs.Conn
 	attempt := 0
-	err := b.cfg.RetryPolicy.Do(ctx, b.done, func() error {
+	err := b.dialRetry.Do(ctx, b.done, func() error {
 		attempt++
 		if attempt > 1 {
 			b.redials.Inc()
@@ -1011,12 +948,8 @@ type LVC struct {
 	// definitively lost by the time the receiver processes it, so the
 	// receiver can resynchronize its consumed count to the probe's tx —
 	// leaked credits from lost frames heal instead of accumulating.
-	//
-	// eff is the AIMD effective window: halved on NACK, grown by one per
-	// grant, never above txWindow.
 	tx    atomic.Uint32
 	grant atomic.Uint32
-	eff   atomic.Uint32
 
 	// Immutable after open. txWindow is the peer's advertised receive
 	// window (0 = uncredited); rxWindow is ours. id is process-unique,
@@ -1050,11 +983,15 @@ type lvcCold struct {
 	gateCh chan struct{}
 
 	// Receiver side, guarded by rxMu (touched from the serial receive
-	// path and the grant-retry timer).
-	rxMu         sync.Mutex
-	rxCount      uint32
-	lastGrant    uint32
-	grantPending bool
+	// path and from NackBackpressure).
+	rxMu      sync.Mutex
+	rxCount   uint32
+	lastGrant uint32
+
+	// probeTx and probeNs record the last probe a refused no-block send
+	// sent (tx value, unix nanos): see probeRefused.
+	probeTx atomic.Uint32
+	probeNs atomic.Int64
 
 	// relayMu guards the parked cut-through frames. A relay worker must
 	// never block a shared dispatch worker waiting for downstream credit
@@ -1168,7 +1105,6 @@ func newLVC(b *Binding, conn ipcs.Conn, peer addr.UAdd, m machine.Type, name str
 	}
 	v.peer.Store(uint64(peer))
 	v.remoteTAdd.Store(uint64(remoteTAdd))
-	v.eff.Store(peerWindow)
 	if forceEagerCold {
 		v.coldState()
 	}
@@ -1365,16 +1301,37 @@ func (v *LVC) acquireCredit(noBlock bool, budget time.Duration) error {
 		return nil
 	}
 	if noBlock {
+		v.probeRefused()
 		v.b.bpErrors.Inc()
 		return v.backpressureErr()
 	}
 	return v.awaitCredit(budget)
 }
 
+// probeRefused probes for a refused no-block send, which never reaches
+// awaitCredit's probe: grants lost with dropped frames would otherwise
+// refuse every later no-block send for good. So that a spinning caller
+// cannot flood the peer, it probes once per tx value, and again only
+// after backpressureWait in case that probe was lost.
+func (v *LVC) probeRefused() {
+	c := v.coldState()
+	tx := v.tx.Load()
+	last := c.probeNs.Load()
+	now := time.Now().UnixNano()
+	if c.probeTx.Load() == tx && now-last < int64(backpressureWait) {
+		return
+	}
+	if !c.probeNs.CompareAndSwap(last, now) {
+		return // a concurrent refusal is probing
+	}
+	c.probeTx.Store(tx)
+	v.sendProbe()
+}
+
 // inWindow reports whether one more frame at send count tx fits the
-// effective window.
+// peer's advertised window.
 func (v *LVC) inWindow(tx uint32) bool {
-	return tx-v.grant.Load() < v.eff.Load()
+	return tx-v.grant.Load() < v.txWindow
 }
 
 // awaitCredit parks the sender until a grant admits it or the budget
@@ -1444,7 +1401,7 @@ func (v *LVC) backpressureErr() error {
 		Peer:          v.Peer(),
 		Circuit:       uint64(v.id),
 		QueueDepth:    int(v.tx.Load() - v.grant.Load()),
-		SuggestedWait: grantRetryDelay,
+		SuggestedWait: backpressureWait,
 	}
 }
 
@@ -1497,9 +1454,8 @@ func (v *LVC) sendProbe() {
 // NackBackpressure tells the peer a frame it delivered here could not
 // travel further — a gateway's downstream circuit refused it for want of
 // credit — and was dropped. Seq carries the receive-side consumed count
-// so the sender's watermark resyncs, and the NACK's multiplicative
-// decrease slows it down. Called by the IP-Layer relay; the circuit
-// itself stays up.
+// so the sender's watermark resyncs. Called by the IP-Layer relay; the
+// circuit itself stays up.
 func (v *LVC) NackBackpressure() {
 	var seq uint32
 	if v.rxWindow != 0 {
@@ -1514,8 +1470,7 @@ func (v *LVC) NackBackpressure() {
 
 // onCredit handles an inbound TCredit: either a peer's probe (FlagCall —
 // resync our consumed count to its sent count and answer with a grant)
-// or a grant (advance the cumulative consumed watermark and wake
-// senders).
+// or a grant (advance the cumulative consumed watermark).
 func (v *LVC) onCredit(h wire.Header) {
 	if h.Flags&wire.FlagCall != 0 {
 		if v.rxWindow != 0 {
@@ -1531,53 +1486,23 @@ func (v *LVC) onCredit(h wire.Header) {
 		}
 		return
 	}
-	for {
-		old := v.grant.Load()
-		if cumGE(old, h.Seq) {
-			break
-		}
-		if v.grant.CompareAndSwap(old, h.Seq) {
-			break
-		}
-	}
-	// Additive increase back toward the full advertised window.
-	for {
-		eff := v.eff.Load()
-		if eff >= v.txWindow {
-			break
-		}
-		if v.eff.CompareAndSwap(eff, eff+1) {
-			break
-		}
-	}
-	v.wake()
-	v.scheduleRelayDrain()
+	v.advanceGrant(h.Seq)
 }
 
-// onNack handles an inbound TNack: the peer dropped a frame on overrun.
-// Seq resynchronizes the consumed watermark; the effective window halves
-// (the multiplicative decrease) so the sender backs off.
+// onNack handles an inbound TNack: the peer dropped a frame on overrun or
+// a relay shed it downstream. Seq resynchronizes the consumed watermark,
+// exactly as a grant would; the sender otherwise keeps its window.
 func (v *LVC) onNack(h wire.Header) {
 	v.b.bpNacksIn.Inc()
+	v.advanceGrant(h.Seq)
+}
+
+// advanceGrant raises the cumulative consumed watermark to seq (never
+// lowers it), then wakes credit-blocked senders and drains parked relays.
+func (v *LVC) advanceGrant(seq uint32) {
 	for {
 		old := v.grant.Load()
-		if cumGE(old, h.Seq) {
-			break
-		}
-		if v.grant.CompareAndSwap(old, h.Seq) {
-			break
-		}
-	}
-	for {
-		eff := v.eff.Load()
-		next := eff / 2
-		if next < 1 {
-			next = 1
-		}
-		if eff <= next {
-			break
-		}
-		if v.eff.CompareAndSwap(eff, next) {
+		if cumGE(old, seq) || v.grant.CompareAndSwap(old, seq) {
 			break
 		}
 	}
@@ -1608,11 +1533,8 @@ func (v *LVC) noteData() bool {
 }
 
 // maybeGrant sends a cumulative credit grant when enough has been
-// consumed since the last one (half the window), subject to the
-// binding's admission rate. A denied grant is retried on a timer so a
-// throttled receiver keeps draining at the admitted rate instead of
-// wedging the circuit. force skips the half-window threshold (probe
-// replies and retry flushes).
+// consumed since the last one (half the window). force skips the
+// threshold (probe replies).
 func (v *LVC) maybeGrant(force bool) {
 	if v.rxWindow == 0 {
 		return
@@ -1628,30 +1550,10 @@ func (v *LVC) maybeGrant(force bool) {
 		c.rxMu.Unlock()
 		return
 	}
-	if !v.b.admit.allow() {
-		if !c.grantPending {
-			c.grantPending = true
-			time.AfterFunc(grantRetryDelay, v.grantFlush)
-		}
-		c.rxMu.Unlock()
-		return
-	}
 	seq := c.rxCount
 	c.lastGrant = seq
 	c.rxMu.Unlock()
 	v.sendControl(wire.TCredit, 0, seq)
-}
-
-// grantFlush is the deferred grant retry for admission-denied grants.
-func (v *LVC) grantFlush() {
-	c := v.coldState()
-	c.rxMu.Lock()
-	c.grantPending = false
-	c.rxMu.Unlock()
-	if v.closed.Load() {
-		return
-	}
-	v.maybeGrant(true)
 }
 
 func (v *LVC) markClosed() {
@@ -1850,12 +1752,8 @@ func (q *sendQueue) write(batch []sendEntry) error {
 		err = v.conn.SendBatch(msgs)
 	}
 	if err != nil {
-		peer := v.Peer()
-		_ = v.Close()
-		if v.b.circuits.CompareAndDelete(uint64(peer), v) {
-			v.b.circuitsUp.Add(-1)
-		}
-		err = &FaultError{Peer: peer, Err: err}
+		_ = v.Close() // also forgets the circuit
+		err = &FaultError{Peer: v.Peer(), Err: err}
 	} else {
 		if len(msgs) > 1 {
 			v.b.batches.Inc()

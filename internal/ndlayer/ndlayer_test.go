@@ -12,6 +12,7 @@ import (
 	"ntcs/internal/drts/errlog"
 	"ntcs/internal/ipcs/memnet"
 	"ntcs/internal/machine"
+	"ntcs/internal/retry"
 	"ntcs/internal/trace"
 	"ntcs/internal/wire"
 )
@@ -526,15 +527,19 @@ func TestCloseInterruptsOpenRetry(t *testing.T) {
 		inbound:  make(chan Inbound, 4),
 		errs:     errlog.NewTable("mod-a", 0),
 	}
+	// Stretch "retry on open" to 50 attempts from 500ms: uninterrupted,
+	// the dial would hold its caller for the whole 5s open timeout.
+	defer func(p retry.Policy) { dialPolicy = p }(dialPolicy)
+	dialPolicy.Attempts = 50
+	dialPolicy.BaseDelay = 500 * time.Millisecond
+	dialPolicy.MaxDelay = 50 * time.Second
 	b, err := New(Config{
-		Network:        net,
-		EndpointHint:   "mod-a",
-		Identity:       f.identity,
-		Cache:          f.cache,
-		Deliver:        func(in Inbound) { f.inbound <- in },
-		Errors:         f.errs,
-		OpenRetries:    50,
-		OpenRetryDelay: 500 * time.Millisecond, // worst case ~25s uninterrupted
+		Network:      net,
+		EndpointHint: "mod-a",
+		Identity:     f.identity,
+		Cache:        f.cache,
+		Deliver:      func(in Inbound) { f.inbound <- in },
+		Errors:       f.errs,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -190,11 +190,17 @@ type Config struct {
 	RecordTTL time.Duration
 	// RecordCacheSize bounds the lease cache (entries); default 4096.
 	RecordCacheSize int
-	// FailoverPolicy bounds the rounds of replica rotation when no
-	// configured Name Server answers: each round walks every replica
-	// starting from the last one that answered, then backs off. Zero
-	// selects 2 rounds with a 50ms jittered delay between them.
-	FailoverPolicy retry.Policy
+}
+
+// failoverPolicy bounds the rounds of replica rotation when no configured
+// Name Server answers: each round walks every replica starting from the
+// last one that answered, then backs off.
+var failoverPolicy = retry.Policy{
+	Attempts:   2,
+	BaseDelay:  50 * time.Millisecond,
+	MaxDelay:   time.Second,
+	Multiplier: 2,
+	Jitter:     0.25,
 }
 
 // recEntry is one leased naming record.
@@ -205,7 +211,8 @@ type recEntry struct {
 
 // Layer is the NSP-Layer: one per ComMod.
 type Layer struct {
-	cfg Config
+	cfg      Config
+	failover retry.Policy // failoverPolicy, metered
 
 	// Shard map, frozen at construction from the well-known preload: the
 	// server groups, the name→shard hash, and the generator-ID routing
@@ -252,17 +259,9 @@ func New(cfg Config) (*Layer, error) {
 	if cfg.RecordCacheSize <= 0 {
 		cfg.RecordCacheSize = 4096
 	}
-	if cfg.FailoverPolicy.IsZero() {
-		cfg.FailoverPolicy = retry.Policy{
-			Attempts:   2,
-			BaseDelay:  50 * time.Millisecond,
-			MaxDelay:   time.Second,
-			Multiplier: 2,
-			Jitter:     0.25,
-		}
-	}
-	cfg.FailoverPolicy.Retries = cfg.Stats.Counter(stats.RetryAttempts + ".nsp")
-	cfg.FailoverPolicy.GiveUps = cfg.Stats.Counter(stats.RetryGiveUps + ".nsp")
+	failover := failoverPolicy
+	failover.Retries = cfg.Stats.Counter(stats.RetryAttempts + ".nsp")
+	failover.GiveUps = cfg.Stats.Counter(stats.RetryGiveUps + ".nsp")
 	// Compile the name-protocol conversion plans up front: the first real
 	// lookup is often on a Send/Call critical path.
 	if err := pack.Precompile(Request{}, Response{}, RecordRec{}, EndpointRec{}, DigestRec{}); err != nil {
@@ -270,6 +269,7 @@ func New(cfg Config) (*Layer, error) {
 	}
 	l := &Layer{
 		cfg:             cfg,
+		failover:        failover,
 		numShards:       cfg.WellKnown.NumShards(),
 		queries:         cfg.Stats.Counter(stats.NSPQueries),
 		rotations:       cfg.Stats.Counter(stats.NSPRotations),
@@ -411,7 +411,7 @@ func (l *Layer) callGroupPayload(ctx context.Context, span uint32, payload []byt
 		slot = shard
 	}
 	var lastErr error
-	b := l.cfg.FailoverPolicy.Start()
+	b := l.failover.Start()
 	for b.Next(ctx, nil) {
 		l.mu.Lock()
 		start := l.preferred[slot]

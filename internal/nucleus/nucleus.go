@@ -202,17 +202,6 @@ func (n *Nucleus) SetNaming(ns NamingService) {
 	n.LCM.SetResolver(ns)
 }
 
-// SetAdmissionRate bounds how fast every binding hands out circuit
-// credit, in grants per second across all of a binding's circuits
-// (0 removes the bound). The adaptive admission valve of the flow-control
-// design: lowering the rate slows every sender at the source instead of
-// queueing their frames here.
-func (n *Nucleus) SetAdmissionRate(perSec float64) {
-	for _, b := range n.Bindings {
-		b.SetAdmissionRate(perSec)
-	}
-}
-
 // Endpoints returns this module's physical address records, one per
 // attached network.
 func (n *Nucleus) Endpoints() []addr.Endpoint {

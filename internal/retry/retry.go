@@ -64,8 +64,7 @@ type Policy struct {
 	// Retries and GiveUps, when set, meter the budget: Retries counts
 	// every granted attempt after the first, GiveUps every Do sequence
 	// that ended without success. Pure instruments — they never change
-	// retry behavior and IsZero ignores them, so layers attach them to
-	// whatever policy (default or caller-supplied) ends up installed.
+	// retry behavior.
 	Retries *stats.Counter
 	GiveUps *stats.Counter
 }
@@ -82,14 +81,6 @@ func defaultRand() float64 {
 	f := jitterRng.Float64()
 	jitterMu.Unlock()
 	return f
-}
-
-// IsZero reports whether the policy is entirely unset (single attempt,
-// no waits, no budget) — used by layers to decide whether to install
-// their default discipline.
-func (p Policy) IsZero() bool {
-	return p.Attempts == 0 && p.BaseDelay == 0 && p.MaxDelay == 0 &&
-		p.Multiplier == 0 && p.Jitter == 0 && p.Budget == 0 && p.Rand == nil
 }
 
 // attempts normalizes the attempt bound.

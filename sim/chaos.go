@@ -127,15 +127,14 @@ func (c *Chaos) KillShard(at time.Duration, name string, servers ...*core.Module
 	})
 }
 
-// SlowLorisEpisode turns m into a slow-loris receiver from at until
-// at+dur: its credit admission rate drops to perSec grants per second,
-// so every peer sending to it exhausts its circuit window and feels
-// backpressure at the source — the congestion analogue of a cable pull,
-// where nothing breaks but nothing drains either. Healing removes the
-// bound.
-func (c *Chaos) SlowLorisEpisode(at, dur time.Duration, name string, m *core.Module, perSec float64) *Chaos {
-	c.Schedule(at, "slow-loris "+name, func() { m.SetAdmissionRate(perSec) })
-	c.Schedule(at+dur, "heal-slow-loris "+name, func() { m.SetAdmissionRate(0) })
+// SlowLorisEpisode turns the endpoint at physAddr on n into a slow-loris
+// receiver from at until at+dur (memnet.Net.Hold): it keeps consuming,
+// but its credit grants stop arriving, so every peer sending to it feels
+// backpressure at the source — a cable pull where nothing breaks but
+// nothing drains. Healing releases the held frames in order.
+func (c *Chaos) SlowLorisEpisode(n *memnet.Net, physAddr string, at, dur time.Duration) *Chaos {
+	c.Schedule(at, "slow-loris "+physAddr, func() { n.Hold(physAddr, true) })
+	c.Schedule(at+dur, "heal-slow-loris "+physAddr, func() { n.Hold(physAddr, false) })
 	return c
 }
 
