@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"ntcs/internal/cli"
 	"ntcs/internal/core"
@@ -162,17 +161,7 @@ func boot() (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	go func() {
-		for {
-			d, err := backend.Recv(time.Hour)
-			if err != nil {
-				return
-			}
-			if d.IsCall() {
-				_ = backend.Reply(d, "r", "ok")
-			}
-		}
-	}()
+	go backend.Serve(func(*core.Delivery) (string, any, error) { return "r", "ok", nil })
 	hostHost := w.MustHost("sun-1", machine.Sun68K, "branch")
 	host, err := w.Attach(hostHost, "host-1", nil)
 	if err != nil {

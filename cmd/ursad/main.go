@@ -75,7 +75,7 @@ func runWorker(topoPath, proc, httpAddr string, drainT time.Duration) error {
 		return err
 	}
 	if rt.Entry.Role == "echo" {
-		go echoServe(rt.Mod)
+		go rt.Mod.Serve(cli.Echo)
 	}
 	fmt.Println(rt.ReadyLine())
 	if rt.WaitSignals() == syscall.SIGTERM {
@@ -88,26 +88,6 @@ func runWorker(topoPath, proc, httpAddr string, drainT time.Duration) error {
 	rt.Close()
 	fmt.Println("shutting down")
 	return nil
-}
-
-// echoServe answers every Call with "echo:"+body — the workload module
-// the process harness measures recovery against.
-func echoServe(m *ntcs.Module) {
-	for {
-		d, err := m.Recv(time.Hour)
-		if err != nil {
-			return
-		}
-		if !d.IsCall() {
-			continue
-		}
-		var s string
-		if err := d.Decode(&s); err != nil {
-			_ = m.ReplyError(d, "decode: "+err.Error())
-			continue
-		}
-		_ = m.Reply(d, "echo", "echo:"+s)
-	}
 }
 
 func run(docCount int, seed int64, httpAddr string, hist bool) error {

@@ -90,17 +90,14 @@ func run() error {
 	return nil
 }
 
+// serveGreetings answers each call until the module is torn down. Serve
+// sends what the handler returns: the reply, or its error as a remote one.
 func serveGreetings(m *ntcs.Module) {
-	for {
-		d, err := m.Recv(time.Hour)
-		if err != nil {
-			return
-		}
+	m.Serve(func(d *ntcs.Delivery) (string, any, error) {
 		var who string
 		if err := d.Decode(&who); err != nil {
-			_ = m.ReplyError(d, err.Error())
-			continue
+			return "", nil, err
 		}
-		_ = m.Reply(d, "greeting", fmt.Sprintf("hello, %s — from %s via %s mode", who, m.Name(), d.Mode()))
-	}
+		return "greeting", fmt.Sprintf("hello, %s — from %s via %s mode", who, m.Name(), d.Mode()), nil
+	})
 }

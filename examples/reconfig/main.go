@@ -119,17 +119,7 @@ func workerFactory(world *sim.World, host *sim.Host) proctl.Factory {
 		if err != nil {
 			return nil, err
 		}
-		go func() {
-			for {
-				d, err := m.Recv(time.Hour)
-				if err != nil {
-					return
-				}
-				if d.IsCall() {
-					_ = m.Reply(d, "done", host.Name)
-				}
-			}
-		}()
+		go m.Serve(func(*core.Delivery) (string, any, error) { return "done", host.Name, nil })
 		return m, nil
 	}
 }

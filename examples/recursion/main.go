@@ -55,13 +55,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	go func() {
-		for {
-			if _, err := receiver.Recv(time.Hour); err != nil {
-				return
-			}
-		}
-	}()
+	go receiver.Serve(func(*ntcs.Delivery) (string, any, error) { return "", nil, nil })
 
 	sender, err := world.Attach(host, "sender", nil)
 	if err != nil {

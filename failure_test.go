@@ -134,7 +134,6 @@ func TestNetworkPartitionAndHeal(t *testing.T) {
 		t.Fatal("call should fail during the partition")
 	}
 	net.SetDown(false)
-	echoServe(server) // its serve loop may have exited with the break
 
 	deadline := time.Now().Add(3 * time.Second)
 	var healErr error

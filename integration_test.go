@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ntcs"
+	"ntcs/internal/cli"
 	"ntcs/internal/drts/errlog"
 	"ntcs/internal/ipcs/mbx"
 	"ntcs/internal/ipcs/memnet"
@@ -19,25 +20,8 @@ import (
 
 const tick = 2 * time.Second
 
-// echoServe answers every call with the request body under type "echo".
-func echoServe(m *ntcs.Module) {
-	go func() {
-		for {
-			d, err := m.Recv(time.Hour)
-			if err != nil {
-				return
-			}
-			if d.IsCall() {
-				var s string
-				if err := d.Decode(&s); err != nil {
-					_ = m.ReplyError(d, "decode: "+err.Error())
-					continue
-				}
-				_ = m.Reply(d, "echo", "echo:"+s)
-			}
-		}
-	}()
-}
+// echoServe answers every call carrying s with "echo:"+s under type "echo".
+func echoServe(m *ntcs.Module) { go m.Serve(cli.Echo) }
 
 // oneNetWorld builds a single-network world with a name server.
 func oneNetWorld(t *testing.T) (*sim.World, *sim.Host) {

@@ -145,6 +145,17 @@ func AttachEntry(topo *Topology, entry *TopoProc) (*core.Module, error) {
 	return mod, nil
 }
 
+// Echo is the handler of role=echo workers, served through Module.Serve:
+// it answers a call carrying a string s with "echo:"+s. It is the workload
+// module the process harness measures recovery against.
+func Echo(d *core.Delivery) (string, any, error) {
+	var s string
+	if err := d.Decode(&s); err != nil {
+		return "", nil, fmt.Errorf("decode: %w", err)
+	}
+	return "echo", "echo:" + s, nil
+}
+
 // NewRuntime wraps an already-attached module in a ProcRuntime — the
 // legacy hand-flag path of the cmd binaries, which shares the ready-line
 // and drain plumbing with the -topo path.

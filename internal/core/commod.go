@@ -858,18 +858,65 @@ func (m *Module) recv(timeout time.Duration) (*Delivery, error) {
 		return nil, err
 	}
 	d, err := m.wrap(raw)
-	if err == nil && d.IsCall() {
+	if err != nil {
+		// A call whose envelope does not parse is still a call: its caller
+		// learns why now instead of waiting out its timeout.
+		if raw.IsCall() {
+			m.answerFailed(raw.Src(), m.nuc.LCM.ReplyError(raw, err.Error()))
+		}
+		return nil, err
+	}
+	if d.IsCall() {
 		d.pending.Store(true)
 		m.unanswered.Add(1)
 	}
-	return d, err
+	return d, nil
+}
+
+// Serve is the ALI's server loop. It receives until the module is torn
+// down and hands each delivery to h on the calling goroutine, so several
+// Serve loops on one module serve side by side. Every call gets exactly
+// one answer: the reply h returns, or a ReplyError carrying the error's
+// text when h returns one or Reply refuses before sending (ErrBadType, a
+// body that does not encode). What h returns for a one-way message is
+// discarded. A receive that times out or is malformed does not end the
+// loop, and an answer that cannot be sent goes to the module's error
+// table.
+func (m *Module) Serve(h func(d *Delivery) (replyType string, reply any, err error)) {
+	for {
+		d, err := m.Recv(time.Hour)
+		if errors.Is(err, lcm.ErrClosed) {
+			return
+		}
+		if err != nil {
+			continue
+		}
+		msgType, reply, err := h(d)
+		if !d.IsCall() {
+			continue
+		}
+		if err == nil {
+			err = m.Reply(d, msgType, reply)
+		}
+		if err != nil && d.pending.Load() { // nothing reached the LCM yet
+			err = m.ReplyError(d, err.Error())
+		}
+		m.answerFailed(d.Src(), err)
+	}
+}
+
+// answerFailed reports an answer to a call that could not be sent.
+func (m *Module) answerFailed(caller addr.UAdd, err error) {
+	if err != nil {
+		m.errs.Report(errlog.CodeDroppedMsg, "ali", "answer to %v: %v", caller, err)
+	}
 }
 
 // answered takes d off the unanswered count, once. It is called when a
 // reply or an error has been handed to the LCM, whatever became of it
 // there: a caller that cannot be reached is not waited for either. A Reply
 // refused before that (ErrBadType, a body that does not encode) leaves the
-// call unanswered, so the ReplyError a handler falls back to still counts.
+// call unanswered, so the ReplyError Serve falls back to still counts.
 func (m *Module) answered(d *Delivery) {
 	if d.pending.CompareAndSwap(true, false) {
 		m.unanswered.Add(-1)
@@ -959,9 +1006,8 @@ func (m *Module) Detach() error {
 // the deregistration error, if any — a failed quiesce is not an error,
 // just a less graceful exit.
 //
-// Safe to call concurrently with Detach/Kill and with a running serve
-// loop: the serve loop's Recv fails with ErrClosed once the teardown
-// starts.
+// Safe to call concurrently with Detach/Kill and with running Serve
+// loops, which return once the teardown starts.
 func (m *Module) Drain(ctx context.Context) error {
 	err := m.leave()
 	// Quiesce: two consecutive observations of an empty inbox with no

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"ntcs/internal/ipcs/memnet"
 	"ntcs/internal/lcm"
 	"ntcs/internal/machine"
+	"ntcs/internal/stats"
 	"ntcs/internal/wire"
 	"ntcs/sim"
 )
@@ -399,5 +401,175 @@ func TestDrainWaitsThroughReplyRefusedBeforeSending(t *testing.T) {
 	}
 	if err := <-called; !errors.Is(err, lcm.ErrRemote) {
 		t.Errorf("caller of the refused reply: %v", err)
+	}
+}
+
+func TestServeAnswersEveryCall(t *testing.T) {
+	pong := func(d *core.Delivery) (string, any, error) {
+		var s string
+		err := d.Decode(&s)
+		return "pong", "pong:" + s, err
+	}
+	cases := []struct {
+		name    string
+		h       func(d *core.Delivery) (string, any, error)
+		oneWay  bool
+		want    string // the reply a call gets
+		wantErr string // or the text of its remote error
+	}{
+		{name: "reply", h: pong, want: "pong:x"},
+		{name: "handler error", h: func(*core.Delivery) (string, any, error) {
+			return "pong", "ignored", errors.New("not today")
+		}, wantErr: "not today"},
+		{name: "empty reply type", h: func(*core.Delivery) (string, any, error) {
+			return "", "x", nil
+		}, wantErr: core.ErrBadType.Error()},
+		{name: "one-way", h: pong, oneWay: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := world(t)
+			h := w.MustHost("h", machine.VAX, "ring")
+			server, err := w.Attach(h, "server", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			client, err := w.Attach(h, "client", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			u, err := client.Locate("server")
+			if err != nil {
+				t.Fatal(err)
+			}
+			replies := server.Stats().Counter(stats.LCMReplies)
+			before := replies.Load()
+			seen := make(chan string, 1)
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				server.Serve(func(d *core.Delivery) (string, any, error) {
+					seen <- d.Type
+					return tc.h(d)
+				})
+			}()
+
+			if tc.oneWay {
+				if err := client.SendMsg(context.Background(), u, "ping", "x"); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				var reply string
+				err := client.CallContext(ctx, u, "ping", "x", &reply)
+				switch {
+				case tc.wantErr == "" && (err != nil || reply != tc.want):
+					t.Errorf("reply %q, err %v; want %q", reply, err, tc.want)
+				case tc.wantErr != "" && (!errors.Is(err, lcm.ErrRemote) || !strings.Contains(err.Error(), tc.wantErr)):
+					t.Errorf("err %v, want ErrRemote with %q", err, tc.wantErr)
+				}
+			}
+			select {
+			case typ := <-seen:
+				if typ != "ping" {
+					t.Errorf("handler got %q", typ)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("the handler never saw the message")
+			}
+
+			// Drain waits for nothing: every call Serve took is answered.
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			start := time.Now()
+			if err := server.Drain(ctx); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if took := time.Since(start); took > 2*time.Second {
+				t.Errorf("drain took %v: a call was left unanswered", took)
+			}
+			want := uint64(1)
+			if tc.oneWay {
+				want = 0
+			}
+			if got := replies.Load() - before; got != want {
+				t.Errorf("%d answers sent, want %d", got, want)
+			}
+			select {
+			case <-served:
+			case <-time.After(2 * time.Second):
+				t.Error("Serve still running after Drain")
+			}
+		})
+	}
+
+	t.Run("two loops share the work", func(t *testing.T) {
+		w := world(t)
+		h := w.MustHost("h", machine.VAX, "ring")
+		server, err := w.Attach(h, "server", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := w.Attach(h, "client", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		u, err := client.Locate("server")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each handler holds its call until the other loop holds one too:
+		// one loop alone never answers either.
+		var arrived sync.WaitGroup
+		arrived.Add(2)
+		for i := 0; i < 2; i++ {
+			go server.Serve(func(d *core.Delivery) (string, any, error) {
+				arrived.Done()
+				arrived.Wait()
+				return pong(d)
+			})
+		}
+		errs := make(chan error, 2)
+		for i := 0; i < 2; i++ {
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+				defer cancel()
+				var reply string
+				errs <- client.CallContext(ctx, u, "ping", "x", &reply)
+			}()
+		}
+		for i := 0; i < 2; i++ {
+			if err := <-errs; err != nil {
+				t.Errorf("call %d: %v", i, err)
+			}
+		}
+	})
+
+	for _, stop := range []struct {
+		name string
+		fn   func(m *core.Module)
+	}{
+		{"returns after Detach", func(m *core.Module) { _ = m.Detach() }},
+		{"returns after Kill", (*core.Module).Kill},
+	} {
+		t.Run(stop.name, func(t *testing.T) {
+			w := world(t)
+			server, err := w.Attach(w.MustHost("h", machine.VAX, "ring"), "server", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan struct{})
+			go func() {
+				defer close(served)
+				server.Serve(func(*core.Delivery) (string, any, error) { return "", nil, nil })
+			}()
+			stop.fn(server)
+			select {
+			case <-served:
+			case <-time.After(2 * time.Second):
+				t.Fatal("Serve still running")
+			}
+		})
 	}
 }

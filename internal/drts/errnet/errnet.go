@@ -15,7 +15,6 @@ import (
 	"ntcs/internal/addr"
 	"ntcs/internal/core"
 	"ntcs/internal/drts/errlog"
-	"ntcs/internal/lcm"
 )
 
 // Message types of the error-log collection protocol.
@@ -41,8 +40,7 @@ type FleetView struct {
 // Collector aggregates error tables from across the system — the
 // monitored "running table of errors" of §6.3, system-wide.
 type Collector struct {
-	m    *core.Module
-	done chan struct{}
+	m *core.Module
 
 	mu      sync.Mutex
 	modules map[string]map[string]int64
@@ -50,42 +48,27 @@ type Collector struct {
 
 // NewCollector wraps an attached module as the error-log collector.
 func NewCollector(m *core.Module) *Collector {
-	return &Collector{m: m, done: make(chan struct{}), modules: make(map[string]map[string]int64)}
+	return &Collector{m: m, modules: make(map[string]map[string]int64)}
 }
 
-// Run serves until the module detaches.
-func (c *Collector) Run() {
-	defer close(c.done)
-	for {
-		d, err := c.m.Recv(time.Hour)
-		if err != nil {
-			if errors.Is(err, core.ErrDetached) || errors.Is(err, lcm.ErrClosed) {
-				return
-			}
-			continue
+// Run serves until the module is torn down.
+func (c *Collector) Run() { c.m.Serve(c.handle) }
+
+func (c *Collector) handle(d *core.Delivery) (string, any, error) {
+	switch d.Type {
+	case MsgReport:
+		var rep Report
+		err := d.Decode(&rep)
+		if err == nil {
+			c.absorb(rep)
 		}
-		switch d.Type {
-		case MsgReport:
-			var rep Report
-			if err := d.Decode(&rep); err == nil {
-				c.absorb(rep)
-			}
-		case MsgQuery:
-			if d.IsCall() {
-				_ = c.m.Reply(d, MsgQuery, c.Fleet())
-				continue
-			}
-		}
-		// Every call is answered: one left without a reply keeps its caller
-		// waiting and counts as work in hand when the module drains.
-		if d.IsCall() {
-			_ = c.m.ReplyError(d, "errnet: no reply to "+d.Type)
-		}
+		// A report is one-way: sent as a call, it gets ErrBadType's text.
+		return "", nil, err
+	case MsgQuery:
+		return MsgQuery, c.Fleet(), nil
 	}
+	return "", nil, errors.New("errnet: unknown request " + d.Type)
 }
-
-// Wait blocks until Run returns.
-func (c *Collector) Wait() { <-c.done }
 
 func (c *Collector) absorb(rep Report) {
 	if rep.Module == "" {

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"sort"
 	"sync"
-	"time"
 
 	"ntcs/internal/addr"
 	"ntcs/internal/core"
@@ -55,8 +54,7 @@ type StatsRequest struct{}
 
 // Server aggregates monitoring records.
 type Server struct {
-	m    *core.Module
-	done chan struct{}
+	m *core.Module
 
 	mu       sync.Mutex
 	total    int64
@@ -69,45 +67,29 @@ type Server struct {
 func NewServer(m *core.Module) *Server {
 	return &Server{
 		m:        m,
-		done:     make(chan struct{}),
 		byModule: make(map[string]int64),
 		byKind:   make(map[string]int64),
 	}
 }
 
-// Run serves until the module detaches.
-func (s *Server) Run() {
-	defer close(s.done)
-	for {
-		d, err := s.m.Recv(time.Hour)
-		if err != nil {
-			if errors.Is(err, core.ErrDetached) || errors.Is(err, lcm.ErrClosed) {
-				return
-			}
-			continue
-		}
-		switch d.Type {
-		case MsgBatch:
-			var b Batch
-			if err := d.Decode(&b); err == nil {
-				s.absorb(b)
-			}
-		case MsgStats:
-			if d.IsCall() {
-				_ = s.m.Reply(d, MsgStats, s.Snapshot())
-				continue
-			}
-		}
-		// Every call is answered: one left without a reply keeps its caller
-		// waiting and counts as work in hand when the module drains.
-		if d.IsCall() {
-			_ = s.m.ReplyError(d, "monitor: no reply to "+d.Type)
-		}
-	}
-}
+// Run serves until the module is torn down.
+func (s *Server) Run() { s.m.Serve(s.handle) }
 
-// Wait blocks until Run returns.
-func (s *Server) Wait() { <-s.done }
+func (s *Server) handle(d *core.Delivery) (string, any, error) {
+	switch d.Type {
+	case MsgBatch:
+		var b Batch
+		err := d.Decode(&b)
+		if err == nil {
+			s.absorb(b)
+		}
+		// A batch is one-way: sent as a call, it gets ErrBadType's text.
+		return "", nil, err
+	case MsgStats:
+		return MsgStats, s.Snapshot(), nil
+	}
+	return "", nil, errors.New("monitor: unknown request " + d.Type)
+}
 
 func (s *Server) absorb(b Batch) {
 	s.mu.Lock()

@@ -17,11 +17,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"ntcs/internal/addr"
 	"ntcs/internal/core"
-	"ntcs/internal/lcm"
 )
 
 // Message types of the process control protocol.
@@ -66,7 +64,6 @@ type Factory func(name string, attrs map[string]string) (*core.Module, error)
 type Agent struct {
 	m       *core.Module
 	factory Factory
-	done    chan struct{}
 
 	mu      sync.Mutex
 	running map[string]*core.Module
@@ -77,62 +74,33 @@ func NewAgent(m *core.Module, factory Factory) *Agent {
 	return &Agent{
 		m:       m,
 		factory: factory,
-		done:    make(chan struct{}),
 		running: make(map[string]*core.Module),
 	}
 }
 
-// Run serves until the agent's module detaches.
-func (a *Agent) Run() {
-	defer close(a.done)
-	for {
-		d, err := a.m.Recv(time.Hour)
-		if err != nil {
-			if errors.Is(err, core.ErrDetached) || errors.Is(err, lcm.ErrClosed) {
-				return
-			}
-			continue
-		}
-		switch d.Type {
-		case MsgStart:
-			var req StartRequest
-			if err := d.Decode(&req); err != nil {
-				_ = a.m.ReplyError(d, err.Error())
-				continue
-			}
-			u, err := a.start(req)
-			if err != nil {
-				_ = a.m.ReplyError(d, err.Error())
-				continue
-			}
-			_ = a.m.Reply(d, MsgStart, StartReply{UAdd: uint64(u)})
-		case MsgStop:
-			var req StopRequest
-			if err := d.Decode(&req); err != nil {
-				_ = a.m.ReplyError(d, err.Error())
-				continue
-			}
-			if err := a.stop(req.Name); err != nil {
-				_ = a.m.ReplyError(d, err.Error())
-				continue
-			}
-			_ = a.m.Reply(d, MsgStop, Ack{})
-		case MsgList:
-			if d.IsCall() {
-				_ = a.m.Reply(d, MsgList, ListReply{Names: a.Running()})
-			}
-		default:
-			// Every call is answered: one left without a reply keeps its
-			// caller waiting and counts as work in hand when the module drains.
-			if d.IsCall() {
-				_ = a.m.ReplyError(d, "proctl: unknown request "+d.Type)
-			}
-		}
-	}
-}
+// Run serves until the agent's module is torn down.
+func (a *Agent) Run() { a.m.Serve(a.handle) }
 
-// Wait blocks until Run returns.
-func (a *Agent) Wait() { <-a.done }
+func (a *Agent) handle(d *core.Delivery) (string, any, error) {
+	switch d.Type {
+	case MsgStart:
+		var req StartRequest
+		if err := d.Decode(&req); err != nil {
+			return "", nil, err
+		}
+		u, err := a.start(req)
+		return MsgStart, StartReply{UAdd: uint64(u)}, err
+	case MsgStop:
+		var req StopRequest
+		if err := d.Decode(&req); err != nil {
+			return "", nil, err
+		}
+		return MsgStop, Ack{}, a.stop(req.Name)
+	case MsgList:
+		return MsgList, ListReply{Names: a.Running()}, nil
+	}
+	return "", nil, errors.New("proctl: unknown request " + d.Type)
+}
 
 func (a *Agent) start(req StartRequest) (addr.UAdd, error) {
 	a.mu.Lock()

@@ -38,47 +38,21 @@ type Reply struct {
 type Server struct {
 	m    *core.Module
 	skew time.Duration
-	done chan struct{}
 }
 
 // NewServer wraps an attached module as a time server.
 func NewServer(m *core.Module, skew time.Duration) *Server {
-	return &Server{m: m, skew: skew, done: make(chan struct{})}
+	return &Server{m: m, skew: skew}
 }
 
-// Run serves until the module detaches.
-func (s *Server) Run() {
-	defer close(s.done)
-	for {
-		d, err := s.m.Recv(time.Hour)
-		if err != nil {
-			if errors.Is(err, core.ErrDetached) {
-				return
-			}
-			if d == nil && err.Error() != "" && !isTimeout(err) {
-				return
-			}
-			continue
-		}
-		if !d.IsCall() {
-			continue
-		}
-		// Every call is answered: one left without a reply keeps its caller
-		// waiting and counts as work in hand when the module drains.
-		if d.Type != MsgTime {
-			_ = s.m.ReplyError(d, "timesvc: unknown request "+d.Type)
-			continue
-		}
-		_ = s.m.Reply(d, MsgTime, Reply{ServerNanos: time.Now().Add(s.skew).UnixNano()})
+// Run serves until the module is torn down.
+func (s *Server) Run() { s.m.Serve(s.handle) }
+
+func (s *Server) handle(d *core.Delivery) (string, any, error) {
+	if d.Type != MsgTime {
+		return "", nil, errors.New("timesvc: unknown request " + d.Type)
 	}
-}
-
-// Wait blocks until Run returns.
-func (s *Server) Wait() { <-s.done }
-
-func isTimeout(err error) bool {
-	var t interface{ Timeout() bool }
-	return errors.As(err, &t) && t.Timeout()
+	return MsgTime, Reply{ServerNanos: time.Now().Add(s.skew).UnixNano()}, nil
 }
 
 // Corrector estimates and applies the clock offset. Its Now method plugs

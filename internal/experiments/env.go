@@ -9,8 +9,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"ntcs/internal/addr"
 
@@ -52,36 +52,21 @@ type ImageBody struct {
 	I uint32
 }
 
+// serveEcho answers an "echo" or "image" call with its own body.
 func serveEcho(m *core.Module) {
-	go func() {
-		for {
-			d, err := m.Recv(time.Hour)
-			if err != nil {
-				return
-			}
-			if !d.IsCall() {
-				continue
-			}
-			switch d.Type {
-			case "echo":
-				var b EchoBody
-				if err := d.Decode(&b); err != nil {
-					_ = m.ReplyError(d, err.Error())
-					continue
-				}
-				_ = m.Reply(d, "echo", b)
-			case "image":
-				var b ImageBody
-				if err := d.Decode(&b); err != nil {
-					_ = m.ReplyError(d, err.Error())
-					continue
-				}
-				_ = m.Reply(d, "image", b)
-			default:
-				_ = m.ReplyError(d, "unknown type "+d.Type)
-			}
+	go m.Serve(func(d *core.Delivery) (string, any, error) {
+		switch d.Type {
+		case "echo":
+			var b EchoBody
+			err := d.Decode(&b)
+			return "echo", b, err
+		case "image":
+			var b ImageBody
+			err := d.Decode(&b)
+			return "image", b, err
 		}
-	}()
+		return "", nil, errors.New("unknown type " + d.Type)
+	})
 }
 
 // PairWithHops builds a client and echo server separated by `hops` prime

@@ -4,7 +4,6 @@ import (
 	"context"
 	"strings"
 	"testing"
-	"time"
 
 	"ntcs/internal/cli"
 	"ntcs/internal/core"
@@ -64,7 +63,7 @@ func BootInProcess(tb testing.TB, topo *cli.Topology) *Deployment {
 			tb.Cleanup(func() { _ = mod.Detach() })
 			d.Mods[entry.Name] = mod
 			if entry.Role == "echo" {
-				go echoServe(mod)
+				go mod.Serve(cli.Echo)
 			}
 		}
 	}
@@ -76,26 +75,6 @@ func BootInProcess(tb testing.TB, topo *cli.Topology) *Deployment {
 func BootReal(tb testing.TB, topo *cli.Topology) *Deployment {
 	tb.Helper()
 	return &Deployment{Topo: topo, Cluster: Boot(tb, topo)}
-}
-
-// echoServe answers every Call with "echo:"+body — the same protocol
-// ursad's role=echo workers speak.
-func echoServe(m *core.Module) {
-	for {
-		d, err := m.Recv(time.Hour)
-		if err != nil {
-			return
-		}
-		if !d.IsCall() {
-			continue
-		}
-		var s string
-		if err := d.Decode(&s); err != nil {
-			_ = m.ReplyError(d, "decode: "+err.Error())
-			continue
-		}
-		_ = m.Reply(d, "echo", "echo:"+s)
-	}
 }
 
 // Client attaches a fresh client module to the deployment over its own

@@ -19,6 +19,7 @@ import (
 	"ntcs/internal/machine"
 	"ntcs/internal/proctest"
 	"ntcs/internal/ursa"
+	"ntcs/internal/wire"
 	"ntcs/sim"
 )
 
@@ -382,11 +383,10 @@ func TestSearchCapKeepsBackpressure(t *testing.T) {
 	}
 	before := search.Requests()
 
-	// cap searches get a slot and stall in their title round, one more is
-	// in the receive loop's hand waiting for a slot, and the loop receives
-	// nothing further: the rest stay in the inbox.
+	// cap searches each hold a serve loop and stall in their title round,
+	// so no loop receives: the rest stay in the inbox.
 	const queued = 5
-	const sent = ursa.MaxSearches + 1 + queued
+	const sent = ursa.MaxSearches + queued
 	const fetches = 2 // "apple" hits two documents
 	if ursa.MaxSearches*fetches > ursa.MaxSubcalls {
 		t.Fatalf("%d searches of %d fetches each stall on the sub-call cap of %d before the search cap", ursa.MaxSearches, fetches, ursa.MaxSubcalls)
@@ -590,5 +590,39 @@ func TestRankingMatchesSerialReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+func TestMalformedCallIsAnsweredAndServingGoesOn(t *testing.T) {
+	b := newBed(t)
+	ursa.NewIndexServer(b.attach(ursa.IndexServerName, machine.Apollo))
+	host := b.attach("host", machine.VAX)
+	b.ingest(host, ursa.IndexServerName, fruit)
+	indexU, err := host.Locate(ursa.IndexServerName)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A call whose envelope does not parse is answered with the reason.
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	start := time.Now()
+	_, err = host.Nucleus().LCM.CallContext(ctx, indexU, wire.ModePacked, 0, []byte{0xff, 0xff, 0xff})
+	if !errors.Is(err, lcm.ErrRemote) || !strings.Contains(err.Error(), "malformed") {
+		t.Errorf("malformed call: %v, want ErrRemote naming the envelope", err)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("malformed call answered after %v", took)
+	}
+
+	// The server serves on.
+	ctx, cancel = context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	var reply ursa.IndexLookupReply
+	if err := host.CallContext(ctx, indexU, ursa.MsgIndexLookup, ursa.IndexLookupRequest{Term: "apple"}, &reply); err != nil {
+		t.Fatalf("lookup after the malformed call: %v", err)
+	}
+	if len(reply.Postings) != 2 {
+		t.Errorf("postings = %+v, want documents 1 and 2", reply.Postings)
 	}
 }

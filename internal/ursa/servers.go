@@ -25,41 +25,33 @@ type IndexServer struct {
 // serving.
 func NewIndexServer(m *core.Module) *IndexServer {
 	s := &IndexServer{m: m, postings: make(map[string][]Posting)}
-	go recvLoop(m, s.handle)
+	go m.Serve(s.handle)
 	return s
 }
 
-func (s *IndexServer) handle(d *core.Delivery) {
+func (s *IndexServer) handle(d *core.Delivery) (string, any, error) {
 	s.requests.Add(1)
 	switch d.Type {
 	case MsgIngest:
 		var req IngestRequest
 		if err := d.Decode(&req); err != nil {
-			_ = s.m.ReplyError(d, err.Error())
-			return
+			return "", nil, err
 		}
 		s.index(req.Docs)
-		_ = s.m.Reply(d, MsgIngest, IngestReply{Count: int64(len(req.Docs))})
+		return MsgIngest, IngestReply{Count: int64(len(req.Docs))}, nil
 	case MsgIndexLookup:
 		var req IndexLookupRequest
 		if err := d.Decode(&req); err != nil {
-			_ = s.m.ReplyError(d, err.Error())
-			return
+			return "", nil, err
 		}
-		_ = s.m.Reply(d, MsgIndexLookup, IndexLookupReply{
-			Term:     req.Term,
-			Postings: s.Lookup(req.Term),
-		})
+		return MsgIndexLookup, IndexLookupReply{Term: req.Term, Postings: s.Lookup(req.Term)}, nil
 	case MsgStats:
 		s.mu.RLock()
 		items := s.docs
 		s.mu.RUnlock()
-		_ = s.m.Reply(d, MsgStats, StatsReply{Requests: s.requests.Load(), Items: items})
-	default:
-		if d.IsCall() {
-			_ = s.m.ReplyError(d, "ursa-index: unknown request "+d.Type)
-		}
+		return MsgStats, StatsReply{Requests: s.requests.Load(), Items: items}, nil
 	}
+	return "", nil, errors.New("ursa-index: unknown request " + d.Type)
 }
 
 // index merges documents into the inverted index.
@@ -111,54 +103,48 @@ type DocServer struct {
 // serving.
 func NewDocServer(m *core.Module) *DocServer {
 	s := &DocServer{m: m, docs: make(map[int64]Document)}
-	go recvLoop(m, s.handle)
+	go m.Serve(s.handle)
 	return s
 }
 
-func (s *DocServer) handle(d *core.Delivery) {
+func (s *DocServer) handle(d *core.Delivery) (string, any, error) {
 	s.requests.Add(1)
 	switch d.Type {
 	case MsgIngest:
 		var req IngestRequest
 		if err := d.Decode(&req); err != nil {
-			_ = s.m.ReplyError(d, err.Error())
-			return
+			return "", nil, err
 		}
 		s.mu.Lock()
 		for _, doc := range req.Docs {
 			s.docs[doc.ID] = doc
 		}
 		s.mu.Unlock()
-		_ = s.m.Reply(d, MsgIngest, IngestReply{Count: int64(len(req.Docs))})
+		return MsgIngest, IngestReply{Count: int64(len(req.Docs))}, nil
 	case MsgFetch:
 		var req FetchRequest
 		if err := d.Decode(&req); err != nil {
-			_ = s.m.ReplyError(d, err.Error())
-			return
+			return "", nil, err
 		}
 		s.mu.RLock()
 		doc, ok := s.docs[req.DocID]
 		s.mu.RUnlock()
 		if !ok {
-			_ = s.m.ReplyError(d, fmt.Sprintf("ursa-docs: no document %d", req.DocID))
-			return
+			return "", nil, fmt.Errorf("ursa-docs: no document %d", req.DocID)
 		}
-		_ = s.m.Reply(d, MsgFetch, doc)
+		return MsgFetch, doc, nil
 	case MsgStats:
 		s.mu.RLock()
 		items := int64(len(s.docs))
 		s.mu.RUnlock()
-		_ = s.m.Reply(d, MsgStats, StatsReply{Requests: s.requests.Load(), Items: items})
-	default:
-		if d.IsCall() {
-			_ = s.m.ReplyError(d, "ursa-docs: unknown request "+d.Type)
-		}
+		return MsgStats, StatsReply{Requests: s.requests.Load(), Items: items}, nil
 	}
+	return "", nil, errors.New("ursa-docs: unknown request " + d.Type)
 }
 
-// maxSearches caps the searches one server has in flight. Each holds a
-// goroutine; beyond the cap the receive loop stops receiving and the LCM
-// inbox takes the queue.
+// maxSearches caps the searches one server has in flight: it runs that
+// many serve loops over its one inbox. With every loop busy nobody
+// receives, and the LCM inbox takes the queue.
 const maxSearches = 64
 
 // maxSubcalls caps the sub-calls one server has outstanding, over all its
@@ -170,9 +156,9 @@ const maxSearches = 64
 const maxSubcalls = 128
 
 // SearchServer orchestrates queries across the other backends. Searches
-// are served concurrently, each on its own goroutine, because a search
+// are served concurrently, by maxSearches serve loops, because a search
 // spends its time waiting for the other two servers; those never wait and
-// stay one goroutine each.
+// stay one serve loop each.
 type SearchServer struct {
 	m *core.Module
 
@@ -185,7 +171,6 @@ type SearchServer struct {
 	indexU addr.UAdd
 	docsU  addr.UAdd
 
-	slots    chan struct{} // counting semaphore over in-flight searches
 	subcalls chan struct{} // counting semaphore over outstanding sub-calls
 	requests atomic.Int64
 }
@@ -201,52 +186,31 @@ func NewSearchServer(m *core.Module) *SearchServer {
 func NewSearchServerFor(m *core.Module, indexName, docName string) *SearchServer {
 	s := &SearchServer{
 		m: m, indexName: indexName, docName: docName,
-		slots:    make(chan struct{}, maxSearches),
 		subcalls: make(chan struct{}, maxSubcalls),
 	}
-	go recvLoop(m, s.handle)
+	for i := 0; i < maxSearches; i++ {
+		go m.Serve(s.handle)
+	}
 	return s
 }
 
-// Requests reports how many requests the server has admitted: stats
-// requests, and searches that got a slot.
+// Requests reports how many requests the server's serve loops have taken.
 func (s *SearchServer) Requests() int64 { return s.requests.Load() }
 
-func (s *SearchServer) handle(d *core.Delivery) {
+func (s *SearchServer) handle(d *core.Delivery) (string, any, error) {
+	s.requests.Add(1)
 	switch d.Type {
 	case MsgSearch:
-		// The slot is taken here, on the receive loop: at the cap the loop
-		// stops receiving, the inbox fills, and overload is refused by the
-		// LCM's inbox bound as it always was.
-		s.slots <- struct{}{}
-		s.requests.Add(1)
-		go func() {
-			defer func() { <-s.slots }()
-			s.serveSearch(d)
-		}()
-	case MsgStats:
-		s.requests.Add(1)
-		_ = s.m.Reply(d, MsgStats, StatsReply{Requests: s.requests.Load()})
-	default:
-		s.requests.Add(1)
-		if d.IsCall() {
-			_ = s.m.ReplyError(d, "ursa-search: unknown request "+d.Type)
+		var req SearchRequest
+		if err := d.Decode(&req); err != nil {
+			return "", nil, err
 		}
+		reply, err := s.search(req)
+		return MsgSearch, reply, err
+	case MsgStats:
+		return MsgStats, StatsReply{Requests: s.requests.Load()}, nil
 	}
-}
-
-func (s *SearchServer) serveSearch(d *core.Delivery) {
-	var req SearchRequest
-	if err := d.Decode(&req); err != nil {
-		_ = s.m.ReplyError(d, err.Error())
-		return
-	}
-	reply, err := s.search(req)
-	if err != nil {
-		_ = s.m.ReplyError(d, err.Error())
-		return
-	}
-	_ = s.m.Reply(d, MsgSearch, reply)
+	return "", nil, errors.New("ursa-search: unknown request " + d.Type)
 }
 
 // locate resolves a backend once, caching the UAdd; relocation thereafter

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"ntcs/internal/addr"
 	"ntcs/internal/core"
@@ -203,15 +202,4 @@ func rankHits(hits []Hit, limit int64) []Hit {
 		hits = hits[:limit]
 	}
 	return hits
-}
-
-// recvLoop runs fn for every delivered call until the module detaches.
-func recvLoop(m *core.Module, fn func(d *core.Delivery)) {
-	for {
-		d, err := m.Recv(time.Hour)
-		if err != nil {
-			return
-		}
-		fn(d)
-	}
 }
