@@ -126,4 +126,5 @@ fuzz-smoke:
 	$(GO) test ./internal/wire -run '^FuzzHeaderDecode$$' -fuzz '^FuzzHeaderDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pack -run '^FuzzPackRoundTrip$$' -fuzz '^FuzzPackRoundTrip$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pack -run '^FuzzCodecEquivalence$$' -fuzz '^FuzzCodecEquivalence$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ursa -run '^FuzzGeneratedCodecEquivalence$$' -fuzz '^FuzzGeneratedCodecEquivalence$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/nsp -run '^FuzzNSPRecord$$' -fuzz '^FuzzNSPRecord$$' -fuzztime $(FUZZTIME)

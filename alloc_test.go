@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ntcs"
 	"ntcs/internal/drts/monitor"
 	"ntcs/internal/drts/timesvc"
 	"ntcs/internal/ipcs/memnet"
@@ -84,5 +85,72 @@ func TestWarmSendAllocBudget(t *testing.T) {
 		time.Duration(res.NsPerOp()), res.AllocedBytesPerOp(), allocs, warmSendAllocBudget)
 	if allocs > warmSendAllocBudget {
 		t.Errorf("warm send costs %d allocs/op with counters on; budget is %d", allocs, warmSendAllocBudget)
+	}
+}
+
+// warmCallAllocBudget pins a warm structured call over memnet, reply
+// decoded: a VAX caller and a Sun-3 callee, so both bodies travel in
+// packed mode. It counts both ends, since they share the process. The
+// envelope and reply decodes borrow pooled decoders, and the reply is
+// decoded through a Delivery on the caller's stack.
+const warmCallAllocBudget = 10
+
+type callBody struct {
+	Seq  int64
+	Text string
+}
+
+func TestWarmCallAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget skipped in -short mode")
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		w := sim.NewWorld()
+		w.AddNetwork("net", memnet.Options{})
+		if _, err := w.StartNameServer(w.MustHost("ns-host", machine.Apollo, "net"), "ns"); err != nil {
+			b.Fatal(err)
+		}
+		defer w.Close()
+		server, err := w.Attach(w.MustHost("sun-1", machine.Sun68K, "net"), "server", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		go server.Serve(func(d *ntcs.Delivery) (string, any, error) {
+			var req callBody
+			if err := d.Decode(&req); err != nil {
+				return "", nil, err
+			}
+			return "reply", callBody{Seq: req.Seq + 1, Text: req.Text}, nil
+		})
+		caller, err := w.Attach(w.MustHost("vax-1", machine.VAX, "net"), "caller", nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		u, err := caller.Locate("server")
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := callBody{Text: "warm structured call"}
+		var rep callBody
+		if err := caller.CallContext(context.Background(), u, "m", req, &rep); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			req.Seq = int64(i)
+			if err := caller.CallContext(context.Background(), u, "m", req, &rep); err != nil {
+				b.Fatal(err)
+			}
+			if rep.Seq != req.Seq+1 || rep.Text != req.Text {
+				b.Fatalf("reply %+v to %+v", rep, req)
+			}
+		}
+	})
+	allocs := res.AllocsPerOp()
+	t.Logf("warm call: %v/op, %d B/op, %d allocs/op (budget %d)",
+		time.Duration(res.NsPerOp()), res.AllocedBytesPerOp(), allocs, warmCallAllocBudget)
+	if allocs > warmCallAllocBudget {
+		t.Errorf("warm structured call costs %d allocs/op; budget is %d", allocs, warmCallAllocBudget)
 	}
 }

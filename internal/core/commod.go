@@ -608,17 +608,18 @@ func envelope(msgType string, body []byte) (*pack.Encoder, []byte) {
 	return e, e.Bytes()
 }
 
-func openEnvelope(payload []byte) (string, []byte, error) {
-	d := pack.NewDecoder(payload)
-	msgType, err := d.String()
-	if err != nil {
+func openEnvelope(payload []byte) (msgType string, body []byte, err error) {
+	// A pooled decoder: the type name lands in its arena, which outlives
+	// PutDecoder.
+	d := pack.GetDecoder(payload)
+	defer pack.PutDecoder(d)
+	if msgType, err = d.String(); err != nil {
 		return "", nil, err
 	}
 	// The delivery's payload buffer is uniquely owned (every substrate
 	// reads each inbound frame into its own allocation), so the body can
 	// alias it instead of being copied out.
-	body, err := d.BytesView()
-	if err != nil {
+	if body, err = d.BytesView(); err != nil {
 		return "", nil, err
 	}
 	return msgType, body, nil
@@ -729,8 +730,10 @@ func (m *Module) CallContext(ctx context.Context, dst addr.UAdd, msgType string,
 	if err != nil || replyOut == nil {
 		return err
 	}
-	del, err := m.wrap(d)
-	if err != nil {
+	// The reply is decoded through a Delivery on the stack: it never
+	// reaches the application, so it need not live on the heap.
+	var del Delivery
+	if err := m.fill(&del, d); err != nil {
 		return err
 	}
 	return del.Decode(replyOut)
@@ -857,8 +860,8 @@ func (m *Module) recv(timeout time.Duration) (*Delivery, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := m.wrap(raw)
-	if err != nil {
+	d := new(Delivery)
+	if err := m.fill(d, raw); err != nil {
 		// A call whose envelope does not parse is still a call: its caller
 		// learns why now instead of waiting out its timeout.
 		if raw.IsCall() {
@@ -923,18 +926,18 @@ func (m *Module) answered(d *Delivery) {
 	}
 }
 
-func (m *Module) wrap(raw *lcm.Delivery) (*Delivery, error) {
-	d := &Delivery{header: raw.Header, module: m, raw: raw}
+// fill points d at raw and opens its envelope.
+func (m *Module) fill(d *Delivery, raw *lcm.Delivery) error {
+	d.header, d.module, d.raw = raw.Header, m, raw
 	if raw.Header.Mode == wire.ModeNone && len(raw.Payload) == 0 {
-		return d, nil
+		return nil
 	}
 	msgType, body, err := openEnvelope(raw.Payload)
 	if err != nil {
-		return nil, fmt.Errorf("ntcs: malformed message envelope from %v: %w", raw.Header.Src, err)
+		return fmt.Errorf("ntcs: malformed message envelope from %v: %w", raw.Header.Src, err)
 	}
-	d.Type = msgType
-	d.Body = body
-	return d, nil
+	d.Type, d.Body = msgType, body
+	return nil
 }
 
 // Reply answers a Call.

@@ -158,15 +158,22 @@ func (g *generator) emitType(w *strings.Builder, name string) error {
 
 	fmt.Fprintf(w, "// Marshal%s packs v in the NTCS character representation.\n", name)
 	fmt.Fprintf(w, "func Marshal%s(v *%s) []byte {\n", name, name)
-	fmt.Fprintf(w, "\tvar e pack.Encoder\n")
-	fmt.Fprintf(w, "\tencode%s(&e, v)\n", name)
-	fmt.Fprintf(w, "\treturn e.Bytes()\n}\n\n")
+	// Both directions borrow pooled codecs: the encoder's buffer is copied
+	// out at its exact size, and the decoder's arena outlives PutDecoder.
+	fmt.Fprintf(w, "\te := pack.GetEncoder()\n")
+	fmt.Fprintf(w, "\tencode%s(e, v)\n", name)
+	fmt.Fprintf(w, "\tout := append([]byte(nil), e.Bytes()...)\n")
+	fmt.Fprintf(w, "\tpack.PutEncoder(e)\n")
+	fmt.Fprintf(w, "\treturn out\n}\n\n")
 
 	fmt.Fprintf(w, "// Unmarshal%s reverses Marshal%s.\n", name, name)
 	fmt.Fprintf(w, "func Unmarshal%s(data []byte, v *%s) error {\n", name, name)
-	fmt.Fprintf(w, "\td := pack.NewDecoder(data)\n")
-	fmt.Fprintf(w, "\tif err := decode%s(d, v); err != nil {\n\t\treturn err\n\t}\n", name)
-	fmt.Fprintf(w, "\tif d.Remaining() != 0 {\n\t\treturn fmt.Errorf(\"unmarshal %s: %%d trailing bytes\", d.Remaining())\n\t}\n", name)
+	fmt.Fprintf(w, "\td := pack.GetDecoder(data)\n")
+	fmt.Fprintf(w, "\terr := decode%s(d, v)\n", name)
+	fmt.Fprintf(w, "\trem := d.Remaining()\n")
+	fmt.Fprintf(w, "\tpack.PutDecoder(d)\n")
+	fmt.Fprintf(w, "\tif err != nil {\n\t\treturn err\n\t}\n")
+	fmt.Fprintf(w, "\tif rem != 0 {\n\t\treturn fmt.Errorf(\"unmarshal %s: %%d trailing bytes\", rem)\n\t}\n", name)
 	fmt.Fprintf(w, "\treturn nil\n}\n\n")
 
 	fmt.Fprintf(w, "func encode%s(e *pack.Encoder, v *%s) {\n", name, name)

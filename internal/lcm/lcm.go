@@ -83,8 +83,14 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("lcm: remote error reply: %s", e.Msg)
 }
 
-// Is keeps existing errors.Is(err, ErrRemote) checks working.
-func (e *RemoteError) Is(target error) bool { return target == ErrRemote }
+// Is keeps existing errors.Is(err, ErrRemote) checks working. A call the
+// callee refused because its inbox was full also matches
+// ndlayer.ErrBackpressure: the callee is healthy, only momentarily behind,
+// so the caller backs off or sheds load exactly as for a send that ran out
+// of circuit credit.
+func (e *RemoteError) Is(target error) bool {
+	return target == ErrRemote || target == ndlayer.ErrBackpressure && e.Msg == ErrInboxOverflow.Error()
+}
 
 // Event is one monitoring record emitted by the LCM hooks (§6.1: "the
 // LCM-layer ... generates a time stamp for monitor data" and "sends data

@@ -17,6 +17,7 @@ import (
 	"ntcs/internal/iplayer"
 	"ntcs/internal/lcm"
 	"ntcs/internal/machine"
+	"ntcs/internal/ndlayer"
 	"ntcs/internal/nucleus"
 	"ntcs/internal/wire"
 )
@@ -256,7 +257,9 @@ func TestReplyError(t *testing.T) {
 
 // TestInboxOverflowRefusesCalls: a call that finds the callee's inbox full
 // is answered at once with an error reply naming the overflow, instead of
-// being dropped and left to the caller's CallTimeout.
+// being dropped and left to the caller's CallTimeout. The caller sees an
+// ErrRemote that also matches ErrBackpressure; an ordinary error reply
+// does not.
 func TestInboxOverflowRefusesCalls(t *testing.T) {
 	net := memnet.New("one", memnet.Options{})
 	naming := newFakeNaming()
@@ -300,6 +303,9 @@ func TestInboxOverflowRefusesCalls(t *testing.T) {
 			if !errors.Is(r.err, lcm.ErrRemote) || !strings.Contains(r.err.Error(), lcm.ErrInboxOverflow.Error()) {
 				t.Fatalf("refused call %d: %v, want an ErrRemote naming the inbox overflow", i, r.err)
 			}
+			if !errors.Is(r.err, ndlayer.ErrBackpressure) {
+				t.Fatalf("refused call %d: %v does not match ErrBackpressure", i, r.err)
+			}
 			if r.took > 200*time.Millisecond {
 				t.Errorf("refused call %d took %v, want < 200ms", i, r.took)
 			}
@@ -312,6 +318,9 @@ func TestInboxOverflowRefusesCalls(t *testing.T) {
 		received++
 		t.Fatalf("a call held in the inbox returned: %v", r.err)
 	case <-time.After(50 * time.Millisecond):
+	}
+	if other := (&lcm.RemoteError{Src: 2001, Msg: "no such document"}); errors.Is(other, ndlayer.ErrBackpressure) {
+		t.Errorf("an ordinary error reply matches ErrBackpressure: %v", other)
 	}
 }
 

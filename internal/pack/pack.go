@@ -735,10 +735,10 @@ func Unmarshal(data []byte, out any) error {
 	if err != nil {
 		return err
 	}
-	d := getDecoder(data)
+	d := GetDecoder(data)
 	err = p.dec(d, rv.UnsafePointer())
 	rem := d.Remaining()
-	putDecoder(d)
+	PutDecoder(d)
 	if err != nil {
 		return err
 	}

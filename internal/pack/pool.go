@@ -29,19 +29,26 @@ func PutEncoder(e *Encoder) {
 	encoderPool.Put(e)
 }
 
-// Decoder pooling for the plan-executed Unmarshal: the decoder escapes
-// into the plan closures, so a stack allocation is not available anyway.
+// Decoder pooling for every decode on the receive path: pack.Unmarshal,
+// the ComMod's envelope and the generated UnmarshalX routines all borrow
+// a decoder here instead of allocating one (and a fresh arena block) per
+// message.
 var decoderPool = sync.Pool{
 	New: func() any { return new(Decoder) },
 }
 
-func getDecoder(data []byte) *Decoder {
+// GetDecoder borrows a decoder over data from the pool.
+func GetDecoder(data []byte) *Decoder {
 	d := decoderPool.Get().(*Decoder)
 	d.data, d.pos, d.depth = data, 0, 0
 	return d
 }
 
-func putDecoder(d *Decoder) {
+// PutDecoder returns a decoder to the pool. What it decoded stays valid:
+// the arena is never rewound, so strings and BytesField copies keep their
+// block alive after the decoder is reused. A BytesView aliases data
+// itself and lives exactly as long as the caller keeps that buffer.
+func PutDecoder(d *Decoder) {
 	d.data = nil // do not pin the caller's frame in the pool
 	// The arena is append-only, so its spare capacity can serve the next
 	// message; once nearly full, drop it (issued views keep it alive).

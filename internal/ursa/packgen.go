@@ -15,19 +15,24 @@ var _ = fmt.Errorf // used by length checks in some shapes
 
 // MarshalDocument packs v in the NTCS character representation.
 func MarshalDocument(v *Document) []byte {
-	var e pack.Encoder
-	encodeDocument(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeDocument(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalDocument reverses MarshalDocument.
 func UnmarshalDocument(data []byte, v *Document) error {
-	d := pack.NewDecoder(data)
-	if err := decodeDocument(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeDocument(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal Document: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal Document: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -64,19 +69,24 @@ func decodeDocument(d *pack.Decoder, v *Document) error {
 
 // MarshalFetchRequest packs v in the NTCS character representation.
 func MarshalFetchRequest(v *FetchRequest) []byte {
-	var e pack.Encoder
-	encodeFetchRequest(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeFetchRequest(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalFetchRequest reverses MarshalFetchRequest.
 func UnmarshalFetchRequest(data []byte, v *FetchRequest) error {
-	d := pack.NewDecoder(data)
-	if err := decodeFetchRequest(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeFetchRequest(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal FetchRequest: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal FetchRequest: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -101,19 +111,24 @@ func decodeFetchRequest(d *pack.Decoder, v *FetchRequest) error {
 
 // MarshalHit packs v in the NTCS character representation.
 func MarshalHit(v *Hit) []byte {
-	var e pack.Encoder
-	encodeHit(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeHit(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalHit reverses MarshalHit.
 func UnmarshalHit(data []byte, v *Hit) error {
-	d := pack.NewDecoder(data)
-	if err := decodeHit(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeHit(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal Hit: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal Hit: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -150,19 +165,24 @@ func decodeHit(d *pack.Decoder, v *Hit) error {
 
 // MarshalPosting packs v in the NTCS character representation.
 func MarshalPosting(v *Posting) []byte {
-	var e pack.Encoder
-	encodePosting(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodePosting(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalPosting reverses MarshalPosting.
 func UnmarshalPosting(data []byte, v *Posting) error {
-	d := pack.NewDecoder(data)
-	if err := decodePosting(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodePosting(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal Posting: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal Posting: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -193,19 +213,24 @@ func decodePosting(d *pack.Decoder, v *Posting) error {
 
 // MarshalIndexLookupReply packs v in the NTCS character representation.
 func MarshalIndexLookupReply(v *IndexLookupReply) []byte {
-	var e pack.Encoder
-	encodeIndexLookupReply(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeIndexLookupReply(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalIndexLookupReply reverses MarshalIndexLookupReply.
 func UnmarshalIndexLookupReply(data []byte, v *IndexLookupReply) error {
-	d := pack.NewDecoder(data)
-	if err := decodeIndexLookupReply(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeIndexLookupReply(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal IndexLookupReply: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal IndexLookupReply: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -252,19 +277,24 @@ func decodeIndexLookupReply(d *pack.Decoder, v *IndexLookupReply) error {
 
 // MarshalIndexLookupRequest packs v in the NTCS character representation.
 func MarshalIndexLookupRequest(v *IndexLookupRequest) []byte {
-	var e pack.Encoder
-	encodeIndexLookupRequest(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeIndexLookupRequest(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalIndexLookupRequest reverses MarshalIndexLookupRequest.
 func UnmarshalIndexLookupRequest(data []byte, v *IndexLookupRequest) error {
-	d := pack.NewDecoder(data)
-	if err := decodeIndexLookupRequest(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeIndexLookupRequest(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal IndexLookupRequest: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal IndexLookupRequest: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -289,19 +319,24 @@ func decodeIndexLookupRequest(d *pack.Decoder, v *IndexLookupRequest) error {
 
 // MarshalIngestReply packs v in the NTCS character representation.
 func MarshalIngestReply(v *IngestReply) []byte {
-	var e pack.Encoder
-	encodeIngestReply(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeIngestReply(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalIngestReply reverses MarshalIngestReply.
 func UnmarshalIngestReply(data []byte, v *IngestReply) error {
-	d := pack.NewDecoder(data)
-	if err := decodeIngestReply(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeIngestReply(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal IngestReply: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal IngestReply: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -326,19 +361,24 @@ func decodeIngestReply(d *pack.Decoder, v *IngestReply) error {
 
 // MarshalIngestRequest packs v in the NTCS character representation.
 func MarshalIngestRequest(v *IngestRequest) []byte {
-	var e pack.Encoder
-	encodeIngestRequest(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeIngestRequest(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalIngestRequest reverses MarshalIngestRequest.
 func UnmarshalIngestRequest(data []byte, v *IngestRequest) error {
-	d := pack.NewDecoder(data)
-	if err := decodeIngestRequest(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeIngestRequest(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal IngestRequest: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal IngestRequest: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -379,19 +419,24 @@ func decodeIngestRequest(d *pack.Decoder, v *IngestRequest) error {
 
 // MarshalSearchReply packs v in the NTCS character representation.
 func MarshalSearchReply(v *SearchReply) []byte {
-	var e pack.Encoder
-	encodeSearchReply(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeSearchReply(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalSearchReply reverses MarshalSearchReply.
 func UnmarshalSearchReply(data []byte, v *SearchReply) error {
-	d := pack.NewDecoder(data)
-	if err := decodeSearchReply(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeSearchReply(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal SearchReply: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal SearchReply: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -432,19 +477,24 @@ func decodeSearchReply(d *pack.Decoder, v *SearchReply) error {
 
 // MarshalSearchRequest packs v in the NTCS character representation.
 func MarshalSearchRequest(v *SearchRequest) []byte {
-	var e pack.Encoder
-	encodeSearchRequest(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeSearchRequest(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalSearchRequest reverses MarshalSearchRequest.
 func UnmarshalSearchRequest(data []byte, v *SearchRequest) error {
-	d := pack.NewDecoder(data)
-	if err := decodeSearchRequest(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeSearchRequest(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal SearchRequest: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal SearchRequest: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -475,19 +525,24 @@ func decodeSearchRequest(d *pack.Decoder, v *SearchRequest) error {
 
 // MarshalStatsReply packs v in the NTCS character representation.
 func MarshalStatsReply(v *StatsReply) []byte {
-	var e pack.Encoder
-	encodeStatsReply(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeStatsReply(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalStatsReply reverses MarshalStatsReply.
 func UnmarshalStatsReply(data []byte, v *StatsReply) error {
-	d := pack.NewDecoder(data)
-	if err := decodeStatsReply(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeStatsReply(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal StatsReply: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal StatsReply: %d trailing bytes", rem)
 	}
 	return nil
 }
@@ -518,19 +573,24 @@ func decodeStatsReply(d *pack.Decoder, v *StatsReply) error {
 
 // MarshalStatsRequest packs v in the NTCS character representation.
 func MarshalStatsRequest(v *StatsRequest) []byte {
-	var e pack.Encoder
-	encodeStatsRequest(&e, v)
-	return e.Bytes()
+	e := pack.GetEncoder()
+	encodeStatsRequest(e, v)
+	out := append([]byte(nil), e.Bytes()...)
+	pack.PutEncoder(e)
+	return out
 }
 
 // UnmarshalStatsRequest reverses MarshalStatsRequest.
 func UnmarshalStatsRequest(data []byte, v *StatsRequest) error {
-	d := pack.NewDecoder(data)
-	if err := decodeStatsRequest(d, v); err != nil {
+	d := pack.GetDecoder(data)
+	err := decodeStatsRequest(d, v)
+	rem := d.Remaining()
+	pack.PutDecoder(d)
+	if err != nil {
 		return err
 	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("unmarshal StatsRequest: %d trailing bytes", d.Remaining())
+	if rem != 0 {
+		return fmt.Errorf("unmarshal StatsRequest: %d trailing bytes", rem)
 	}
 	return nil
 }

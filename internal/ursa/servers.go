@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,11 +13,18 @@ import (
 )
 
 // IndexServer is the index-lookup backend: an inverted index.
+//
+// A term's postings list is append-only: index appends to it under the
+// write lock and never rewrites, reorders or truncates a posting it has
+// published. A reader that took a list's slice header under the read lock
+// may therefore keep reading its first len postings after unlocking: later
+// appends only write past that length, or into a new array. That is what
+// lets a lookup reply encode a view of the list rather than a copy.
 type IndexServer struct {
 	m *core.Module
 
 	mu       sync.RWMutex
-	postings map[string][]Posting
+	postings map[string][]Posting // append-only lists, see above
 	docs     int64
 	requests atomic.Int64
 }
@@ -44,7 +52,7 @@ func (s *IndexServer) handle(d *core.Delivery) (string, any, error) {
 		if err := d.Decode(&req); err != nil {
 			return "", nil, err
 		}
-		return MsgIndexLookup, IndexLookupReply{Term: req.Term, Postings: s.Lookup(req.Term)}, nil
+		return MsgIndexLookup, IndexLookupReply{Term: req.Term, Postings: s.view(req.Term)}, nil
 	case MsgStats:
 		s.mu.RLock()
 		items := s.docs
@@ -72,15 +80,18 @@ func (s *IndexServer) index(docs []Document) {
 
 // Lookup returns a copy of a term's postings list.
 func (s *IndexServer) Lookup(term string) []Posting {
+	return slices.Clone(s.view(term))
+}
+
+// view returns a term's postings list without copying it, valid for
+// reading only. The list is append-only (see IndexServer), and the
+// view's capacity is clipped to its length, so an append through it
+// cannot write into the index's array either.
+func (s *IndexServer) view(term string) []Posting {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
 	src := s.postings[term]
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]Posting, len(src))
-	copy(out, src)
-	return out
+	s.mu.RUnlock()
+	return src[:len(src):len(src)]
 }
 
 // Terms returns the vocabulary size.
@@ -286,7 +297,13 @@ func (s *SearchServer) search(req SearchRequest) (SearchReply, error) {
 		}
 	}
 
-	scores := make(map[int64]int64)
+	// Presized for the worst case, every posting a different document, so
+	// the map never grows while it scores.
+	n := 0
+	for _, l := range lookups {
+		n += len(l.Postings)
+	}
+	scores := make(map[int64]int64, n)
 	for _, l := range lookups {
 		for _, p := range l.Postings {
 			scores[p.DocID] += p.Freq * 1000

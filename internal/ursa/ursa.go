@@ -18,9 +18,10 @@
 package ursa
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"ntcs/internal/addr"
@@ -190,16 +191,52 @@ func (c *Client) Ingest(docs []Document) error {
 	return nil
 }
 
-// rankHits sorts by descending score, then ascending DocID, and truncates.
+// rankHits orders hits by descending score, then ascending DocID, and
+// keeps the first limit of them (all of them when limit <= 0). With a
+// limit below len(hits), the best limit hits are selected in place first,
+// in O(n log limit), and only they are sorted.
 func rankHits(hits []Hit, limit int64) []Hit {
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].DocID < hits[j].DocID
-	})
 	if limit > 0 && int64(len(hits)) > limit {
-		hits = hits[:limit]
+		// top is a heap rooted at the worst hit kept so far: a later hit
+		// either ranks after the root or replaces it.
+		top := hits[:limit]
+		for i := len(top)/2 - 1; i >= 0; i-- {
+			siftDown(top, i)
+		}
+		for _, h := range hits[limit:] {
+			if compareHits(h, top[0]) < 0 {
+				top[0] = h
+				siftDown(top, 0)
+			}
+		}
+		hits = top
 	}
+	slices.SortFunc(hits, compareHits)
 	return hits
+}
+
+// compareHits is the ranking order: negative when a ranks before b.
+func compareHits(a, b Hit) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.DocID, b.DocID)
+}
+
+// siftDown moves h[i] down until no child ranks after its parent.
+func siftDown(h []Hit, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && compareHits(h[c+1], h[c]) > 0 {
+			c++
+		}
+		if compareHits(h[c], h[i]) <= 0 {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

@@ -100,7 +100,7 @@ var (
 	ErrCallTimeout   = lcm.ErrCallTimeout      // no reply arrived in time; matches context.DeadlineExceeded
 	ErrNoReplacement = lcm.ErrNoReplacement    // destination gone, no successor module
 	ErrNotFound      = nsp.ErrNotFound         // name or address unknown to the naming service
-	ErrBackpressure  = ndlayer.ErrBackpressure // circuit out of send credit; the peer has not drained
+	ErrBackpressure  = ndlayer.ErrBackpressure // circuit out of send credit, or a call refused by a full inbox
 )
 
 // RemoteError is the structured form of an error reply: errors.As
