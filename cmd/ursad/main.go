@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"syscall"
 	"time"
 
 	"ntcs"
@@ -52,7 +51,7 @@ func main() {
 	flag.Parse()
 	var err error
 	if *topoPath != "" {
-		err = runWorker(*topoPath, *proc, *httpAddr, *drainT)
+		err = cli.Run(cli.ProcOptions{TopoPath: *topoPath, Proc: *proc, HTTPAddr: *httpAddr, DrainTimeout: *drainT})
 	} else {
 		err = run(*docs, *seed, *httpAddr, *hist)
 	}
@@ -60,34 +59,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ursad:", err)
 		os.Exit(1)
 	}
-}
-
-// runWorker boots one worker entry of a topology file as this OS
-// process: TAdd bootstrap against the remote Name Server over real TCP,
-// then serve by role until a signal arrives. SIGTERM drains gracefully
-// (deregister — the tombstone keeps §3.5 forwarding intact — quiesce,
-// flush, close); SIGINT exits directly.
-func runWorker(topoPath, proc, httpAddr string, drainT time.Duration) error {
-	rt, err := cli.StartProc(cli.ProcOptions{
-		TopoPath: topoPath, Proc: proc, HTTPAddr: httpAddr, DrainTimeout: drainT,
-	})
-	if err != nil {
-		return err
-	}
-	if rt.Entry.Role == "echo" {
-		go rt.Mod.Serve(cli.Echo)
-	}
-	fmt.Println(rt.ReadyLine())
-	if rt.WaitSignals() == syscall.SIGTERM {
-		if err := rt.Drain(drainT); err != nil {
-			fmt.Fprintln(os.Stderr, "ursad: drain:", err)
-		}
-		fmt.Println(rt.DrainedLine())
-		return nil
-	}
-	rt.Close()
-	fmt.Println("shutting down")
-	return nil
 }
 
 func run(docCount int, seed int64, httpAddr string, hist bool) error {

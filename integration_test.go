@@ -826,13 +826,6 @@ func TestDetachedNameServerReadsDead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ns2.DB().Insert(nameserver.Record{
-		Name: ns1.Name(), UAdd: ns1.UAdd(), Endpoints: ns1.Endpoints(),
-		Attrs: map[string]string{"type": "nameserver"}, Alive: true,
-	})
-	ns1.SetNameServerReplicas([]ntcs.UAdd{ns2.UAdd()})
-	ns2.SetNameServerReplicas([]ntcs.UAdd{ns1.UAdd()})
-
 	if err := ns1.Detach(); err != nil {
 		t.Fatal(err)
 	}
@@ -860,18 +853,6 @@ func TestReplicatedNameServerFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(w.Close)
-	// Teach the servers about each other (replication links): each knows
-	// the peer's record and pushes writes to it.
-	ns1.DB().Insert(nameserver.Record{
-		Name: ns2.Name(), UAdd: ns2.UAdd(), Endpoints: ns2.Endpoints(),
-		Attrs: map[string]string{"type": "nameserver"}, Alive: true,
-	})
-	ns2.DB().Insert(nameserver.Record{
-		Name: ns1.Name(), UAdd: ns1.UAdd(), Endpoints: ns1.Endpoints(),
-		Attrs: map[string]string{"type": "nameserver"}, Alive: true,
-	})
-	ns1.SetNameServerReplicas([]ntcs.UAdd{ns2.UAdd()})
-	ns2.SetNameServerReplicas([]ntcs.UAdd{ns1.UAdd()})
 
 	host := w.MustHost("vax-1", machine.VAX, "ring")
 	server, err := w.Attach(host, "server", nil)

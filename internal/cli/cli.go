@@ -1,17 +1,15 @@
-// Package cli holds the shared configuration plumbing of the NTCS
-// command-line binaries: parsing "network=address" bindings and
-// assembling the well-known preload (§3.4) that, on the 1986 testbed, was
-// each machine's site configuration file.
+// Package cli holds the one boot path of the NTCS deployment binaries:
+// the topology file (the site configuration file of §3.4 that, on the
+// 1986 testbed, every machine kept), the attach of one of its entries,
+// and the serve-and-drain tail every booted process runs.
 package cli
 
 import (
 	"fmt"
 	"strings"
 
-	"ntcs/internal/addr"
 	"ntcs/internal/ipcs"
 	"ntcs/internal/ipcs/tcpnet"
-	"ntcs/internal/machine"
 )
 
 // Binding is one "network=hostport" attachment.
@@ -51,35 +49,4 @@ func OpenNetworks(bindings []Binding) ([]ipcs.Network, map[string]string) {
 		hints[b.Network] = b.Addr
 	}
 	return nets, hints
-}
-
-// ParseWellKnown parses the Name Server preload flag,
-// "network=host:port[,network=host:port...]" — the NS's endpoint on each
-// network it serves. machineName is the NS host's machine type.
-func ParseWellKnown(nsSpec, machineName string) (addr.WellKnown, error) {
-	var wk addr.WellKnown
-	if nsSpec == "" {
-		return wk, nil
-	}
-	m, err := machine.ParseType(machineName)
-	if err != nil {
-		return wk, err
-	}
-	bindings, err := ParseBindings(nsSpec)
-	if err != nil {
-		return wk, fmt.Errorf("cli: -ns: %w", err)
-	}
-	entry := addr.WellKnownEntry{Name: "ns", UAdd: addr.NameServer}
-	for _, b := range bindings {
-		if b.Addr == "" {
-			return wk, fmt.Errorf("cli: -ns binding %q needs an explicit address", b.Network)
-		}
-		entry.Endpoints = append(entry.Endpoints, addr.Endpoint{
-			Network: b.Network,
-			Addr:    b.Addr,
-			Machine: m,
-		})
-	}
-	wk.NameServers = []addr.WellKnownEntry{entry}
-	return wk, nil
 }

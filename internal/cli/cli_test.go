@@ -2,9 +2,6 @@ package cli
 
 import (
 	"testing"
-
-	"ntcs/internal/addr"
-	"ntcs/internal/machine"
 )
 
 func TestParseBindings(t *testing.T) {
@@ -44,44 +41,5 @@ func TestOpenNetworks(t *testing.T) {
 	}
 	if hints["a"] != "127.0.0.1:9" || hints["b"] != "" {
 		t.Errorf("hints = %v", hints)
-	}
-}
-
-func TestParseWellKnown(t *testing.T) {
-	wk, err := ParseWellKnown("backbone=127.0.0.1:4001,branch=127.0.0.1:4002", "apollo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wk.NameServers) != 1 {
-		t.Fatalf("wk = %+v", wk)
-	}
-	entry := wk.NameServers[0]
-	if entry.UAdd != addr.NameServer || len(entry.Endpoints) != 2 {
-		t.Errorf("entry = %+v", entry)
-	}
-	if entry.Endpoints[0].Machine != machine.Apollo {
-		t.Errorf("machine = %v", entry.Endpoints[0].Machine)
-	}
-	if entry.Endpoints[0].Network != "backbone" || entry.Endpoints[0].Addr != "127.0.0.1:4001" ||
-		entry.Endpoints[1].Network != "branch" || entry.Endpoints[1].Addr != "127.0.0.1:4002" {
-		t.Errorf("endpoints = %+v", entry.Endpoints)
-	}
-	if entry.Name != "ns" {
-		t.Errorf("name = %q, want the conventional single-NS name", entry.Name)
-	}
-
-	// Empty spec: no preload (the nameserver binary itself).
-	wk, err = ParseWellKnown("", "apollo")
-	if err != nil || len(wk.NameServers) != 0 {
-		t.Errorf("empty spec: %+v, %v", wk, err)
-	}
-	if _, err := ParseWellKnown("a=127.0.0.1:1", "pdp11"); err == nil {
-		t.Error("bad machine should fail")
-	}
-	if _, err := ParseWellKnown("a=", "apollo"); err == nil {
-		t.Error("empty NS address should fail")
-	}
-	if _, err := ParseWellKnown("garbage", "apollo"); err == nil {
-		t.Error("malformed spec should fail")
 	}
 }

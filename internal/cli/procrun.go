@@ -2,16 +2,14 @@ package cli
 
 import (
 	"context"
+	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"ntcs/internal/addr"
 	"ntcs/internal/core"
-	"ntcs/internal/nameserver"
 	"ntcs/internal/stats"
 	"ntcs/internal/stats/statshttp"
 )
@@ -30,59 +28,98 @@ type ProcOptions struct {
 	DrainTimeout time.Duration
 }
 
-// ProcRuntime is a topology entry running as this OS process.
-type ProcRuntime struct {
-	Mod       *core.Module
-	Topo      *Topology
-	Entry     *TopoProc
-	StatsAddr string // bound stats listener, "" when off
-
-	statsSrv *http.Server
-	signals  chan os.Signal
+// Main is the whole main function of a deployment binary whose only job
+// is to boot its topology entry (cmd/nameserver, cmd/gateway): it parses
+// -topo, -proc, -http and -drain-timeout, exits 2 with the usage when
+// -topo or -proc is missing, and otherwise runs Run, exiting 1 on error.
+func Main(prog string) {
+	topoPath := flag.String("topo", "", "topology file (required; ntcstopo -emit writes a reference one)")
+	proc := flag.String("proc", "", "this process's entry in -topo (required)")
+	httpAddr := flag.String("http", "", "serve /stats, /stats.json, expvar and pprof on this address (off when empty)")
+	drainT := flag.Duration("drain-timeout", 5*time.Second, "bound on the SIGTERM graceful drain")
+	flag.Parse()
+	if *topoPath == "" || *proc == "" {
+		fmt.Fprintf(os.Stderr, "%s: -topo and -proc are required\n", prog)
+		flag.Usage()
+		os.Exit(2)
+	}
+	err := Run(ProcOptions{TopoPath: *topoPath, Proc: *proc, HTTPAddr: *httpAddr, DrainTimeout: *drainT})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+		os.Exit(1)
+	}
 }
 
-// StartProc boots the named topology entry: it opens the entry's
-// networks, derives the shared well-known preload from the file, attaches
-// the module (TAdd bootstrap against the remote NS for workers and
-// non-prime gateways), seeds replica peers for name servers, and starts
-// the optional stats listener. The caller prints ReadyLine and runs its
-// serve loop (or WaitSignals).
-func StartProc(opts ProcOptions) (*ProcRuntime, error) {
+// Run boots the named topology entry as this OS process (AttachEntry plus
+// the optional stats listener) and serves it until a signal. It prints
+// the machine-readable boot announcement the process harness scans for,
+//
+//	ntcs-proc ready name=<proc> uadd=<uadd> stats=<host:port|->
+//
+// then waits. SIGTERM drains gracefully (deregister, quiesce, flush,
+// teardown — see core.Module.Drain) within opts.DrainTimeout and prints
+// "ntcs-proc drained name=<proc>"; a failed deregistration is reported
+// on stderr but is no error, because the drain is politeness, not a
+// correctness gate. SIGINT detaches directly.
+func Run(opts ProcOptions) error {
 	topo, err := ParseTopologyFile(opts.TopoPath)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	entry, ok := topo.Proc(opts.Proc)
 	if !ok {
-		return nil, fmt.Errorf("cli: topology %s has no process %q", opts.TopoPath, opts.Proc)
+		return fmt.Errorf("cli: topology %s has no process %q", opts.TopoPath, opts.Proc)
 	}
 	mod, err := AttachEntry(topo, entry)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	rt := &ProcRuntime{Mod: mod, Topo: topo, Entry: entry}
-
+	statsAddr := "-"
 	if opts.HTTPAddr != "" {
 		collect := func() []stats.Snapshot { return []stats.Snapshot{mod.Stats().Snapshot()} }
 		srv, bound, err := statshttp.Serve(opts.HTTPAddr, collect)
 		if err != nil {
 			mod.Kill()
-			return nil, fmt.Errorf("cli: stats listener: %w", err)
+			return fmt.Errorf("cli: stats listener: %w", err)
 		}
-		rt.statsSrv, rt.StatsAddr = srv, bound
+		defer srv.Close()
+		statsAddr = bound
 	}
-	rt.catchSignals()
-	return rt, nil
+
+	// Catch signals before the ready line: a harness may signal the moment
+	// it reads that line, and a SIGTERM arriving before the handler is
+	// installed would kill the process instead of draining it.
+	signals := make(chan os.Signal, 1)
+	signal.Notify(signals, os.Interrupt, syscall.SIGTERM)
+	fmt.Printf("ntcs-proc ready name=%s uadd=%d stats=%s\n", entry.Name, uint64(mod.UAdd()), statsAddr)
+	sig := <-signals
+	signal.Stop(signals)
+	if sig != syscall.SIGTERM {
+		_ = mod.Detach()
+		fmt.Println("shutting down")
+		return nil
+	}
+	timeout := opts.DrainTimeout
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := mod.Drain(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: drain: %v\n", entry.Name, err)
+	}
+	fmt.Printf("ntcs-proc drained name=%s\n", entry.Name)
+	return nil
 }
 
-// AttachEntry attaches one topology entry as a live module: it opens the
-// entry's networks, derives the shared well-known preload from the file,
-// attaches with the kind-appropriate configuration, and — for name
-// servers — seeds the replica peers' records (reachable through the
-// server's own Nucleus before any traffic flows) and turns on write
-// propagation; anti-entropy reconciles whatever the seeds miss. Shared
-// by the cmd binaries (one entry per OS process) and the in-process
-// deployment fixture (every entry in one test process).
+// AttachEntry attaches one topology entry as a live module and starts its
+// role. It opens the entry's networks, derives the shared well-known
+// preload from the file and attaches with the kind-appropriate
+// configuration. A name server then joins its peers
+// (core.Module.JoinNameServers), and a role=echo worker serves Echo.
+// Shared by Run (one entry per OS process) and the in-process deployment
+// fixture (every entry in one test process), so the two realizations are
+// one code path.
 func AttachEntry(topo *Topology, entry *TopoProc) (*core.Module, error) {
 	wk, err := topo.WellKnown()
 	if err != nil {
@@ -120,27 +157,9 @@ func AttachEntry(topo *Topology, entry *TopoProc) (*core.Module, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	if entry.Kind == ProcNameServer {
-		peers := topo.NSPeers(entry.Name)
-		uadds := make([]addr.UAdd, 0, len(peers))
-		for _, p := range peers {
-			eps := make([]addr.Endpoint, 0, len(p.Bindings))
-			for _, b := range p.Bindings {
-				eps = append(eps, addr.Endpoint{Network: b.Network, Addr: b.Addr, Machine: p.Machine})
-			}
-			mod.DB().Insert(nameserver.Record{
-				Name:      p.Name,
-				UAdd:      p.UAdd(),
-				Attrs:     map[string]string{"type": "nameserver"},
-				Endpoints: eps,
-				Alive:     true,
-			})
-			uadds = append(uadds, p.UAdd())
-		}
-		if len(uadds) > 0 {
-			mod.SetNameServerReplicas(uadds)
-		}
+	mod.JoinNameServers(wk)
+	if entry.Role == "echo" {
+		go mod.Serve(Echo)
 	}
 	return mod, nil
 }
@@ -154,83 +173,4 @@ func Echo(d *core.Delivery) (string, any, error) {
 		return "", nil, fmt.Errorf("decode: %w", err)
 	}
 	return "echo", "echo:" + s, nil
-}
-
-// NewRuntime wraps an already-attached module in a ProcRuntime — the
-// legacy hand-flag path of the cmd binaries, which shares the ready-line
-// and drain plumbing with the -topo path.
-func NewRuntime(mod *core.Module, httpAddr string) (*ProcRuntime, error) {
-	rt := &ProcRuntime{Mod: mod, Entry: &TopoProc{Name: mod.Name()}}
-	if httpAddr != "" {
-		collect := func() []stats.Snapshot { return []stats.Snapshot{mod.Stats().Snapshot()} }
-		srv, bound, err := statshttp.Serve(httpAddr, collect)
-		if err != nil {
-			mod.Kill()
-			return nil, fmt.Errorf("cli: stats listener: %w", err)
-		}
-		rt.statsSrv, rt.StatsAddr = srv, bound
-	}
-	rt.catchSignals()
-	return rt, nil
-}
-
-// catchSignals starts catching SIGINT and SIGTERM before the caller prints
-// ReadyLine: a harness may signal the moment it reads that line, and a
-// SIGTERM arriving before the handler is installed would kill the process
-// instead of draining it.
-func (rt *ProcRuntime) catchSignals() {
-	rt.signals = make(chan os.Signal, 1)
-	signal.Notify(rt.signals, os.Interrupt, syscall.SIGTERM)
-}
-
-// ReadyLine is the machine-readable boot announcement the process harness
-// scans for on stdout:
-//
-//	ntcs-proc ready name=<proc> uadd=<uadd> stats=<host:port|->
-func (rt *ProcRuntime) ReadyLine() string {
-	statsAddr := rt.StatsAddr
-	if statsAddr == "" {
-		statsAddr = "-"
-	}
-	return fmt.Sprintf("ntcs-proc ready name=%s uadd=%d stats=%s", rt.Entry.Name, uint64(rt.Mod.UAdd()), statsAddr)
-}
-
-// DrainedLine is the companion announcement after a graceful drain.
-func (rt *ProcRuntime) DrainedLine() string {
-	return fmt.Sprintf("ntcs-proc drained name=%s", rt.Entry.Name)
-}
-
-// Drain runs the module's graceful shutdown (deregister, quiesce, flush,
-// teardown — see core.Module.Drain) bounded by timeout, then closes the
-// stats listener. The error is the deregistration outcome; the process
-// should still exit 0 — the drain is best-effort politeness, not a
-// correctness gate.
-func (rt *ProcRuntime) Drain(timeout time.Duration) error {
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	err := rt.Mod.Drain(ctx)
-	if rt.statsSrv != nil {
-		_ = rt.statsSrv.Close()
-	}
-	return err
-}
-
-// Close tears the runtime down without draining (the deferred cleanup
-// path when the serve loop fails).
-func (rt *ProcRuntime) Close() {
-	if rt.statsSrv != nil {
-		_ = rt.statsSrv.Close()
-	}
-	_ = rt.Mod.Detach()
-}
-
-// WaitSignals blocks until SIGINT or SIGTERM, including one that arrived
-// after the runtime was built but before this call.
-func (rt *ProcRuntime) WaitSignals() os.Signal {
-	s := <-rt.signals
-	signal.Stop(rt.signals)
-	return s
 }

@@ -92,9 +92,10 @@ func (p *TopoProc) UAdd() addr.UAdd {
 //
 // with '#' comments and blank lines ignored. Keys: machine=, bind=
 // (network=host:port, comma separated), networks= (ephemeral bindings by
-// network ID), slot=, shard=, prime=, role=. The parsed topology is
-// validated (unique names, unique slots, at most three replicas per
-// shard group, contiguous shards, gateway network counts).
+// network ID), slot=, shard=, prime=, role=, anti-entropy= and
+// tombstone-ttl= (non-negative durations; 0, the default, is off). The
+// parsed topology is validated (unique names, unique slots, at most three
+// replicas per shard group, contiguous shards, gateway network counts).
 func ParseTopology(r io.Reader) (*Topology, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -163,13 +164,13 @@ func ParseTopology(r io.Reader) (*Topology, error) {
 				p.Role = val
 			case "anti-entropy":
 				d, err := time.ParseDuration(val)
-				if err != nil {
+				if err != nil || d < 0 {
 					return nil, fmt.Errorf("cli: topology line %d: bad anti-entropy %q", i+1, val)
 				}
 				p.AntiEntropy = d
 			case "tombstone-ttl":
 				d, err := time.ParseDuration(val)
-				if err != nil {
+				if err != nil || d < 0 {
 					return nil, fmt.Errorf("cli: topology line %d: bad tombstone-ttl %q", i+1, val)
 				}
 				p.TombstoneTTL = d
@@ -316,8 +317,9 @@ func (t *Topology) WellKnown() (addr.WellKnown, error) {
 }
 
 // NSPeers returns the replica peers of the named Name Server: every
-// other server in its shard group. Writes propagate within the group
-// and anti-entropy reconciles it, exactly as -peers configures by hand.
+// other server in its shard group, the servers core.Module.JoinNameServers
+// propagates its writes to. ntcstopo renders them; the boot itself reads
+// the group from the preload.
 func (t *Topology) NSPeers(name string) []*TopoProc {
 	self, ok := t.Proc(name)
 	if !ok || self.Kind != ProcNameServer {

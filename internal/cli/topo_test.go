@@ -59,25 +59,27 @@ func TestParseTopology(t *testing.T) {
 
 func TestParseTopologyMalformed(t *testing.T) {
 	cases := map[string]string{
-		"unknown kind":       "daemon x networks=a",
-		"missing name":       "worker",
-		"bare token":         "worker w networks=a junk",
-		"unknown key":        "worker w networks=a color=red",
-		"bad slot":           "nameserver n slot=x shard=0 bind=a=127.0.0.1:1",
-		"bad shard":          "nameserver n slot=0 shard=x bind=a=127.0.0.1:1",
-		"bad prime":          "gateway g prime=maybe bind=a=127.0.0.1:1,b=127.0.0.1:2",
-		"bad machine":        "worker w machine=pdp11 networks=a",
-		"bad binding":        "worker w bind=nocolon",
-		"no networks":        "worker w machine=apollo",
-		"dup name":           "worker w networks=a\nworker w networks=b",
-		"dup network":        "worker w networks=a,a",
-		"slot out of range":  "nameserver n slot=16 shard=0 bind=a=127.0.0.1:1",
-		"negative slot":      "nameserver n slot=-1 shard=0 bind=a=127.0.0.1:1",
-		"negative shard":     "nameserver n slot=0 shard=-1 bind=a=127.0.0.1:1",
-		"duplicate slot":     "nameserver n0 slot=3 shard=0 bind=a=127.0.0.1:1\nnameserver n1 slot=3 shard=0 bind=a=127.0.0.1:2",
-		"gateway one net":    "gateway g bind=a=127.0.0.1:1",
-		"shard gap":          "nameserver n0 slot=0 shard=1 bind=a=127.0.0.1:1",
-		"four replica shard": "nameserver n0 slot=0 shard=0 bind=a=127.0.0.1:1\nnameserver n1 slot=1 shard=0 bind=a=127.0.0.1:2\nnameserver n2 slot=2 shard=0 bind=a=127.0.0.1:3\nnameserver n3 slot=3 shard=0 bind=a=127.0.0.1:4",
+		"unknown kind":           "daemon x networks=a",
+		"missing name":           "worker",
+		"bare token":             "worker w networks=a junk",
+		"unknown key":            "worker w networks=a color=red",
+		"bad slot":               "nameserver n slot=x shard=0 bind=a=127.0.0.1:1",
+		"bad shard":              "nameserver n slot=0 shard=x bind=a=127.0.0.1:1",
+		"bad prime":              "gateway g prime=maybe bind=a=127.0.0.1:1,b=127.0.0.1:2",
+		"bad machine":            "worker w machine=pdp11 networks=a",
+		"bad binding":            "worker w bind=nocolon",
+		"no networks":            "worker w machine=apollo",
+		"dup name":               "worker w networks=a\nworker w networks=b",
+		"dup network":            "worker w networks=a,a",
+		"slot out of range":      "nameserver n slot=16 shard=0 bind=a=127.0.0.1:1",
+		"negative slot":          "nameserver n slot=-1 shard=0 bind=a=127.0.0.1:1",
+		"negative shard":         "nameserver n slot=0 shard=-1 bind=a=127.0.0.1:1",
+		"negative anti-entropy":  "nameserver n slot=0 shard=0 anti-entropy=-1s bind=a=127.0.0.1:1",
+		"negative tombstone-ttl": "nameserver n slot=0 shard=0 tombstone-ttl=-5m bind=a=127.0.0.1:1",
+		"duplicate slot":         "nameserver n0 slot=3 shard=0 bind=a=127.0.0.1:1\nnameserver n1 slot=3 shard=0 bind=a=127.0.0.1:2",
+		"gateway one net":        "gateway g bind=a=127.0.0.1:1",
+		"shard gap":              "nameserver n0 slot=0 shard=1 bind=a=127.0.0.1:1",
+		"four replica shard":     "nameserver n0 slot=0 shard=0 bind=a=127.0.0.1:1\nnameserver n1 slot=1 shard=0 bind=a=127.0.0.1:2\nnameserver n2 slot=2 shard=0 bind=a=127.0.0.1:3\nnameserver n3 slot=3 shard=0 bind=a=127.0.0.1:4",
 	}
 	for name, spec := range cases {
 		if _, err := ParseTopology(strings.NewReader(spec)); err == nil {

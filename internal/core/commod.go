@@ -84,12 +84,8 @@ type Config struct {
 	Kind Kind
 	// FixedUAdd assigns a well-known UAdd (prime gateways, name servers).
 	FixedUAdd addr.UAdd
-	// NoRegister skips naming-service registration (bootstrap and tests).
-	NoRegister bool
 	// ServerID stamps generated UAdds (name servers only; §3.2).
 	ServerID uint16
-	// Replicas lists peer name servers for write propagation (§7).
-	Replicas []addr.UAdd
 	// ResolveTTL leases resolved naming records in the NSP layer: within
 	// the lease, Locate/Lookup answer locally. Zero disables the cache
 	// (every resolution is a naming round trip).
@@ -102,8 +98,6 @@ type Config struct {
 	// NSTombstoneTTL, when positive, garbage-collects dead naming records
 	// this long after death (name servers only).
 	NSTombstoneTTL time.Duration
-	// TraceCapacity sizes the causal trace ring (0 = default).
-	TraceCapacity int
 	// Timeouts; zero selects defaults.
 	CallTimeout time.Duration
 	OpenTimeout time.Duration
@@ -197,7 +191,7 @@ func Attach(cfg Config) (*Module, error) {
 
 	m := &Module{
 		cfg:      cfg,
-		tracer:   trace.New(cfg.Name, cfg.TraceCapacity),
+		tracer:   trace.New(cfg.Name),
 		errs:     errlog.NewTable(cfg.Name, 0),
 		stats:    stats.New(cfg.Name),
 		conv:     make(map[string]Converter),
@@ -271,11 +265,9 @@ func Attach(cfg Config) (*Module, error) {
 	m.naming = naming
 	nuc.SetNaming(naming)
 
-	if !cfg.NoRegister {
-		if err := m.register(); err != nil {
-			nuc.Close()
-			return nil, fmt.Errorf("ntcs: register %q: %w", cfg.Name, err)
-		}
+	if err := m.register(); err != nil {
+		nuc.Close()
+		return nil, fmt.Errorf("ntcs: register %q: %w", cfg.Name, err)
 	}
 	return m, nil
 }
@@ -326,7 +318,6 @@ func (m *Module) attachNameServer() error {
 	server, err := nameserver.NewServer(nameserver.Config{
 		DB:           m.db,
 		LCM:          m.nuc.LCM,
-		Replicas:     m.cfg.Replicas,
 		Tracer:       m.tracer,
 		Errors:       m.errs,
 		Stats:        m.stats,
@@ -374,12 +365,38 @@ func (m *Module) Errors() *errlog.Table { return m.errs }
 // DB exposes the naming database (name servers only; nil otherwise).
 func (m *Module) DB() *nameserver.DB { return m.db }
 
-// SetNameServerReplicas configures the peer servers this (name server)
-// module propagates writes to. No-op for other kinds.
-func (m *Module) SetNameServerReplicas(peers []addr.UAdd) {
-	if m.server != nil {
-		m.server.SetReplicas(peers)
+// JoinNameServers wires this Name Server into the replicated naming tier
+// the well-known preload describes (§7). It seeds a record for every other
+// name server in wk, so this server's own Nucleus can reach any peer, and
+// propagates writes only to the servers of its own shard group: the
+// namespace partition is the point, and cross-shard replication would
+// undo it. The group is read from this server's own entry in wk; without
+// one it replicates to no one. Anti-entropy reconciles whatever the seeds
+// miss. No-op for other kinds.
+func (m *Module) JoinNameServers(wk addr.WellKnown) {
+	if m.server == nil {
+		return
 	}
+	self, shard := m.UAdd(), -1
+	for _, e := range wk.NameServers {
+		if e.UAdd == self {
+			shard = e.Shard
+		}
+	}
+	var peers []addr.UAdd
+	for _, e := range wk.NameServers {
+		if e.UAdd == self {
+			continue
+		}
+		m.db.Insert(nameserver.Record{
+			Name: e.Name, UAdd: e.UAdd, Endpoints: e.Endpoints,
+			Attrs: map[string]string{"type": "nameserver"}, Alive: true,
+		})
+		if e.Shard == shard {
+			peers = append(peers, e.UAdd)
+		}
+	}
+	m.server.SetReplicas(peers)
 }
 
 // SetClock installs the DRTS corrected-time source used for monitor
@@ -1047,12 +1064,11 @@ func (m *Module) Kill() {
 // leave withdraws the module's record, once. A Name Server module retires
 // its own record from its own shard (Server.Retire), pushing the death
 // notice to its replica peers inline; other modules deregister through
-// the naming service. A module that never registered, or was already
-// killed, has nothing to withdraw.
+// the naming service. A module already killed has nothing to withdraw.
 func (m *Module) leave() (err error) {
 	m.leaveOnce.Do(func() {
 		switch {
-		case m.closed() || m.cfg.NoRegister || m.UAdd().IsTemp():
+		case m.closed():
 		case m.server != nil:
 			m.server.Retire(m.UAdd())
 		default:

@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
+	"ntcs/internal/addr"
 	"ntcs/internal/core"
-	"ntcs/internal/ipcs"
 	"ntcs/internal/ipcs/memnet"
 	"ntcs/internal/lcm"
 	"ntcs/internal/machine"
@@ -31,7 +31,6 @@ func world(t *testing.T) *sim.World {
 }
 
 func TestAttachValidation(t *testing.T) {
-	net := memnet.New("one", memnet.Options{})
 	cases := []core.Config{
 		{},                                // no name
 		{Name: "m"},                       // no machine
@@ -43,19 +42,6 @@ func TestAttachValidation(t *testing.T) {
 			t.Errorf("case %d should fail", i)
 		}
 	}
-	// NoRegister works without any name server.
-	m, err := core.Attach(core.Config{
-		Name: "solo", Machine: machine.VAX,
-		Networks:   []ipcs.Network{net},
-		NoRegister: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.UAdd().IsTemp() {
-		t.Error("unregistered module should stay on its TAdd")
-	}
-	_ = m.Detach()
 }
 
 func TestUnpackableBodyRejected(t *testing.T) {
@@ -258,7 +244,7 @@ func TestModuleAccessors(t *testing.T) {
 	if m.DB() != nil {
 		t.Error("application module should have no naming DB")
 	}
-	m.SetNameServerReplicas(nil) // no-op for applications
+	m.JoinNameServers(addr.WellKnown{}) // no-op for applications
 }
 
 func TestDrainWaitsForCallBeingServed(t *testing.T) {

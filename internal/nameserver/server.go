@@ -26,9 +26,6 @@ type Config struct {
 	// LCM is the server's own Nucleus access (§3.1: the naming service is
 	// an application built on the Nucleus it serves).
 	LCM *lcm.Layer
-	// Replicas are the peer Name Servers to propagate writes to (the §7
-	// replicated configuration); empty for a single server.
-	Replicas []addr.UAdd
 	// PingTimeout bounds the §3.5 liveness probe of a faulted module;
 	// default 300ms. Zero or negative disables probing (the old module is
 	// assumed dead, as the 1986 implementation did before the probe was
@@ -104,11 +101,10 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("nameserver: precompile: %w", err)
 	}
 	s := &Server{
-		cfg:      cfg,
-		done:     make(chan struct{}),
-		replicas: cfg.Replicas,
-		replCh:   make(chan nsp.RecordRec, 4*replMaxBatch),
-		sem:      make(chan struct{}, maxHandlers),
+		cfg:    cfg,
+		done:   make(chan struct{}),
+		replCh: make(chan nsp.RecordRec, 4*replMaxBatch),
+		sem:    make(chan struct{}, maxHandlers),
 
 		ops:          cfg.Stats.Counter(stats.NSOps),
 		replRounds:   cfg.Stats.Counter(stats.NSReplRounds),
@@ -124,15 +120,17 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// SetReplicas changes the peer set writes propagate to (the replicated
-// configuration is assembled after all servers are up).
+// SetReplicas changes the peer set writes propagate to (the §7
+// replicated configuration, assembled after all servers are up; empty
+// for a single server).
 func (s *Server) SetReplicas(peers []addr.UAdd) {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
 	s.replicas = append([]addr.UAdd(nil), peers...)
 }
 
-func (s *Server) replicaPeers() []addr.UAdd {
+// Replicas returns the peer set writes propagate to.
+func (s *Server) Replicas() []addr.UAdd {
 	s.replMu.Lock()
 	defer s.replMu.Unlock()
 	return append([]addr.UAdd(nil), s.replicas...)
@@ -443,7 +441,7 @@ func (s *Server) antiEntropyLoop(stop <-chan struct{}) {
 			return
 		case <-ticker.C:
 		}
-		peers := s.replicaPeers()
+		peers := s.Replicas()
 		if len(peers) == 0 {
 			continue
 		}
@@ -569,7 +567,7 @@ func (s *Server) gcLoop(stop <-chan struct{}) {
 // queue is saturated (or the flusher is not running yet) the record is
 // pushed inline so nothing is lost.
 func (s *Server) replicate(rec Record) {
-	if len(s.replicaPeers()) == 0 {
+	if len(s.Replicas()) == 0 {
 		return
 	}
 	select {
@@ -648,7 +646,7 @@ func (s *Server) sendReplicaBatch(batch []nsp.RecordRec) {
 	if len(batch) == 0 {
 		return
 	}
-	peers := s.replicaPeers()
+	peers := s.Replicas()
 	if len(peers) == 0 {
 		return
 	}
@@ -683,7 +681,7 @@ func (s *Server) Retire(u addr.UAdd) bool {
 		return false
 	}
 	s.tombstones.Set(int64(s.cfg.DB.TombstoneCount()))
-	if len(s.replicaPeers()) > 0 {
+	if len(s.Replicas()) > 0 {
 		// Lookup after Deregister so the pushed record carries the death
 		// stamp the peers' tombstone GC keys on.
 		if rec, err := s.cfg.DB.Lookup(u); err == nil {
@@ -696,7 +694,7 @@ func (s *Server) Retire(u addr.UAdd) bool {
 
 // replicateDead propagates a death notice.
 func (s *Server) replicateDead(u addr.UAdd) {
-	if len(s.replicaPeers()) == 0 {
+	if len(s.Replicas()) == 0 {
 		return
 	}
 	rec, err := s.cfg.DB.Lookup(u)

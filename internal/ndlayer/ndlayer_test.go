@@ -69,7 +69,7 @@ func newFixture(t *testing.T, net *memnet.Net, name string, u addr.UAdd, m machi
 			f.replaced <- [2]addr.UAdd{old, real}
 		},
 		OnCircuitDown: func(peer addr.UAdd, _ *LVC, _ error) { f.down <- peer },
-		Tracer:        trace.New(name, 0),
+		Tracer:        trace.New(name),
 		Errors:        f.errs,
 		OpenTimeout:   2 * time.Second,
 	})

@@ -177,10 +177,6 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Stats receives the layer's counters; nil disables metering.
 	Stats *stats.Registry
-	// GatewayTTL caches the gateway topology this long (default 2s; the
-	// paper's argument: "locally cached values will likely be correct
-	// since reconfiguration is infrequent").
-	GatewayTTL time.Duration
 	// RecordTTL leases resolved naming records this long: within the
 	// lease, Resolve/Lookup answer from the local cache without a naming
 	// exchange. Zero disables the cache (the pre-lease behavior: every
@@ -252,9 +248,6 @@ type Layer struct {
 func New(cfg Config) (*Layer, error) {
 	if cfg.LCM == nil {
 		return nil, errors.New("nsp: LCM is required")
-	}
-	if cfg.GatewayTTL <= 0 {
-		cfg.GatewayTTL = 2 * time.Second
 	}
 	if cfg.RecordCacheSize <= 0 {
 		cfg.RecordCacheSize = 4096
@@ -840,11 +833,16 @@ func (l *Layer) NetworkOf(u addr.UAdd) (string, error) {
 	return rec.Endpoints[0].Network, nil
 }
 
+// gatewayTTL is how long the gateway topology stays cached (the paper's
+// argument: "locally cached values will likely be correct since
+// reconfiguration is infrequent").
+const gatewayTTL = 2 * time.Second
+
 // Gateways implements iplayer.Directory: the centralized topology of
 // §4.2, cached briefly.
 func (l *Layer) Gateways() ([]iplayer.GatewayInfo, error) {
 	l.mu.Lock()
-	if time.Since(l.gwFetched) < l.cfg.GatewayTTL && l.gwCache != nil {
+	if time.Since(l.gwFetched) < gatewayTTL && l.gwCache != nil {
 		cached := l.gwCache
 		l.mu.Unlock()
 		return cached, nil

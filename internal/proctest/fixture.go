@@ -42,8 +42,8 @@ worker     tcp-server machine=sun68k role=echo networks=backbone
 
 // BootInProcess realizes the topology inside the test process: each
 // entry gets its own open tcpnet instance (nothing shared in memory but
-// the loopback interface) and attaches exactly as the cmd binaries do,
-// through cli.AttachEntry. role=echo workers serve the echo protocol.
+// the loopback interface) and attaches and starts its role exactly as the
+// cmd binaries do, through cli.AttachEntry.
 func BootInProcess(tb testing.TB, topo *cli.Topology) *Deployment {
 	tb.Helper()
 	if err := AssignPorts(topo); err != nil {
@@ -62,9 +62,6 @@ func BootInProcess(tb testing.TB, topo *cli.Topology) *Deployment {
 			}
 			tb.Cleanup(func() { _ = mod.Detach() })
 			d.Mods[entry.Name] = mod
-			if entry.Role == "echo" {
-				go mod.Serve(cli.Echo)
-			}
 		}
 	}
 	return d
@@ -79,8 +76,8 @@ func BootReal(tb testing.TB, topo *cli.Topology) *Deployment {
 
 // Client attaches a fresh client module to the deployment over its own
 // tcpnet instance, learning the Name Server only from the topology's
-// well-known preload — the -ns flag-style bootstrap of a real process,
-// whichever realization is underneath.
+// well-known preload — the bootstrap of a real process, whichever
+// realization is underneath.
 func (d *Deployment) Client(tb testing.TB, name, network string, m machine.Type) *core.Module {
 	tb.Helper()
 	return d.AttachConfig(tb, core.Config{Name: name, Machine: m}, network)

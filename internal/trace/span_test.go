@@ -6,7 +6,7 @@ import (
 )
 
 func TestSpanEventsRecorded(t *testing.T) {
-	tr := New("m", 16)
+	tr := newTracer("m", 16)
 	tr.SetEnabled(true)
 	tr.Span(7, LayerALI, "send", "q")
 	tr.Span(7, LayerLCM, "send", "u1")
@@ -33,7 +33,7 @@ func TestSpanDisabledAndNil(t *testing.T) {
 	if nilT.Spans() != nil || nilT.SpansFor(1) != nil {
 		t.Error("nil tracer returned spans")
 	}
-	tr := New("m", 4)
+	tr := newTracer("m", 4)
 	tr.Span(1, LayerALI, "send", "x") // disabled: dropped
 	if len(tr.Spans()) != 0 {
 		t.Error("disabled tracer recorded a span event")
@@ -41,7 +41,7 @@ func TestSpanDisabledAndNil(t *testing.T) {
 }
 
 func TestSpanRingOverflow(t *testing.T) {
-	tr := New("m", 4)
+	tr := newTracer("m", 4)
 	tr.SetEnabled(true)
 	for i := uint32(1); i <= 6; i++ {
 		tr.Span(i, LayerLCM, "send", "")
@@ -61,7 +61,7 @@ func TestSpanRingOverflow(t *testing.T) {
 // goroutines and the chaos harness do) still unwinds the tracer's depth
 // accounting instead of leaving the tree permanently indented.
 func TestExitSurvivesPanic(t *testing.T) {
-	tr := New("m", 16)
+	tr := newTracer("m", 16)
 	tr.SetEnabled(true)
 
 	op := func() (err error) {

@@ -87,14 +87,13 @@ type Tracer struct {
 	spanCount int
 }
 
-// New creates a tracer for the named module, retaining up to capacity
-// events (default 4096). Recording starts DISABLED — §6.2 is about
-// *selectivity*, so tracing costs nothing until an observer turns it on
-// with SetEnabled(true).
-func New(module string, capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 4096
-	}
+// New creates a tracer for the named module, retaining the newest 4096
+// events. Recording starts DISABLED — §6.2 is about *selectivity*, so
+// tracing costs nothing until an observer turns it on with
+// SetEnabled(true).
+func New(module string) *Tracer { return newTracer(module, 4096) }
+
+func newTracer(module string, capacity int) *Tracer {
 	return &Tracer{
 		module:   module,
 		capacity: capacity,

@@ -22,7 +22,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 }
 
 func TestEnterExitDepth(t *testing.T) {
-	tr := New("m1", 0)
+	tr := New("m1")
 	tr.SetEnabled(true)
 	exitA := tr.Enter(LayerALI, "send", "app send", "app")
 	exitB := tr.Enter(LayerLCM, "send", "forwarding", "ali")
@@ -53,7 +53,7 @@ func TestEnterExitDepth(t *testing.T) {
 }
 
 func TestSequentialCallsShareNoDepth(t *testing.T) {
-	tr := New("m1", 0)
+	tr := New("m1")
 	tr.SetEnabled(true)
 	exit := tr.Enter(LayerLCM, "send", "", "")
 	exit(nil)
@@ -70,7 +70,7 @@ func TestSequentialCallsShareNoDepth(t *testing.T) {
 }
 
 func TestDisabledRecordsNothing(t *testing.T) {
-	tr := New("m1", 0)
+	tr := New("m1")
 	tr.SetEnabled(false)
 	exit := tr.Enter(LayerND, "open", "", "")
 	exit(nil)
@@ -86,7 +86,7 @@ func TestDisabledRecordsNothing(t *testing.T) {
 }
 
 func TestSelectiveFilter(t *testing.T) {
-	tr := New("m1", 0)
+	tr := New("m1")
 	tr.SetEnabled(true)
 	tr.SetFilter(func(l Layer, op string) bool { return l == LayerND })
 	tr.Enter(LayerALI, "send", "", "")(nil)
@@ -99,7 +99,7 @@ func TestSelectiveFilter(t *testing.T) {
 }
 
 func TestRingOverflowKeepsNewest(t *testing.T) {
-	tr := New("m1", 4)
+	tr := newTracer("m1", 4)
 	tr.SetEnabled(true)
 	for i := 0; i < 10; i++ {
 		tr.Enter(LayerND, "op", "", "")(nil)
@@ -114,7 +114,7 @@ func TestRingOverflowKeepsNewest(t *testing.T) {
 }
 
 func TestCountsAndSequence(t *testing.T) {
-	tr := New("m1", 0)
+	tr := New("m1")
 	tr.SetEnabled(true)
 	tr.Enter(LayerALI, "send", "", "")(nil)
 	tr.Enter(LayerLCM, "send", "", "")(nil)
@@ -139,7 +139,7 @@ func TestCountsAndSequence(t *testing.T) {
 }
 
 func TestTreeRendering(t *testing.T) {
-	tr := New("host-a/searcher", 0)
+	tr := New("host-a/searcher")
 	tr.SetEnabled(true)
 	exitA := tr.Enter(LayerALI, "send", "app message", "app")
 	exitB := tr.Enter(LayerNSP, "resolve", "first send to name", "ali")
@@ -169,7 +169,7 @@ func TestTreeRendering(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	tr := New("m1", 0)
+	tr := New("m1")
 	tr.SetEnabled(true)
 	tr.Enter(LayerND, "op", "", "")(nil)
 	tr.Clear()
@@ -179,7 +179,7 @@ func TestClear(t *testing.T) {
 }
 
 func TestConcurrentUse(t *testing.T) {
-	tr := New("m1", 128)
+	tr := newTracer("m1", 128)
 	tr.SetEnabled(true)
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {

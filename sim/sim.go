@@ -22,7 +22,6 @@ import (
 	"ntcs/internal/ipcs/memnet"
 	"ntcs/internal/ipcs/tcpnet"
 	"ntcs/internal/machine"
-	"ntcs/internal/nameserver"
 	"ntcs/internal/stats"
 )
 
@@ -50,7 +49,6 @@ type World struct {
 	wellKnown   addr.WellKnown
 	modules     []*core.Module
 	nameServers []*core.Module
-	nsShards    []int // shard group per nameServers entry
 	nextGW      addr.UAdd
 	nextNS      int
 	hintSeq     int
@@ -272,34 +270,17 @@ func (w *World) StartNameServerShard(h *Host, name string, shard int) (*core.Mod
 		Name: name, UAdd: uadd, Endpoints: m.Endpoints(), Shard: shard, ServerID: serverID,
 	})
 	w.nameServers = append(w.nameServers, m)
-	w.nsShards = append(w.nsShards, shard)
 	servers := append([]*core.Module(nil), w.nameServers...)
-	shards := append([]int(nil), w.nsShards...)
+	wk = w.wellKnown
 	w.mu.Unlock()
 	w.track(m)
 
 	// Wire the replicated configuration (§7: "the latter will be
-	// replicated for failure resiliency"): every server knows every
-	// other server's record (so its Nucleus can reach any peer), but
-	// writes propagate only within the shard group — the namespace
-	// partition is the point, and cross-shard replication would undo it.
-	// A client rotating to a replica after its group's primary dies sees
+	// replicated for failure resiliency") anew with every server: a
+	// client rotating to a replica after its group's primary dies sees
 	// the records registered through the primary.
-	for i, s := range servers {
-		var peers []addr.UAdd
-		for j, o := range servers {
-			if o == s {
-				continue
-			}
-			s.DB().Insert(nameserver.Record{
-				Name: o.Name(), UAdd: o.UAdd(), Endpoints: o.Endpoints(),
-				Attrs: map[string]string{"type": "nameserver"}, Alive: true,
-			})
-			if shards[i] == shards[j] {
-				peers = append(peers, o.UAdd())
-			}
-		}
-		s.SetNameServerReplicas(peers)
+	for _, s := range servers {
+		s.JoinNameServers(wk)
 	}
 	return m, nil
 }
