@@ -67,15 +67,15 @@ bench-names:
 # Poisson users query sharded URSA backends behind a gateway over real
 # tcpnet, swept to saturation, plus coordinated-omission-free
 # p50/p99/p999 at a fixed sub-saturation load. Gated behind NTCS_SCALE
-# so `make test` stays fast. BENCH_PR10.json is the earlier same-run
-# comparison of a sharded poller against one loop (ratio 1.00), kept as
-# the record of why tcpnet runs one loop.
+# so `make test` stays fast. BENCH_PR10.json is an earlier same-run
+# comparison of a sharded epoll poller against one loop (ratio 1.00),
+# from before tcpnet read each conn on its own goroutine.
 bench-serve:
 	NTCS_SCALE=1 $(GO) test ./internal/experiments -run TestBenchServe -count=1 -v -timeout 30m
 
 # serve-gate is the CI slice of the serving bench: a short open-loop
 # window must complete queries with zero corrupted replies and the
-# poller dispatching, under the race detector.
+# dispatch pool scheduling work, under the race detector.
 serve-gate:
 	$(GO) test ./internal/experiments -run TestServeGate -race -count=1 -v
 

@@ -203,13 +203,12 @@ func Attach(cfg Config) (*Module, error) {
 	// its compile/reuse totals so ntcsstat shows conversion economics.
 	m.stats.CounterFunc(stats.PackCompiles, pack.Compiles)
 	m.stats.CounterFunc(stats.PackPlanHits, pack.PlanHits)
-	// So is the substrate dispatch pool: the event-driven receive path is
-	// shared process-wide, and its health (polls, wakeups, dispatches) is
-	// the first thing to read when circuits look stalled.
+	// So is the dispatch pool behind memnet, mbx and the ND flushers: its
+	// health (polls, wakeups, dispatches) is the first thing to read when
+	// circuits look stalled.
 	m.stats.CounterFunc(stats.IPCSPollerWakeups, ipcs.PollerWakeups)
 	m.stats.CounterFunc(stats.IPCSPollerDispatches, ipcs.PollerDispatches)
 	m.stats.CounterFunc(stats.IPCSPollerPolls, ipcs.PollerPolls)
-	m.stats.CounterFunc(stats.IPCSPollerFullBatches, ipcs.PollerFullBatches)
 
 	// §3.4: a module assigns itself a TAdd initially; well-known modules
 	// carry their preassigned UAdd from birth.

@@ -24,8 +24,8 @@ import (
 // Poisson-arrival query traffic from N simulated users against sharded
 // URSA index/search/doc backends behind a gateway, over real tcpnet —
 // the first number that exercises the compiled codecs, the event-driven
-// substrate, the sharded name service, the C1M memory diet and the epoll
-// poller in one serving path.
+// substrate, the sharded name service, the C1M memory diet and tcpnet's
+// per-connection readers in one serving path.
 //
 // Open loop means arrivals are scheduled by the Poisson clock, not by
 // request completion: a slow reply delays nothing behind it, so the
@@ -73,7 +73,7 @@ type ServeResult struct {
 	P99us  int64 `json:"p99_us"`
 	P999us int64 `json:"p999_us"`
 
-	Dispatches uint64 `json:"dispatches"` // drain tasks the substrate pools scheduled
+	Dispatches uint64 `json:"dispatches"` // tasks the dispatch pools scheduled (ND flushers on tcpnet)
 }
 
 // ServeWorld is a built serving topology, reusable across measured

@@ -11,7 +11,8 @@ import (
 
 // TestServeGate is the CI-sized E-SERVE gate: a short open-loop window
 // against sharded backends must complete real queries, return zero
-// corrupted replies, and show the poller dispatching work. Runs under
+// corrupted replies, and show the dispatch pool scheduling work (on
+// tcpnet, the ND-Layer's flushers). Runs under
 // -race in tier-1.
 func TestServeGate(t *testing.T) {
 	sw, err := BuildServeWorld(ServeConfig{
@@ -42,7 +43,7 @@ func TestServeGate(t *testing.T) {
 		t.Fatalf("serve-gate: %d errors out of %d sent", res.Errors, res.Sent)
 	}
 	if res.Dispatches == 0 {
-		t.Fatal("serve-gate: the poller dispatched nothing")
+		t.Fatal("serve-gate: the dispatch pool scheduled nothing")
 	}
 	if res.P50us <= 0 || res.P99us < res.P50us {
 		t.Fatalf("serve-gate: implausible quantiles p50=%dµs p99=%dµs", res.P50us, res.P99us)
@@ -52,9 +53,9 @@ func TestServeGate(t *testing.T) {
 // TestBenchServe is `make bench-serve`: a saturation sweep of the serving
 // path plus its tail at a fixed sub-saturation load, printed as JSON.
 // Gated behind NTCS_SCALE because a real saturation sweep takes minutes.
-// BENCH_PR10.json keeps the earlier same-run comparison of a sharded
-// poller against one loop (ratio 1.00 on two cores), the record behind
-// running one loop.
+// BENCH_PR10.json keeps an earlier same-run comparison of a sharded
+// epoll poller against one loop (ratio 1.00 on two cores), from before
+// tcpnet read each conn on its own goroutine.
 func TestBenchServe(t *testing.T) {
 	if os.Getenv("NTCS_SCALE") == "" {
 		t.Skip("set NTCS_SCALE=1 to run the serving bench (see `make bench-serve`)")

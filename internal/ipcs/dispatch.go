@@ -14,11 +14,12 @@ type Task interface {
 	Run()
 }
 
-// Pool is the shared dispatcher behind every substrate's Receiver
-// contract. Workers are spawned on demand, up to a small cap, and exit
-// the moment the queue runs dry — an idle substrate holds zero goroutines,
-// which is what lets 100k idle circuits coexist with a bounded goroutine
-// count.
+// Pool is the shared dispatcher behind the simulated substrates' Receiver
+// contract (memnet, mbx) and the ND-Layer's group-commit flushers; tcpnet
+// reads each conn on its own goroutine instead. Workers are spawned on
+// demand, up to a small cap, and exit the moment the queue runs dry — an
+// idle substrate holds zero goroutines, which is what lets 100k idle
+// circuits coexist with a bounded goroutine count.
 //
 // The queue is unbounded: a callback is allowed to Send (even back into
 // the connection that invoked it), so Schedule must never block on pool
@@ -98,8 +99,7 @@ func (p *Pool) work() {
 var (
 	pollerDispatches atomic.Uint64 // tasks scheduled onto a pool
 	pollerWakeups    atomic.Uint64 // workers spawned (queue went non-empty)
-	pollerPolls      atomic.Uint64 // poll rounds (epoll_wait returns, timer fires)
-	pollerFullBatch  atomic.Uint64 // poll rounds that filled the event buffer
+	pollerPolls      atomic.Uint64 // poll rounds (memnet timer fires)
 )
 
 // PollerDispatches returns the process-wide count of scheduled tasks.
@@ -111,14 +111,10 @@ func PollerWakeups() uint64 { return pollerWakeups.Load() }
 // PollerPolls returns the process-wide count of poll rounds.
 func PollerPolls() uint64 { return pollerPolls.Load() }
 
-// CountPoll records one poll round; substrates with a real poller (tcpnet's
-// epoll loop, memnet's deferred-delivery timers) call it per wakeup.
+// CountPoll records one poll round; memnet's deferred-delivery timers
+// call it per wakeup.
 func CountPoll() { pollerPolls.Add(1) }
 
-// PollerFullBatches returns how many poll rounds came back with a full
-// event buffer — the signal that the buffer was undersized for the load
-// and has been (or is about to be) grown.
-func PollerFullBatches() uint64 { return pollerFullBatch.Load() }
-
-// CountFullBatch records one saturated poll round.
-func CountFullBatch() { pollerFullBatch.Add(1) }
+// PollerFullBatches always returns 0: no substrate has an event buffer
+// to fill any more. It stays only while the benchmark adapter reads it.
+func PollerFullBatches() uint64 { return 0 }

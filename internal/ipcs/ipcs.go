@@ -10,9 +10,11 @@
 //
 // Receiving is event-driven: a connection delivers inbound messages to a
 // registered callback (Receiver.Start) instead of exposing a blocking read.
-// Each substrate multiplexes delivery over a small shared worker pool (see
-// dispatch.go), so an idle connection costs no goroutine — the property the
-// C1M circuit-scale work depends on.
+// The simulated substrates multiplex delivery over a small shared worker
+// pool (see dispatch.go), so an idle connection costs no goroutine — the
+// property the C1M circuit-scale work depends on. tcpnet gives each
+// connection one reader goroutine parked in the Go runtime's netpoller,
+// which costs a small stack but no OS thread and no buffer while idle.
 //
 // Three implementations mirror the 1986 testbed:
 //
@@ -93,9 +95,9 @@ type Sender interface {
 //     that arrived before the close; no deliveries follow it.
 //   - Start may be called at most once per connection.
 //
-// The callback runs on a shared substrate worker; it may call Send (even
-// back into the same connection) but must not block indefinitely, or it
-// stalls a dispatcher slot.
+// The callback runs on a substrate goroutine (a shared worker, or the
+// connection's own reader on tcpnet); it may call Send (even back into the
+// same connection) but must not block indefinitely, or it stalls delivery.
 type Receiver interface {
 	// Start registers cb and begins delivery.
 	Start(cb RecvFunc)

@@ -1,6 +1,7 @@
 package tcpnet
 
 import (
+	"net"
 	"testing"
 
 	"ntcs/internal/ipcs"
@@ -88,12 +89,57 @@ func TestCarveExclusiveOwnership(t *testing.T) {
 	}
 }
 
-// TestConformanceNoEpoll runs the full IPCS contract suite with
-// NTCS_NO_EPOLL forcing the portable blocking-reader receive path, so
-// the non-Linux fallback is exercised in CI on Linux.
+// TestConformanceNoEpoll runs the full IPCS contract suite with every
+// socket's kernel buffers shrunk to tinySockBuf, so a large frame reaches
+// the reader in many partial reads and it parks between them: the carry
+// and re-park path that roomy loopback buffers rarely reach under
+// TestConformance. (The name dates from the NTCS_NO_EPOLL switch that
+// once forced a second, blocking reader; one reader is left.)
 func TestConformanceNoEpoll(t *testing.T) {
-	t.Setenv("NTCS_NO_EPOLL", "1")
 	ipcstest.Run(t, func(t *testing.T) ipcs.Network {
-		return New("tcp-noepoll")
+		return tinyBufNet{New("tcp-tinybuf")}
 	})
+}
+
+// tinySockBuf is the socket buffer size tinyBufNet asks for. Smaller
+// windows (4 KiB) slow loopback TCP to a crawl — delayed ACKs against a
+// silly-window-avoiding sender — and the 1 MiB LargeMessage case then
+// misses its 5 s bound on any receive path.
+const tinySockBuf = 16 << 10
+
+// tinyBufNet is a Net whose dialed and accepted conns get tinySockBuf
+// socket buffers.
+type tinyBufNet struct{ *Net }
+
+func (n tinyBufNet) Listen(hint string) (ipcs.Listener, error) {
+	l, err := n.Net.Listen(hint)
+	if err != nil {
+		return nil, err
+	}
+	return tinyBufListener{l}, nil
+}
+
+func (n tinyBufNet) Dial(addr string) (ipcs.Conn, error) {
+	return shrinkBufs(n.Net.Dial(addr))
+}
+
+type tinyBufListener struct{ ipcs.Listener }
+
+func (l tinyBufListener) Accept() (ipcs.Conn, error) {
+	return shrinkBufs(l.Listener.Accept())
+}
+
+func shrinkBufs(c ipcs.Conn, err error) (ipcs.Conn, error) {
+	if err != nil {
+		return c, err
+	}
+	tcp := c.(*conn).c.(*net.TCPConn)
+	if err = tcp.SetReadBuffer(tinySockBuf); err == nil {
+		err = tcp.SetWriteBuffer(tinySockBuf)
+	}
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
 }

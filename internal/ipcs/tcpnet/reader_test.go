@@ -1,10 +1,7 @@
-//go:build linux
-
 package tcpnet
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -18,11 +15,11 @@ import (
 
 // TestPollerShardConformance runs the full ipcs contract suite (including
 // the per-conn callback FIFO and serial-callback tests) as N concurrent
-// copies, each on its own Net, for N = 1 and 2. Every copy's conns
-// register with the one process-wide epoll loop and drain through its
-// one pool, so the receive contract must not depend on how many
-// independent transports share that loop. (The name dates from the
-// sharded poller, when N was the number of epoll loops.)
+// copies, each on its own Net, for N = 1 and 2. Every copy's readers
+// park in the one runtime netpoller and share the one scratch pool, so
+// the receive contract must not depend on how many independent
+// transports run at once. (The name dates from the sharded epoll
+// poller, when N was the number of epoll loops.)
 func TestPollerShardConformance(t *testing.T) {
 	for _, n := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
@@ -41,88 +38,9 @@ func TestPollerShardConformance(t *testing.T) {
 	}
 }
 
-// TestPollerCountersAdvance drives traffic through the poller and
-// asserts the process-wide ipcs.poller.* poll, dispatch and wakeup
-// counters move — the observability every module's registry surfaces.
-func TestPollerCountersAdvance(t *testing.T) {
-	if os.Getenv("NTCS_NO_EPOLL") != "" {
-		t.Skip("NTCS_NO_EPOLL: conns use the blocking reader, the poller sees no traffic")
-	}
-	polls, dispatches, wakeups := ipcs.PollerPolls(), ipcs.PollerDispatches(), ipcs.PollerWakeups()
-
-	n := New("tcp-counters")
-	l, err := n.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var accepted []ipcs.Conn
-	var amu sync.Mutex
-	go func() {
-		for {
-			c, err := l.Accept()
-			if err != nil {
-				return
-			}
-			c.Start(func([]byte, error) {})
-			amu.Lock()
-			accepted = append(accepted, c)
-			amu.Unlock()
-		}
-	}()
-
-	var got atomic.Int64
-	const conns, msgs = 8, 20
-	var cs []ipcs.Conn
-	for i := 0; i < conns; i++ {
-		c, err := n.Dial(l.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs = append(cs, c)
-		c.Start(func(msg []byte, err error) {
-			if err == nil {
-				got.Add(1)
-			}
-		})
-	}
-	defer func() {
-		for _, c := range cs {
-			c.Close()
-		}
-		amu.Lock()
-		for _, c := range accepted {
-			c.Close()
-		}
-		amu.Unlock()
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for range [msgs]struct{}{} {
-		amu.Lock()
-		for _, c := range accepted {
-			if err := c.Send([]byte("ping")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		amu.Unlock()
-	}
-	for got.Load() < int64(conns*msgs)/2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if ipcs.PollerPolls() == polls {
-		t.Error("poller polls did not advance")
-	}
-	if ipcs.PollerDispatches() == dispatches {
-		t.Error("poller dispatches did not advance")
-	}
-	if ipcs.PollerWakeups() == wakeups {
-		t.Error("poller wakeups did not advance")
-	}
-}
-
 // loopbackPair joins two started conns over loopback and returns the
 // dialed one, a; each frame the accepted side receives is signalled on
-// got, so a caller with one frame in flight never blocks the drain.
+// got, so a caller with one frame in flight never blocks the reader.
 func loopbackPair(t *testing.T) (a ipcs.Conn, got <-chan struct{}) {
 	t.Helper()
 	delivered := make(chan struct{}, 1)
@@ -163,15 +81,13 @@ func loopbackPair(t *testing.T) (a ipcs.Conn, got <-chan struct{}) {
 }
 
 // TestFrameRoundTripZeroAlloc is the frame path's allocation gate: a warm
-// loopback Send, the poller wake-up, the pool's drain and the delivery
-// allocate nothing per frame. Only arena refills remain — one 64 KiB
-// arena per thousand 64-byte frames — so the budget is 0.05 per frame.
+// loopback Send, the reader's wake-up in the netpoller, its read and the
+// delivery allocate nothing per frame. Only arena refills remain — one
+// 64 KiB arena per thousand 64-byte frames — so the budget is 0.05 per
+// frame.
 func TestFrameRoundTripZeroAlloc(t *testing.T) {
-	if os.Getenv("NTCS_NO_EPOLL") != "" {
-		t.Skip("NTCS_NO_EPOLL: the blocking reader is not the gated path")
-	}
 	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop items, so drains refill their scratch")
+		t.Skip("the race detector makes sync.Pool drop items, so reads refill their scratch")
 	}
 	a, got := loopbackPair(t)
 	msg := make([]byte, 64)
@@ -192,17 +108,14 @@ func TestFrameRoundTripZeroAlloc(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	if perFrame := float64(after.Mallocs-before.Mallocs) / frames; perFrame >= 0.05 {
-		t.Fatalf("Send + drain + delivery = %.3f allocs/frame, want < 0.05", perFrame)
+		t.Fatalf("Send + read + delivery = %.3f allocs/frame, want < 0.05", perFrame)
 	}
 }
 
-// TestPollerParksInRuntime pins where the event loop waits: once traffic
-// stops, its goroutine is parked in the runtime netpoller ("IO wait"),
-// and no goroutine holds an OS thread in syscall.EpollWait.
-func TestPollerParksInRuntime(t *testing.T) {
-	if os.Getenv("NTCS_NO_EPOLL") != "" {
-		t.Skip("NTCS_NO_EPOLL: conns use the blocking reader, no poller runs")
-	}
+// TestReaderParksInRuntime pins where an idle conn waits: once traffic
+// stops, each conn's reader goroutine is parked in the runtime netpoller
+// ("IO wait"), and no goroutine holds an OS thread in a read syscall.
+func TestReaderParksInRuntime(t *testing.T) {
 	a, got := loopbackPair(t)
 	for i := 0; i < 100; i++ {
 		if err := a.Send([]byte("ping")); err != nil {
@@ -213,13 +126,13 @@ func TestPollerParksInRuntime(t *testing.T) {
 	var dump string
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
 		dump = goroutineDump()
-		state, blocked := loopState(dump)
-		if strings.HasPrefix(state, "IO wait") && !blocked {
+		if states, inRead := readerStates(dump); len(states) == 2 && !inRead &&
+			strings.HasPrefix(states[0], "IO wait") && strings.HasPrefix(states[1], "IO wait") {
 			return
 		}
 	}
-	state, blocked := loopState(dump)
-	t.Fatalf("poller loop state %q, goroutine in syscall.EpollWait: %v\n%s", state, blocked, dump)
+	states, inRead := readerStates(dump)
+	t.Fatalf("reader states %q (want 2, both IO wait), goroutine in syscall.Read: %v\n%s", states, inRead, dump)
 }
 
 func goroutineDump() string {
@@ -227,22 +140,22 @@ func goroutineDump() string {
 	return string(buf[:runtime.Stack(buf, true)])
 }
 
-// loopState finds the poller loop's goroutine in a dump and returns its
-// wait state (the bracketed part of "goroutine N [state]:"), and whether
-// any goroutine is inside syscall.EpollWait.
-func loopState(dump string) (state string, inEpollWait bool) {
+// readerStates finds the conn readers' goroutines in a dump and returns
+// their wait states (the bracketed part of "goroutine N [state]:"), and
+// whether any goroutine is inside syscall.Read.
+func readerStates(dump string) (states []string, inRead bool) {
 	for _, g := range strings.Split(dump, "\n\n") {
-		if strings.Contains(g, "syscall.EpollWait(") {
-			inEpollWait = true
+		if strings.Contains(g, "syscall.Read(") {
+			inRead = true
 		}
-		if strings.Contains(g, "tcpnet.(*poller).loop(") {
+		if strings.Contains(g, "tcpnet.(*conn).recv(") {
 			head, _, _ := strings.Cut(g, "\n")
 			if i, j := strings.Index(head, "["), strings.Index(head, "]"); i >= 0 && j > i {
-				state = head[i+1 : j]
+				states = append(states, head[i+1:j])
 			}
 		}
 	}
-	return state, inEpollWait
+	return states, inRead
 }
 
 // TestPendShrinkAfterLargeFrame is the satellite regression test for the
@@ -291,11 +204,10 @@ func TestPendShrinkAfterLargeFrame(t *testing.T) {
 }
 
 // TestStartCloseChurnUnderTraffic churns connection Start/Close while
-// peers are mid-send — the race-test companion to the atomic poller
-// registration (an atomic pointer, not an unsynchronized bool). Run
-// under -race this exercises add/detachRecv/wakeRecv interleavings; the
-// assertion is simply that every callback terminates with the terminal
-// error exactly once.
+// peers are mid-send. Run under -race it exercises a Close landing
+// before the reader's first read, while it is parked, and while it is
+// delivering; the assertion is simply that every callback terminates
+// with the terminal error exactly once.
 func TestStartCloseChurnUnderTraffic(t *testing.T) {
 	n := New("tcp-churn")
 	l, err := n.Listen("")

@@ -2,17 +2,18 @@
 // paper's "Unix TCP communication support", realized with the Go net
 // package over loopback. Messages are framed with a four-byte length
 // prefix written by the same shift routines the header codec uses, so the
-// stream carries no host byte order.
+// stream carries no host byte order. Each connection is read by one
+// goroutine parked in the Go runtime's netpoller; its reads are
+// syscall.Read on the socket's fd, so the package builds on Unix only.
 package tcpnet
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"ntcs/internal/ipcs"
 )
@@ -87,7 +88,7 @@ func (n *Net) Dial(physAddr string) (ipcs.Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet %s: dial %q: %w (%v)", n.id, physAddr, ipcs.ErrUnreachable, err)
 	}
-	return newConn(c), nil
+	return newConn(c)
 }
 
 // Forget removes an endpoint from the logical network's address registry
@@ -115,7 +116,7 @@ func (l *listener) Accept() (ipcs.Conn, error) {
 		}
 		return nil, fmt.Errorf("tcpnet %s: accept: %w", l.net.id, err)
 	}
-	return newConn(c), nil
+	return newConn(c)
 }
 
 func (l *listener) Close() error {
@@ -128,6 +129,7 @@ func (l *listener) Close() error {
 
 type conn struct {
 	c      net.Conn
+	rc     syscall.RawConn
 	closed atomic.Bool
 
 	// Send side, guarded by sendMu. There is deliberately no bufio.Writer:
@@ -143,76 +145,89 @@ type conn struct {
 	vecs     net.Buffers
 	nb       net.Buffers
 
-	// Receive side. cb and term are touched only by the serialized
-	// receive path: either the poller's drain task (Run, at most one
-	// in flight — see connOS.pending) or the fallback blocking-reader
-	// goroutine. cb is written once in Start, before any delivery can
-	// happen. Message buffers are carved from pooled arenas (see
-	// recvArena) shared across connections, not per-conn state.
-	cb       ipcs.RecvFunc
-	termOnce sync.Once
-	term     bool // terminal delivered; stop parsing (receive path only)
-
-	// Platform receive state: on linux, the epoll registration and
-	// the partial-frame carry between drains (see poller_linux.go);
-	// empty elsewhere.
-	connOS
+	// Receive side, touched only by the conn's reader goroutine; cb is
+	// written once in Start, before the reader exists. pend carries a
+	// partial frame between reads. read is readFd bound once, so
+	// RawConn.Read is never handed a fresh closure; s, n and err are its
+	// results. s is the borrowed scratch, held only from a read to the
+	// end of its feed: a parked reader holds none.
+	cb   ipcs.RecvFunc
+	term bool // terminal delivered; stop reading
+	pend []byte
+	read func(fd uintptr) bool
+	s    *scratch
+	n    int
+	err  error
 }
 
-// recvBufSize sizes the fallback reader's buffer to swallow a full
-// vectored batch (sendQueueCap small frames) in one kernel read, so a
-// batching sender is matched by a batching receiver.
-const recvBufSize = 128 << 10
-
-func newConn(c net.Conn) *conn {
-	return &conn{c: c}
+func newConn(c net.Conn) (*conn, error) {
+	rc, err := c.(syscall.Conn).SyscallConn()
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	tc := &conn{c: c, rc: rc}
+	tc.read = tc.readFd
+	return tc, nil
 }
 
-// Start registers the receive callback. On Linux the connection joins the
-// process-wide epoll poller — an idle connection costs no goroutine;
-// elsewhere (and when epoll setup fails) a blocking reader goroutine
-// feeds the callback.
+// Start registers the receive callback and starts the conn's reader.
 func (c *conn) Start(cb ipcs.RecvFunc) {
 	c.cb = cb
-	c.startRecv()
+	go c.recv()
 }
 
-// deliverTerminal invokes the callback's terminal error exactly once.
+// deliverTerminal invokes the callback's terminal error; the reader
+// stops after it, so it runs exactly once.
 func (c *conn) deliverTerminal(err error) {
 	c.term = true
-	c.termOnce.Do(func() { c.cb(nil, err) })
+	c.cb(nil, err)
 }
 
-// startBlockingReader is the portable receive path: one goroutine doing
-// framed blocking reads. Used off-Linux, as the epoll fallback, and when
-// NTCS_NO_EPOLL forces it for testing.
-func (c *conn) startBlockingReader() {
-	r := bufio.NewReaderSize(c.c, recvBufSize)
-	go func() {
-		for {
-			var hdr [4]byte
-			if _, err := io.ReadFull(r, hdr[:]); err != nil {
-				c.deliverTerminal(fmt.Errorf("tcpnet: recv: %w (%v)", ipcs.ErrClosed, err))
-				return
+// errPeerClosed is the cause of the terminal error when the peer's FIN
+// arrives.
+var errPeerClosed = errors.New("connection closed by peer")
+
+// recv is the conn's reader: one goroutine that waits for data in the
+// Go runtime's netpoller, not in a blocked read, so an idle conn holds
+// no OS thread and no buffer. Each RawConn.Read returns after one read
+// that found data (or the FIN, or an error); the frames in it are
+// delivered inline, serially and in order, and the next Read parks only
+// after a read reports EAGAIN, so a FIN queued behind data is never
+// missed. Close needs no wake-up: it evicts the fd from the netpoller,
+// the parked Read fails, and the terminal error follows.
+func (c *conn) recv() {
+	for !c.term {
+		err := c.rc.Read(c.read)
+		if err == nil { // readFd returned true: it holds a scratch
+			s := c.s
+			c.s = nil
+			if err = c.err; err == nil && c.n == 0 {
+				err = errPeerClosed
 			}
-			n := getLen(hdr[:])
-			if n > MaxMessage {
-				c.deliverTerminal(fmt.Errorf("tcpnet: recv: frame of %d bytes exceeds limit", n))
-				return
+			if err == nil {
+				c.feed(s.buf[:c.n], &s.arena)
 			}
-			// Borrow an arena only for the carve: the ReadFull below can
-			// block indefinitely, and carved slices are exclusively owned,
-			// so the remainder may serve other connections meanwhile.
-			a := arenaPool.Get().(*recvArena)
-			msg := a.carve(int(n))
-			arenaPool.Put(a)
-			if _, err := io.ReadFull(r, msg); err != nil {
-				c.deliverTerminal(fmt.Errorf("tcpnet: recv: %w (%v)", ipcs.ErrClosed, err))
-				return
-			}
-			c.cb(msg, nil)
+			scratchPool.Put(s)
 		}
-	}()
+		if err != nil {
+			c.deliverTerminal(fmt.Errorf("tcpnet: recv: %w (%v)", ipcs.ErrClosed, err))
+		}
+	}
+}
+
+// readFd is the RawConn read callback: borrow a scratch and do one
+// non-blocking read. On EAGAIN it hands the scratch back and reports
+// false, and the runtime parks the reader until the fd is readable.
+func (c *conn) readFd(fd uintptr) bool {
+	c.s = scratchPool.Get().(*scratch)
+	c.n, c.err = syscall.Read(int(fd), c.s.buf[:])
+	if c.err == syscall.EAGAIN {
+		scratchPool.Put(c.s)
+		c.s = nil
+		return false
+	}
+	return true
 }
 
 // putLen and getLen are the length-prefix shift routines: explicit shifts,
@@ -290,23 +305,21 @@ func (c *conn) SendBatch(msgs [][]byte) error {
 	return c.writeVecs()
 }
 
-// arenaSize is one receive arena: large enough that a drain of small
+// arenaSize is one receive arena: large enough that one read of small
 // frames carves dozens of messages from a single allocation.
 const arenaSize = 64 << 10
 
 // recvArena carves per-message buffers out of one large allocation.
 // Each carved message owns its slice exclusively (capacity-clamped), so
-// arenas only amortize allocator and GC work — they never alias. Arenas
-// live in a process-wide pool shared by every connection's receive path:
-// a drain borrows one, carves from it, and returns the remainder, so a
-// million idle connections hold no arena bytes at all. Returning a
+// arenas only amortize allocator and GC work — they never alias. An
+// arena travels with a pooled scratch shared by every connection's
+// reader: a read borrows one, carves from it, and returns the remainder,
+// so a million idle connections hold no arena bytes at all. Returning a
 // partially carved arena is safe precisely because carved slices are
 // capacity-clamped — the next borrower can only touch bytes after them.
 type recvArena struct {
 	buf []byte
 }
-
-var arenaPool = sync.Pool{New: func() any { return new(recvArena) }}
 
 // carve returns an exclusively owned n-byte slice, refilling the arena
 // when it runs dry. Messages near the arena size get their own
@@ -323,12 +336,62 @@ func (a *recvArena) carve(n int) []byte {
 	return msg
 }
 
+// scratch is what one read borrows: the buffer the kernel fills and the
+// arena its frames are carved from.
+type scratch struct {
+	buf   [64 << 10]byte
+	arena recvArena
+}
+
+// scratchPool holds the scratches. They are borrowed per read rather
+// than retained per conn: only readers with data in hand hold one, so
+// the cost scales with the conns being read at once, not conn count.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// pendShrinkCap bounds the partial-frame carry buffer a conn may retain
+// between reads: one oversize frame (up to MaxMessage, 17 MiB) must not
+// pin its capacity on the conn forever after the tail is consumed.
+const pendShrinkCap = 64 << 10
+
+// feed runs the incremental frame parser over one read's bytes,
+// delivering every complete frame and carrying a partial tail to the
+// next read. a is the read's borrowed arena.
+func (c *conn) feed(data []byte, a *recvArena) {
+	if len(c.pend) > 0 {
+		c.pend = append(c.pend, data...)
+		data = c.pend
+	}
+	for len(data) >= 4 {
+		n := getLen(data)
+		if n > MaxMessage {
+			c.deliverTerminal(fmt.Errorf("tcpnet: recv: frame of %d bytes exceeds limit", n))
+			return
+		}
+		if len(data) < 4+int(n) {
+			break
+		}
+		msg := a.carve(int(n))
+		copy(msg, data[4:4+n])
+		data = data[4+n:]
+		c.cb(msg, nil)
+	}
+	switch {
+	case len(data) == 0 && cap(c.pend) > pendShrinkCap:
+		c.pend = nil // release a large frame's carry capacity
+	case len(data) == 0:
+		c.pend = c.pend[:0]
+	default:
+		// data may alias c.pend's tail; append-to-front copies forward,
+		// which is overlap-safe.
+		c.pend = append(c.pend[:0], data...)
+	}
+}
+
+// Close closes the socket. The reader, parked or mid-delivery, then
+// fails its next read and delivers the terminal error itself.
 func (c *conn) Close() error {
 	if c.closed.Swap(true) {
 		return nil
 	}
-	c.detachRecv() // deregister from the poller before the fd can be reused
-	err := c.c.Close()
-	c.wakeRecv() // the receive path delivers its terminal error
-	return err
+	return c.c.Close()
 }

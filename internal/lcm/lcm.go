@@ -128,10 +128,6 @@ type Config struct {
 	CallTimeout time.Duration
 	// InboxSize bounds undelivered inbound messages; default 256.
 	InboxSize int
-	// DisableNSFaultPatch removes the §6.3 patch from the address-fault
-	// handler, reproducing the paper's pathology (tests only; the stack
-	// tests set it on a nucleus-built layer).
-	DisableNSFaultPatch bool
 }
 
 // maxFaultDepth is the address-fault recursion bound standing in for the
@@ -184,6 +180,11 @@ type Layer struct {
 	dest    *DestCache
 
 	faultDepth atomic.Int32
+
+	// noNSFaultPatch removes the §6.3 patch from the address-fault
+	// handler, reproducing the paper's pathology. Only tests set it,
+	// before the layer carries traffic.
+	noNSFaultPatch bool
 
 	inbox chan *Delivery
 	done  chan struct{}
@@ -527,7 +528,7 @@ func (l *Layer) addressFault(target addr.UAdd) (addr.UAdd, error) {
 	exit := l.cfg.Tracer.Enter(trace.LayerLCM, "address-fault", "locate replacement for "+target.String(), "lcm")
 	defer func() { exit(nil) }()
 
-	if target.IsNameServer() && !l.cfg.DisableNSFaultPatch {
+	if target.IsNameServer() && !l.noNSFaultPatch {
 		// The patch: the one layer with a forwarding table must not ask
 		// the naming service about the naming service. Redial the
 		// well-known address instead.

@@ -26,11 +26,6 @@ type Config struct {
 	// LCM is the server's own Nucleus access (§3.1: the naming service is
 	// an application built on the Nucleus it serves).
 	LCM *lcm.Layer
-	// PingTimeout bounds the §3.5 liveness probe of a faulted module;
-	// default 300ms. Zero or negative disables probing (the old module is
-	// assumed dead, as the 1986 implementation did before the probe was
-	// added).
-	PingTimeout time.Duration
 	// AntiEntropy, when positive, runs periodic digest reconciliation
 	// with one replica peer per interval: a partitioned replica converges
 	// after heal instead of diverging forever. Zero disables (writes still
@@ -52,6 +47,9 @@ type Config struct {
 // (a cluster of modules attaching together) fold into one replica round
 // instead of one per record.
 const replFlushWindow = 2 * time.Millisecond
+
+// pingTimeout bounds the §3.5 liveness probe of a faulted module.
+const pingTimeout = 300 * time.Millisecond
 
 // replMaxBatch bounds one replication round.
 const replMaxBatch = 128
@@ -92,9 +90,6 @@ type Server struct {
 func NewServer(cfg Config) (*Server, error) {
 	if cfg.DB == nil || cfg.LCM == nil {
 		return nil, fmt.Errorf("nameserver: DB and LCM are required")
-	}
-	if cfg.PingTimeout == 0 {
-		cfg.PingTimeout = 300 * time.Millisecond
 	}
 	// Compile the name-protocol plans before the first request arrives.
 	if err := pack.Precompile(nsp.Request{}, nsp.Response{}, nsp.RecordRec{}, nsp.EndpointRec{}, nsp.DigestRec{}); err != nil {
@@ -292,15 +287,12 @@ func (s *Server) register(req nsp.Request) nsp.Response {
 // whenever a gateway hiccups, so the answer is "still alive" and the
 // caller reconnects when the path returns.
 func (s *Server) forward(old addr.UAdd) nsp.Response {
-	var probe func(Record) bool
-	if s.cfg.PingTimeout > 0 {
-		probe = func(rec Record) bool {
-			err := s.cfg.LCM.Ping(rec.UAdd, s.cfg.PingTimeout)
-			if err == nil {
-				return true
-			}
-			return !conclusivelyDead(err, rec.UAdd)
+	probe := func(rec Record) bool {
+		err := s.cfg.LCM.Ping(rec.UAdd, pingTimeout)
+		if err == nil {
+			return true
 		}
+		return !conclusivelyDead(err, rec.UAdd)
 	}
 	newU, err := s.cfg.DB.Forward(old, probe)
 	switch {

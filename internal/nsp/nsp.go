@@ -704,23 +704,8 @@ func (l *Layer) Deregister(u addr.UAdd) error {
 
 // Resolve maps a logical name to the UAdd of its newest alive module.
 func (l *Layer) Resolve(name string) (addr.UAdd, error) {
-	if rec, ok := l.cachedByName(name); ok {
-		return rec.UAdd, nil
-	}
-	resp, err := l.call(Request{Op: OpResolve, Name: name})
-	if err != nil {
-		return addr.Nil, err
-	}
-	if resp.Code == CodeNotFound {
-		return addr.Nil, fmt.Errorf("%w: name %q", ErrNotFound, name)
-	}
-	if resp.Code != CodeOK {
-		return addr.Nil, fmt.Errorf("nsp: resolve %q: %s (%s)", name, resp.Code, resp.Detail)
-	}
-	if len(resp.Records) > 0 {
-		l.cacheStore(fromRec(resp.Records[0]))
-	}
-	return addr.UAdd(resp.UAdd), nil
+	rec, err := l.ResolveRecordContext(context.Background(), name)
+	return rec.UAdd, err
 }
 
 // ResolveRecord is Resolve returning the full record, so the caller can

@@ -55,9 +55,6 @@ type Config struct {
 	Errors *errlog.Table
 	// Stats receives every layer's instruments; nil disables metering.
 	Stats *stats.Registry
-	// OnTAddReplaced, if non-nil, is told about §3.4 replacements after
-	// the internal tables have been rewritten.
-	OnTAddReplaced func(old, real addr.UAdd)
 	// Timeouts; zero values select layer defaults.
 	CallTimeout time.Duration
 	OpenTimeout time.Duration
@@ -111,9 +108,6 @@ func New(cfg Config) (*Nucleus, error) {
 	taddReplaced := func(old, real addr.UAdd) {
 		<-n.ready
 		n.LCM.ReplaceAddr(old, real)
-		if cfg.OnTAddReplaced != nil {
-			cfg.OnTAddReplaced(old, real)
-		}
 	}
 
 	for _, net := range cfg.Networks {

@@ -520,12 +520,13 @@ const (
 	NDNacks = "nd.nacks"
 
 	// IPCS shared dispatcher (process-global; surfaced per module via
-	// CounterFunc): poller wakeups, callback tasks dispatched, and poll
-	// batches taken from the OS.
+	// CounterFunc): pool worker wakeups, tasks dispatched, and memnet
+	// timer rounds.
 	IPCSPollerWakeups    = "ipcs.poller.wakeups"
 	IPCSPollerDispatches = "ipcs.poller.dispatches"
 	IPCSPollerPolls      = "ipcs.poller.polls"
-	// Poll rounds whose event buffer came back full (the buffer then
-	// grows adaptively; a climbing counter means sustained saturation).
+	// IPCSPollerFullBatches names a counter no module registers any
+	// more (no substrate has an event buffer to fill); it stays only
+	// while the benchmark adapter reads it.
 	IPCSPollerFullBatches = "ipcs.poller.full_batches"
 )
