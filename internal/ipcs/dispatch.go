@@ -14,12 +14,12 @@ type Task interface {
 	Run()
 }
 
-// Pool is the shared dispatcher behind the simulated substrates' Receiver
-// contract (memnet, mbx) and the ND-Layer's group-commit flushers; tcpnet
-// reads each conn on its own goroutine instead. Workers are spawned on
-// demand, up to a small cap, and exit the moment the queue runs dry — an
-// idle substrate holds zero goroutines, which is what lets 100k idle
-// circuits coexist with a bounded goroutine count.
+// Pool is the dispatcher behind memnet's Receiver contract (mbx's
+// mailboxes are memnet pipes) and the ND-Layer's group-commit flushers;
+// tcpnet reads each conn on its own goroutine instead. Workers are
+// spawned on demand, up to a small cap, and exit the moment the queue
+// runs dry — an idle substrate holds zero goroutines, which is what lets
+// 100k idle circuits coexist with a bounded goroutine count.
 //
 // The queue is unbounded: a callback is allowed to Send (even back into
 // the connection that invoked it), so Schedule must never block on pool

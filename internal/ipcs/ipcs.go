@@ -23,7 +23,8 @@
 //     examples);
 //   - tcpnet: real TCP over loopback, the paper's "Unix TCP" port;
 //   - mbx: Apollo DOMAIN MBX-style named mailboxes, the paper's second
-//     port, with pathname addressing and bounded mailbox queues.
+//     port: pathname addressing and bounded mailbox queues, a veneer
+//     over a private memnet network.
 package ipcs
 
 import "errors"

@@ -9,6 +9,12 @@
 // and a client "open" is a rendezvous with the serving process rather than
 // a transport handshake. Porting the NTCS across this difference is the
 // paper's portability claim (E-PORT).
+//
+// The queues are memnet's: a Registry is a pathname veneer over a private
+// memnet network whose per-direction queue bound is the mailbox capacity.
+// memnet already rejects a send into a full direction, drains a closed
+// channel before its terminal error, and hands a dial to Accept, so only
+// addressing and the mailbox lifecycle live here.
 package mbx
 
 import (
@@ -17,6 +23,7 @@ import (
 	"sync"
 
 	"ntcs/internal/ipcs"
+	"ntcs/internal/ipcs/memnet"
 )
 
 // DefaultCapacity is the per-channel mailbox depth when Options.Capacity
@@ -33,14 +40,12 @@ type Options struct {
 // Registry is one MBX namespace on one logical network: the set of server
 // mailboxes visible under a pathname root. It implements ipcs.Network.
 type Registry struct {
-	id   string
-	opts Options
-	pool *ipcs.Pool // shared dispatcher for every channel's callbacks
+	id  string
+	net *memnet.Net // the mailbox queues; endpoint names are the pathnames
 
 	mu     sync.Mutex
-	boxes  map[string]*serverBox
+	boxes  map[string]*mailbox
 	nextEP int
-	down   bool
 }
 
 var _ ipcs.Network = (*Registry)(nil)
@@ -50,7 +55,11 @@ func New(id string, opts Options) *Registry {
 	if opts.Capacity <= 0 {
 		opts.Capacity = DefaultCapacity
 	}
-	return &Registry{id: id, opts: opts, pool: ipcs.NewPool(0), boxes: make(map[string]*serverBox)}
+	return &Registry{
+		id:    id,
+		net:   memnet.New(id, memnet.Options{QueueLen: opts.Capacity}),
+		boxes: make(map[string]*mailbox),
+	}
 }
 
 // ID returns the logical network identifier.
@@ -61,9 +70,6 @@ func (r *Registry) ID() string { return r.id }
 func (r *Registry) Listen(hint string) (ipcs.Listener, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.down {
-		return nil, fmt.Errorf("mbx %s: %w", r.id, ipcs.ErrNetworkDown)
-	}
 	path := hint
 	if path == "" {
 		r.nextEP++
@@ -72,41 +78,22 @@ func (r *Registry) Listen(hint string) (ipcs.Listener, error) {
 	if !strings.HasPrefix(path, "/") {
 		return nil, fmt.Errorf("mbx %s: mailbox pathname %q must be absolute", r.id, path)
 	}
-	if _, exists := r.boxes[path]; exists {
-		return nil, fmt.Errorf("mbx %s: mailbox %q already exists", r.id, path)
+	l, err := r.net.Listen(path)
+	if err != nil {
+		return nil, fmt.Errorf("mbx %s: %w", r.id, err)
 	}
-	b := &serverBox{
-		reg:     r,
-		path:    path,
-		pending: make(chan *channel, 16),
-		closed:  make(chan struct{}),
-	}
+	b := &mailbox{Listener: l, reg: r}
 	r.boxes[path] = b
 	return b, nil
 }
 
 // Dial opens a client channel to a server mailbox by pathname.
 func (r *Registry) Dial(physAddr string) (ipcs.Conn, error) {
-	r.mu.Lock()
-	if r.down {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("mbx %s: %w", r.id, ipcs.ErrNetworkDown)
+	c, err := r.net.Dial(physAddr)
+	if err != nil {
+		return nil, fmt.Errorf("mbx %s: open %q: %w", r.id, physAddr, err)
 	}
-	b, ok := r.boxes[physAddr]
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("mbx %s: open %q: %w", r.id, physAddr, ipcs.ErrNoSuchEndpoint)
-	}
-	ch := &channel{
-		toServer: newBox(r),
-		toClient: newBox(r),
-	}
-	select {
-	case b.pending <- ch:
-	case <-b.closed:
-		return nil, fmt.Errorf("mbx %s: open %q: %w", r.id, physAddr, ipcs.ErrClosed)
-	}
-	return &end{ch: ch, send: ch.toServer, recv: ch.toClient}, nil
+	return c, nil
 }
 
 // Remove deletes a mailbox and severs its channels (module death).
@@ -119,212 +106,34 @@ func (r *Registry) Remove(path string) {
 	}
 }
 
-// SetDown fails or restores the whole namespace.
+// SetDown fails or restores the whole namespace. Going down destroys
+// every mailbox, so a restored namespace starts empty.
 func (r *Registry) SetDown(down bool) {
+	r.net.SetDown(down)
+	if !down {
+		return
+	}
 	r.mu.Lock()
-	r.down = down
-	var boxes []*serverBox
-	for _, b := range r.boxes {
-		boxes = append(boxes, b)
-	}
-	if down {
-		r.boxes = make(map[string]*serverBox)
-	}
+	boxes := r.boxes
+	r.boxes = make(map[string]*mailbox)
 	r.mu.Unlock()
-	if down {
-		for _, b := range boxes {
-			_ = b.Close()
-		}
+	for _, b := range boxes {
+		_ = b.Close()
 	}
 }
 
-type serverBox struct {
-	reg     *Registry
-	path    string
-	pending chan *channel
-
-	mu       sync.Mutex
-	channels []*channel
-	closed   chan struct{}
-	isClosed bool
+// mailbox is a server mailbox: memnet's listener, unregistered from the
+// pathname table when it closes.
+type mailbox struct {
+	ipcs.Listener
+	reg *Registry
 }
 
-func (b *serverBox) Addr() string { return b.path }
-
-func (b *serverBox) Accept() (ipcs.Conn, error) {
-	select {
-	case ch := <-b.pending:
-		b.mu.Lock()
-		b.channels = append(b.channels, ch)
-		b.mu.Unlock()
-		return &end{ch: ch, send: ch.toClient, recv: ch.toServer}, nil
-	case <-b.closed:
-		return nil, fmt.Errorf("mbx %s: accept on %q: %w", b.reg.id, b.path, ipcs.ErrClosed)
-	}
-}
-
-func (b *serverBox) Close() error {
-	b.mu.Lock()
-	if b.isClosed {
-		b.mu.Unlock()
-		return nil
-	}
-	b.isClosed = true
-	close(b.closed)
-	chans := b.channels
-	b.channels = nil
-	b.mu.Unlock()
-
+func (b *mailbox) Close() error {
 	b.reg.mu.Lock()
-	if b.reg.boxes[b.path] == b {
-		delete(b.reg.boxes, b.path)
+	if b.reg.boxes[b.Addr()] == b {
+		delete(b.reg.boxes, b.Addr())
 	}
 	b.reg.mu.Unlock()
-
-	for _, ch := range chans {
-		ch.close()
-	}
-	for {
-		select {
-		case ch := <-b.pending:
-			ch.close()
-		default:
-			return nil
-		}
-	}
-}
-
-// channel is the bidirectional rendezvous an MBX open creates.
-type channel struct {
-	toServer *box
-	toClient *box
-
-	closeOnce sync.Once
-}
-
-func (ch *channel) close() {
-	ch.closeOnce.Do(func() {
-		ch.toServer.close()
-		ch.toClient.close()
-	})
-}
-
-// box is one mailbox direction: a bounded queue drained through the
-// registry's shared dispatch pool. Queued messages survive close and are
-// delivered before the terminal error, as the Apollo mailbox drained.
-type box struct {
-	reg *Registry
-
-	mu            sync.Mutex
-	items         [][]byte
-	closed        bool
-	cb            ipcs.RecvFunc
-	dispatching   bool
-	termDelivered bool
-}
-
-func newBox(r *Registry) *box { return &box{reg: r} }
-
-func (b *box) write(msg []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed {
-		return fmt.Errorf("mbx: send: %w", ipcs.ErrClosed)
-	}
-	if len(b.items) >= b.reg.opts.Capacity {
-		// Mailbox full: Apollo MBX reports this to the sender rather than
-		// blocking forever.
-		return fmt.Errorf("mbx: send: %w", ipcs.ErrMailboxFull)
-	}
-	cp := make([]byte, len(msg))
-	copy(cp, msg)
-	b.items = append(b.items, cp)
-	b.maybeScheduleLocked()
-	return nil
-}
-
-func (b *box) start(cb ipcs.RecvFunc) {
-	b.mu.Lock()
-	b.cb = cb
-	b.maybeScheduleLocked()
-	b.mu.Unlock()
-}
-
-func (b *box) close() {
-	b.mu.Lock()
-	b.closed = true
-	b.maybeScheduleLocked()
-	b.mu.Unlock()
-}
-
-// maybeScheduleLocked queues a drain if there is deliverable work and no
-// drain in flight. Caller holds b.mu.
-func (b *box) maybeScheduleLocked() {
-	if b.cb == nil || b.dispatching {
-		return
-	}
-	if len(b.items) == 0 && (!b.closed || b.termDelivered) {
-		return
-	}
-	b.dispatching = true
-	b.reg.pool.Schedule(b)
-}
-
-// Run drains the box through the callback (the box's ipcs.Task). At most
-// one Run is in flight per box, so delivery is serial and FIFO.
-func (b *box) Run() {
-	for {
-		b.mu.Lock()
-		if len(b.items) == 0 {
-			if b.closed && !b.termDelivered {
-				b.termDelivered = true
-				b.dispatching = false
-				cb := b.cb
-				b.mu.Unlock()
-				cb(nil, fmt.Errorf("mbx: recv: %w", ipcs.ErrClosed))
-				return
-			}
-			b.dispatching = false
-			b.mu.Unlock()
-			return
-		}
-		msg := b.items[0]
-		b.items[0] = nil
-		b.items = b.items[1:]
-		if len(b.items) == 0 {
-			b.items = nil
-		}
-		cb := b.cb
-		b.mu.Unlock()
-		cb(msg, nil)
-	}
-}
-
-// end is one side's view of a channel.
-type end struct {
-	ch   *channel
-	send *box
-	recv *box
-}
-
-func (e *end) Send(msg []byte) error { return e.send.write(msg) }
-
-// SendBatch on MBX has no native coalescing to exploit — each message is
-// its own mailbox deposit — so it is the straightforward loop: stop at the
-// first failure (full mailbox or severed channel), leaving the prefix
-// already queued for the receiver.
-func (e *end) SendBatch(msgs [][]byte) error {
-	for _, m := range msgs {
-		if err := e.Send(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *end) Start(cb ipcs.RecvFunc) { e.recv.start(cb) }
-
-func (e *end) Close() error {
-	e.ch.close()
-	return nil
+	return b.Listener.Close()
 }

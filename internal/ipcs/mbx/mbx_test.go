@@ -64,6 +64,39 @@ func TestMailboxFullPushback(t *testing.T) {
 	}
 }
 
+func TestMailboxCapacityPerDirection(t *testing.T) {
+	// Capacity bounds each direction of a channel on its own: filling the
+	// client's outbound mailbox leaves the server's full allowance.
+	r := New("node7", Options{Capacity: 2})
+	l, err := r.Listen("/svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	c, err := r.Dial("/svc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Neither side calls Start, so nothing is ever read.
+	for i := 0; i < 2; i++ {
+		if err := c.Send([]byte("c")); err != nil {
+			t.Fatalf("client send %d: %v", i, err)
+		}
+	}
+	if err := c.Send([]byte("c")); !errors.Is(err, ipcs.ErrMailboxFull) {
+		t.Errorf("client send 2 = %v, want ErrMailboxFull", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := server.Send([]byte("s")); err != nil {
+			t.Errorf("server send %d with the client direction full: %v", i, err)
+		}
+	}
+}
+
 func TestRemoveSeversChannels(t *testing.T) {
 	r := New("node7", Options{})
 	l, err := r.Listen("/svc")

@@ -439,34 +439,11 @@ func (p *pipe) setHeld(held bool) {
 	p.mu.Unlock()
 }
 
-func (p *pipe) write(data []byte) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return fmt.Errorf("memnet %s: send: %w", p.net.id, ipcs.ErrClosed)
-	}
-	if p.dropLocked() {
-		return nil // silent loss
-	}
-	at := time.Now().UnixNano() + int64(p.delayLocked())
-	if len(p.items) >= p.net.opts.QueueLen {
-		return fmt.Errorf("memnet %s: send: %w", p.net.id, ipcs.ErrMailboxFull)
-	}
-	if at < p.lastAtNs {
-		at = p.lastAtNs // jitter must not reorder
-	}
-	p.lastAtNs = at
-	msg := make([]byte, len(data))
-	copy(msg, data)
-	p.items = append(p.items, item{data: msg, at: at})
-	p.maybeScheduleLocked()
-	return nil
-}
-
 // writeBatch deposits a run of messages under one lock acquisition and
-// one wakeup — the memnet analogue of a vectored write. Per-message loss,
-// overflow, and delay behave exactly as a loop of write calls would; a
-// failed element leaves the preceding prefix queued.
+// one wakeup — the memnet analogue of a vectored write. Each message is
+// decided in turn (loss, then delay, then overflow), so seeded loss and
+// jitter draw the same RNG sequence whatever the batching; a failed
+// element leaves the preceding prefix queued.
 func (p *pipe) writeBatch(msgs [][]byte) error {
 	if len(msgs) == 0 {
 		return nil
@@ -516,7 +493,8 @@ type conn struct {
 	remote string
 }
 
-func (c *conn) Send(msg []byte) error         { return c.send.write(msg) }
+// Send is a batch of one; the slice literal does not escape.
+func (c *conn) Send(msg []byte) error         { return c.send.writeBatch([][]byte{msg}) }
 func (c *conn) SendBatch(msgs [][]byte) error { return c.send.writeBatch(msgs) }
 func (c *conn) Start(cb ipcs.RecvFunc)        { c.recv.start(cb) }
 

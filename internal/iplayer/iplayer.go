@@ -161,17 +161,15 @@ type Layer struct {
 	nextCID atomic.Uint32
 	closed  atomic.Bool
 
-	// relayTab mirrors the relay table for the data path: relayWord →
-	// relayDest, consulted on every relayed frame so the hot forwarding
-	// loop never touches (or holds) the layer mutex. The map under mu
-	// below stays authoritative for installs and sweeps; every mutation
-	// updates both.
+	// relayTab is the relay table: relayWord → relayDest, one entry per
+	// direction. The data path reads it on every relayed frame without
+	// touching (or holding) the layer mutex; installs and removals of a
+	// direction pair serialize on mu so both halves change together.
 	relayTab wordmap.Map[relayDest]
 
 	mu         sync.Mutex
 	dir        Directory
 	pending    map[uint32]*pendingOpen // by local (outbound) circuit id
-	relay      map[*ndlayer.LVC]map[uint32]relayDest
 	routeCache map[string][]hop
 
 	// Instruments, resolved once at construction; nil pointers no-op.
@@ -202,7 +200,6 @@ func New(cfg Config) (*Layer, error) {
 		failoverRetry: failover,
 		bindings:      make(map[string]*ndlayer.Binding, len(cfg.Bindings)),
 		pending:       make(map[uint32]*pendingOpen),
-		relay:         make(map[*ndlayer.LVC]map[uint32]relayDest),
 		routeCache:    make(map[string][]hop),
 
 		relays:      cfg.Stats.Counter(stats.IPRelays),
@@ -277,7 +274,7 @@ func (l *Layer) send(ctx context.Context, dst addr.UAdd, h wire.Header, payload 
 		// and must be reused, or every stalled send would pay a fresh
 		// (chained) establishment just to hit the same full window.
 		if !errors.Is(err, ndlayer.ErrBackpressure) {
-			l.dropIVC(dst, ivc)
+			l.forgetIVC(uint64(dst), ivc) // the next send re-establishes
 		}
 		return err
 	}
@@ -656,11 +653,16 @@ func (l *Layer) forgetPending(cid uint32) {
 	delete(l.pending, cid)
 }
 
-// dropIVC forgets a failed circuit so the next send re-establishes.
-func (l *Layer) dropIVC(dst addr.UAdd, ivc *IVC) {
-	if l.ivcs.CompareAndDelete(uint64(dst), ivc) {
-		l.ivcsOpen.Add(-1)
+// forgetIVC deletes ivc under key k only if it is still the circuit
+// stored there: a sweep working from a Range snapshot must not delete the
+// fresh circuit that a failed send's drop plus OpenContext put in its place.
+// The open-circuit gauge moves only when this call deleted.
+func (l *Layer) forgetIVC(k uint64, ivc *IVC) bool {
+	if !l.ivcs.CompareAndDelete(k, ivc) {
+		return false
 	}
+	l.ivcsOpen.Add(-1)
+	return true
 }
 
 // DropCircuits forgets every IVC whose destination is dst (after an
@@ -929,9 +931,9 @@ func (l *Layer) handleIVCClose(in ndlayer.Inbound) {
 	closedAsOriginator := false
 	l.ivcs.Range(func(k uint64, ivc *IVC) bool {
 		if ivc.id == cid && ivc.first == in.Via {
-			l.ivcs.Delete(k)
-			l.ivcsOpen.Add(-1)
-			l.cfg.Errors.Report(errlog.CodeIVCTorn, "ip", "circuit %d to %v closed by network", cid, addr.UAdd(k))
+			if l.forgetIVC(k, ivc) {
+				l.cfg.Errors.Report(errlog.CodeIVCTorn, "ip", "circuit %d to %v closed by network", cid, addr.UAdd(k))
+			}
 			closedAsOriginator = true
 			return false
 		}
@@ -943,11 +945,7 @@ func (l *Layer) handleIVCClose(in ndlayer.Inbound) {
 		l.InvalidateRoutes()
 		return
 	}
-	l.mu.Lock()
-	dest, isRelay := l.relay[in.Via][cid]
-	l.mu.Unlock()
-	if isRelay {
-		l.removeRelay(in.Via, cid)
+	if dest, ok := l.removeRelay(in.Via, cid); ok {
 		l.sendClose(dest.lvc, dest.cid)
 	}
 }
@@ -960,11 +958,8 @@ func (l *Layer) HandleCircuitDown(peer addr.UAdd, v *ndlayer.LVC, cause error) {
 	chained := false
 	l.ivcs.Range(func(k uint64, ivc *IVC) bool {
 		if ivc.first == v {
-			l.ivcs.Delete(k)
-			l.ivcsOpen.Add(-1)
-			if !ivc.direct {
-				chained = true
-			}
+			l.forgetIVC(k, ivc)
+			chained = chained || !ivc.direct
 		}
 		return true
 	})
@@ -973,19 +968,18 @@ func (l *Layer) HandleCircuitDown(peer addr.UAdd, v *ndlayer.LVC, cause error) {
 		// cached route leads through is unreachable; recompute next time.
 		l.InvalidateRoutes()
 	}
-	l.mu.Lock()
-	entries := l.relay[v]
-	delete(l.relay, v)
-	for cid := range entries {
-		l.relayTab.Delete(relayWord(v, cid))
-	}
-	l.mu.Unlock()
-
-	for cid, dest := range entries {
-		l.cfg.Errors.Report(errlog.CodeIVCTorn, "ip", "LVC to %v died (%v); closing circuit %d", peer, cause, cid)
-		l.removeRelay(dest.lvc, dest.cid)
-		l.sendClose(dest.lvc, dest.cid)
-	}
+	// Every relay entry whose frames arrive on v (the high word of its
+	// key) loses its pair and closes toward the other side.
+	l.relayTab.Range(func(k uint64, _ relayDest) bool {
+		if k>>32 != v.ID() {
+			return true
+		}
+		if dest, ok := l.removeRelay(v, uint32(k)); ok {
+			l.cfg.Errors.Report(errlog.CodeIVCTorn, "ip", "LVC to %v died (%v); closing circuit %d", peer, cause, uint32(k))
+			l.sendClose(dest.lvc, dest.cid)
+		}
+		return true
+	})
 }
 
 func (l *Layer) sendClose(via *ndlayer.LVC, cid uint32) {
@@ -1000,36 +994,21 @@ func (l *Layer) sendClose(via *ndlayer.LVC, cid uint32) {
 
 // installRelayLocked wires both directions of a relay entry. Caller holds mu.
 func (l *Layer) installRelayLocked(inLVC *ndlayer.LVC, inCID uint32, outLVC *ndlayer.LVC, outCID uint32) {
-	if l.relay[inLVC] == nil {
-		l.relay[inLVC] = make(map[uint32]relayDest)
-	}
-	if l.relay[outLVC] == nil {
-		l.relay[outLVC] = make(map[uint32]relayDest)
-	}
-	l.relay[inLVC][inCID] = relayDest{lvc: outLVC, cid: outCID}
-	l.relay[outLVC][outCID] = relayDest{lvc: inLVC, cid: inCID}
 	l.relayTab.Store(relayWord(inLVC, inCID), relayDest{lvc: outLVC, cid: outCID})
 	l.relayTab.Store(relayWord(outLVC, outCID), relayDest{lvc: inLVC, cid: inCID})
 }
 
-// removeRelay deletes one direction pair of relay state, from both the
-// authoritative map and the lock-free mirror.
-func (l *Layer) removeRelay(via *ndlayer.LVC, cid uint32) {
+// removeRelay deletes the relay entry for frames arriving on via with
+// cid, and its reverse direction. It returns the other side, if the entry
+// was still installed.
+func (l *Layer) removeRelay(via *ndlayer.LVC, cid uint32) (relayDest, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// The mirror entry goes even when the map side was already swept (a
-	// HandleCircuitDown bulk delete reaches here with only the reverse
-	// direction still in the map).
-	l.relayTab.Delete(relayWord(via, cid))
-	dest, ok := l.relay[via][cid]
-	if !ok {
-		return
+	dest, ok := l.relayTab.LoadAndDelete(relayWord(via, cid))
+	if ok {
+		l.relayTab.Delete(relayWord(dest.lvc, dest.cid))
 	}
-	delete(l.relay[via], cid)
-	l.relayTab.Delete(relayWord(dest.lvc, dest.cid))
-	if m := l.relay[dest.lvc]; m != nil {
-		delete(m, dest.cid)
-	}
+	return dest, ok
 }
 
 // tearDownRelay closes a broken relayed circuit back toward its source.
@@ -1040,15 +1019,7 @@ func (l *Layer) tearDownRelay(via *ndlayer.LVC, cid uint32, reason string) {
 }
 
 // RelayCount reports live relay entries (both directions), for tests.
-func (l *Layer) RelayCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := 0
-	for _, m := range l.relay {
-		n += len(m)
-	}
-	return n
-}
+func (l *Layer) RelayCount() int { return l.relayTab.Len() }
 
 // OpenCircuits reports the destinations with established IVCs.
 func (l *Layer) OpenCircuits() []addr.UAdd {
@@ -1071,14 +1042,12 @@ func (l *Layer) InvalidateRoutes() {
 // closed separately.
 func (l *Layer) Close() {
 	l.closed.Store(true)
-	l.ivcs.Range(func(k uint64, _ *IVC) bool {
-		l.ivcs.Delete(k)
-		l.ivcsOpen.Add(-1)
+	l.ivcs.Range(func(k uint64, ivc *IVC) bool {
+		l.forgetIVC(k, ivc)
 		return true
 	})
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.relay = make(map[*ndlayer.LVC]map[uint32]relayDest)
 	l.relayTab.Range(func(k uint64, _ relayDest) bool {
 		l.relayTab.Delete(k)
 		return true

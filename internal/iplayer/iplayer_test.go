@@ -14,6 +14,7 @@ import (
 	"ntcs/internal/ipcs/memnet"
 	"ntcs/internal/machine"
 	"ntcs/internal/ndlayer"
+	"ntcs/internal/stats"
 	"ntcs/internal/wire"
 )
 
@@ -59,6 +60,7 @@ type node struct {
 	bindings []*ndlayer.Binding
 	inbound  chan ndlayer.Inbound
 	errs     *errlog.Table
+	stats    *stats.Registry
 }
 
 func newNode(t *testing.T, name string, u addr.UAdd, relay bool, dir Directory, wkGws []GatewayInfo, nets ...ipcs.Network) *node {
@@ -68,6 +70,7 @@ func newNode(t *testing.T, name string, u addr.UAdd, relay bool, dir Directory, 
 		cache:   addr.NewEndpointCache(),
 		inbound: make(chan ndlayer.Inbound, 256),
 		errs:    errlog.NewTable(name, 0),
+		stats:   stats.New(name),
 	}
 	// The layer is created after the bindings, but bindings need to deliver
 	// into it; route through the node pointer.
@@ -97,6 +100,7 @@ func newNode(t *testing.T, name string, u addr.UAdd, relay bool, dir Directory, 
 		Deliver:           func(in ndlayer.Inbound) { n.inbound <- in },
 		RelayEnabled:      relay,
 		Errors:            n.errs,
+		Stats:             n.stats,
 		OpenTimeout:       2 * time.Second,
 	})
 	if err != nil {
@@ -114,6 +118,16 @@ func (n *node) close() {
 	n.layer.Close()
 	for _, b := range n.bindings {
 		b.Close()
+	}
+}
+
+// checkCircuitGauge asserts the open-circuit gauge agrees with the
+// circuits the layer actually holds: a sweep that deletes a circuit it no
+// longer owns would decrement it twice.
+func (n *node) checkCircuitGauge(t *testing.T) {
+	t.Helper()
+	if got, want := n.stats.Gauge(stats.IPCircuitsOpen).Load(), int64(len(n.layer.OpenCircuits())); got != want {
+		t.Errorf("%s: %s gauge = %d, open circuits = %d", n.id.name, stats.IPCircuitsOpen, got, want)
 	}
 }
 
@@ -359,6 +373,7 @@ func TestDestinationDeathPropagatesCloseToOriginator(t *testing.T) {
 	if a.errs.Count(errlog.CodeIVCTorn) == 0 {
 		t.Error("teardown not recorded at originator")
 	}
+	a.checkCircuitGauge(t)
 }
 
 func TestNonGatewayRejectsIVCOpen(t *testing.T) {
@@ -552,6 +567,7 @@ func TestRelayTeardownUnderTraffic(t *testing.T) {
 	if got := g.layer.RelayCount(); got != 0 {
 		t.Errorf("relay entries remain after teardown under traffic: %d", got)
 	}
+	a.checkCircuitGauge(t)
 }
 
 func TestCutThroughPreservesFrame(t *testing.T) {
