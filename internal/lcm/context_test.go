@@ -120,7 +120,7 @@ func TestRemoteErrorStructured(t *testing.T) {
 				return
 			}
 			if d.IsCall() {
-				_ = b.nuc.LCM.ReplyError(d, "no such operation")
+				_ = b.nuc.LCM.ReplyError(&d, "no such operation")
 			}
 		}
 	}()

@@ -134,13 +134,34 @@ type Config struct {
 // 1986 stack (the paper observed genuine stack overflows).
 const maxFaultDepth = 8
 
-// Delivery is one message handed to the module: the unit of Recv.
+// Delivery is one message handed to the module: the unit of Recv, and the
+// reply a call returns. Both come back by value, so a Delivery belongs to
+// whoever holds it; the inbox's own cells never leave this package.
 type Delivery struct {
 	Header  wire.Header
 	Payload []byte
 
-	layer *Layer
-	via   *ndlayer.LVC
+	via *ndlayer.LVC
+}
+
+// cellPool recycles the inbox's cells. HandleInbound fills one per queued
+// message and Recv copies it out and returns it here, as do the inbox's
+// closed and overflow paths, so no caller ever holds a cell. A by-value
+// inbox channel would need no pool but costs InboxSize cells per layer up
+// front.
+var cellPool = sync.Pool{New: func() any { return new(Delivery) }}
+
+// recycle clears a cell, so the pool pins no frame, and returns it.
+func recycle(c *Delivery) {
+	*c = Delivery{}
+	cellPool.Put(c)
+}
+
+// take copies a queued message out of its cell and recycles the cell.
+func take(c *Delivery) Delivery {
+	d := *c
+	recycle(c)
+	return d
 }
 
 // Src returns the sender's UAdd (a local TAdd alias while the peer is
@@ -310,11 +331,11 @@ func (l *Layer) ReplaceAddr(old, real addr.UAdd) {
 // most one send ever targets ch per incarnation and a drained waiter can
 // be recycled without a stale reply leaking into its next call.
 type callWaiter struct {
-	ch chan *Delivery // cap 1
+	ch chan Delivery // cap 1
 }
 
 var waiterPool = sync.Pool{
-	New: func() any { return &callWaiter{ch: make(chan *Delivery, 1)} },
+	New: func() any { return &callWaiter{ch: make(chan Delivery, 1)} },
 }
 
 // addWaiter registers a pooled waiter for seq.
@@ -555,13 +576,13 @@ func (l *Layer) addressFault(target addr.UAdd) (addr.UAdd, error) {
 // send/receive/reply primitives). Cancellation or an expiring deadline of
 // ctx ends the reply wait early with ctx.Err(); the fixed CallTimeout
 // still applies as an upper bound.
-func (l *Layer) CallContext(ctx context.Context, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (*Delivery, error) {
+func (l *Layer) CallContext(ctx context.Context, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (Delivery, error) {
 	return l.CallSpan(ctx, l.NewSpan(), dst, mode, flags, payload)
 }
 
 // CallSpan is CallContext with a caller-supplied span ID. The reply
 // carries the same span back, so one span covers the full round trip.
-func (l *Layer) CallSpan(ctx context.Context, span uint32, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (d *Delivery, err error) {
+func (l *Layer) CallSpan(ctx context.Context, span uint32, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (d Delivery, err error) {
 	exit := trace.NopExit
 	if l.cfg.Tracer.On() {
 		exit = l.cfg.Tracer.Enter(trace.LayerLCM, "call", "synchronous call to "+dst.String(), "above")
@@ -580,19 +601,19 @@ func (l *Layer) CallSpan(ctx context.Context, span uint32, dst addr.UAdd, mode w
 	return d, err
 }
 
-func (l *Layer) call(ctx context.Context, span uint32, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (*Delivery, error) {
+func (l *Layer) call(ctx context.Context, span uint32, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (Delivery, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return Delivery{}, err
 	}
 	seq := l.nextSeq()
 	if l.closed.Load() {
-		return nil, ErrClosed
+		return Delivery{}, ErrClosed
 	}
 	w := l.addWaiter(seq)
 
 	if err := l.sendInternal(ctx, dst, mode, flags|wire.FlagCall, seq, span, payload); err != nil {
 		l.abandonWaiter(seq, w)
-		return nil, err
+		return Delivery{}, err
 	}
 	timer := retry.GetTimer(l.cfg.CallTimeout)
 	defer retry.PutTimer(timer)
@@ -607,10 +628,10 @@ func (l *Layer) call(ctx context.Context, span uint32, dst addr.UAdd, mode wire.
 		return d, nil
 	case <-ctx.Done():
 		l.abandonWaiter(seq, w)
-		return nil, ctx.Err()
+		return Delivery{}, ctx.Err()
 	case <-timer.C:
 		l.abandonWaiter(seq, w)
-		return nil, fmt.Errorf("%w: %v seq %d", ErrCallTimeout, dst, seq)
+		return Delivery{}, fmt.Errorf("%w: %v seq %d", ErrCallTimeout, dst, seq)
 	}
 }
 
@@ -689,45 +710,51 @@ func (l *Layer) PingContext(ctx context.Context, dst addr.UAdd, timeout time.Dur
 	}
 }
 
-// Recv waits for the next inbound message.
-func (l *Layer) Recv(timeout time.Duration) (*Delivery, error) {
+// Recv waits for the next inbound message. The Delivery is the caller's:
+// it is copied out of the inbox's cell, which goes back to the layer, so it
+// stays valid however many messages follow it.
+func (l *Layer) Recv(timeout time.Duration) (Delivery, error) {
 	// Fast path: a queued message needs no timer at all.
 	select {
-	case d := <-l.inbox:
-		return d, nil
+	case c := <-l.inbox:
+		return take(c), nil
 	default:
 	}
 	timer := retry.GetTimer(timeout)
 	defer retry.PutTimer(timer)
 	select {
-	case d := <-l.inbox:
-		return d, nil
+	case c := <-l.inbox:
+		return take(c), nil
 	case <-l.done:
 		// Drain anything already queued before reporting closure.
 		select {
-		case d := <-l.inbox:
-			return d, nil
+		case c := <-l.inbox:
+			return take(c), nil
 		default:
-			return nil, ErrClosed
+			return Delivery{}, ErrClosed
 		}
 	case <-timer.C:
-		return nil, fmt.Errorf("lcm: recv timed out after %v", timeout)
+		return Delivery{}, fmt.Errorf("lcm: recv timed out after %v", timeout)
 	}
 }
 
 // HandleInbound accepts one frame from the IP-Layer and demultiplexes it
 // on the delivering ND worker: a reply or pong wakes its waiter, a
 // message goes to the inbox, neither ever blocks. The ND-Layer runs one
-// worker at a time per circuit, which is what keeps per-sender FIFO.
+// worker at a time per circuit, which is what keeps per-sender FIFO. A
+// reply is handed to its waiter by value; a message rides the inbox in a
+// pooled cell.
 func (l *Layer) HandleInbound(in ndlayer.Inbound) {
-	d := &Delivery{Header: in.Header, Payload: in.Payload, layer: l, via: in.Via}
+	d := Delivery{Header: in.Header, Payload: in.Payload, via: in.Via}
 	switch in.Header.Type {
 	case wire.TData:
 		if in.Header.Flags&wire.FlagReply != 0 {
 			l.deliverReply(d)
 			return
 		}
-		l.deliverInbox(d)
+		c := cellPool.Get().(*Delivery)
+		*c = d
+		l.deliverInbox(c)
 	case wire.TPing:
 		h := l.header(in.Header.Src, wire.ModeNone, wire.FlagService|wire.FlagReply, in.Header.Seq, in.Header.Span)
 		h.Type = wire.TPong
@@ -741,7 +768,7 @@ func (l *Layer) HandleInbound(in ndlayer.Inbound) {
 	}
 }
 
-func (l *Layer) deliverReply(d *Delivery) {
+func (l *Layer) deliverReply(d Delivery) {
 	if l.cfg.Tracer.On() {
 		l.cfg.Tracer.Span(d.Header.Span, trace.LayerLCM, "reply-recv", d.Header.Src.String())
 	}
@@ -759,8 +786,11 @@ func (l *Layer) deliverReply(d *Delivery) {
 	w.ch <- d
 }
 
+// deliverInbox queues cell d, or recycles it when the layer is closed or
+// the inbox is full.
 func (l *Layer) deliverInbox(d *Delivery) {
 	if l.closed.Load() {
+		recycle(d)
 		return
 	}
 	hooks := l.getHooks()
@@ -792,6 +822,7 @@ func (l *Layer) deliverInbox(d *Delivery) {
 			// timeout, which is all the drop gave it before.
 			_ = l.Reply(d, wire.ModePacked, wire.FlagError|wire.FlagService|wire.FlagNoBlock, []byte(ErrInboxOverflow.Error()))
 		}
+		recycle(d)
 	}
 }
 

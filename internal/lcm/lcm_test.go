@@ -144,7 +144,7 @@ func serveEcho(m *module) {
 				return
 			}
 			if d.IsCall() {
-				_ = m.nuc.LCM.Reply(d, wire.ModePacked, 0, append([]byte("echo:"), d.Payload...))
+				_ = m.nuc.LCM.Reply(&d, wire.ModePacked, 0, append([]byte("echo:"), d.Payload...))
 			}
 		}
 	}()
@@ -170,6 +170,44 @@ func TestSendRecvDirect(t *testing.T) {
 	}
 	if d.IsCall() {
 		t.Error("plain send marked as call")
+	}
+}
+
+// TestRecvDeliveryOutlivesNextMessage: Recv hands out a Delivery by value,
+// so the inbox cell it came in goes back to the layer's pool at once and
+// the Delivery keeps its header and payload while later messages cycle
+// through the recycled cells.
+func TestRecvDeliveryOutlivesNextMessage(t *testing.T) {
+	net := memnet.New("one", memnet.Options{})
+	naming := newFakeNaming()
+	a := newModule(t, net, "a", 2000, naming, modOpts{})
+	b := newModule(t, net, "b", 2001, naming, modOpts{})
+	naming.add(2001, b.nuc.Endpoints()[0])
+
+	send := func(msg string) {
+		t.Helper()
+		if err := a.nuc.LCM.SendContext(context.Background(), 2001, wire.ModePacked, 0, []byte(msg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send("first")
+	first, err := b.nuc.LCM.Recv(2 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		msg := fmt.Sprintf("next-%d", i)
+		send(msg)
+		d, err := b.nuc.LCM.Recv(2 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(d.Payload) != msg || d.Header.Seq <= first.Header.Seq {
+			t.Fatalf("message %d: got seq %d %q after first seq %d", i, d.Header.Seq, d.Payload, first.Header.Seq)
+		}
+	}
+	if string(first.Payload) != "first" || first.Src() != 2000 || first.Header.Type != wire.TData || first.IsCall() {
+		t.Errorf("first delivery changed under later messages: %v %q", first.Header, first.Payload)
 	}
 }
 
@@ -242,7 +280,7 @@ func TestReplyError(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = b.nuc.LCM.ReplyError(d, "no such document")
+		_ = b.nuc.LCM.ReplyError(&d, "no such document")
 	}()
 
 	_, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("fetch"))
@@ -349,7 +387,7 @@ func TestLateReplyAbsorbed(t *testing.T) {
 			return
 		}
 		time.Sleep(200 * time.Millisecond) // past a's timeout
-		_ = b.nuc.LCM.Reply(d, wire.ModePacked, 0, []byte("too late"))
+		_ = b.nuc.LCM.Reply(&d, wire.ModePacked, 0, []byte("too late"))
 	}()
 	if _, err := a.nuc.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("x")); !errors.Is(err, lcm.ErrCallTimeout) {
 		t.Fatalf("got %v", err)

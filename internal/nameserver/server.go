@@ -183,7 +183,7 @@ func (s *Server) Run() {
 		go func() {
 			defer wg.Done()
 			defer func() { <-s.sem }()
-			s.handle(d)
+			s.handle(&d)
 		}()
 	}
 }

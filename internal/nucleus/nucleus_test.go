@@ -138,7 +138,7 @@ func TestEndToEndThroughNucleus(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_ = b.LCM.Reply(d, wire.ModePacked, 0, []byte("pong"))
+		_ = b.LCM.Reply(&d, wire.ModePacked, 0, []byte("pong"))
 	}()
 	d, err := a.LCM.CallContext(context.Background(), 2001, wire.ModePacked, 0, []byte("ping"))
 	if err != nil {

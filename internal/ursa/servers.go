@@ -244,17 +244,23 @@ func (s *SearchServer) locate(name string, slot *addr.UAdd) (addr.UAdd, error) {
 // below maxSubcalls, so a wide round goes out in part and the rest follows
 // as replies come in.
 func (s *SearchServer) scatter(n int, fn func(i int)) {
-	var wg sync.WaitGroup
+	var (
+		wg   sync.WaitGroup
+		next atomic.Int32
+	)
+	// One closure serves the whole round: each goroutine takes the next
+	// index, so starting a sub-call allocates no closure of its own.
+	run := func() {
+		defer func() {
+			<-s.subcalls
+			wg.Done()
+		}()
+		fn(int(next.Add(1) - 1))
+	}
 	wg.Add(n)
 	for i := 0; i < n; i++ {
 		s.subcalls <- struct{}{}
-		go func() {
-			defer func() {
-				<-s.subcalls
-				wg.Done()
-			}()
-			fn(i)
-		}()
+		go run()
 	}
 	wg.Wait()
 }

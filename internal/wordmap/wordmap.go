@@ -262,26 +262,61 @@ func (s *shard[V]) rehash() {
 	for capNew < (s.n+1)*2 {
 		capNew *= 2
 	}
+	if capNew == len(s.state) && s.n <= inPlaceMax {
+		s.rehashInPlace()
+		return
+	}
 	oldState, oldKeys, oldVals := s.state, s.keys, s.vals
 	s.state = make([]uint8, capNew)
 	s.keys = make([]uint64, capNew)
 	s.vals = make([]V, capNew)
 	s.n, s.used = 0, 0
-	mask := uint64(capNew - 1)
 	for j, st := range oldState {
-		if st != stFull {
-			continue
+		if st == stFull {
+			s.place(oldKeys[j], oldVals[j])
 		}
-		key, val := oldKeys[j], oldVals[j]
-		for i := hash(key) >> 4 & mask; ; i = (i + 1) & mask {
-			if s.state[i] == stEmpty {
-				s.state[i] = stFull
-				s.keys[i] = key
-				s.vals[i] = val
-				s.n++
-				s.used++
-				break
-			}
+	}
+}
+
+// inPlaceMax bounds the live entries a same-size rehash sets aside on the
+// stack.
+const inPlaceMax = 16
+
+// rehashInPlace is a same-size rehash in the shard's own arrays. A table
+// that stores and deletes one key per call (the LCM's reply waiters) fills
+// with tombstones while holding a few live entries; rebuilding it where it
+// is allocates nothing.
+func (s *shard[V]) rehashInPlace() {
+	var (
+		keys [inPlaceMax]uint64
+		vals [inPlaceMax]V
+	)
+	n := 0
+	for j, st := range s.state {
+		if st == stFull {
+			keys[n], vals[n] = s.keys[j], s.vals[j]
+			n++
+		}
+	}
+	clear(s.state)
+	clear(s.vals) // a live value must not stay behind in a slot it left
+	s.n, s.used = 0, 0
+	for j := 0; j < n; j++ {
+		s.place(keys[j], vals[j])
+	}
+}
+
+// place inserts a key known to be absent into a table without tombstones.
+func (s *shard[V]) place(key uint64, val V) {
+	mask := uint64(len(s.state) - 1)
+	for i := hash(key) >> 4 & mask; ; i = (i + 1) & mask {
+		if s.state[i] == stEmpty {
+			s.state[i] = stFull
+			s.keys[i] = key
+			s.vals[i] = val
+			s.n++
+			s.used++
+			return
 		}
 	}
 }
