@@ -203,9 +203,10 @@ func Attach(cfg Config) (*Module, error) {
 	// its compile/reuse totals so ntcsstat shows conversion economics.
 	m.stats.CounterFunc(stats.PackCompiles, pack.Compiles)
 	m.stats.CounterFunc(stats.PackPlanHits, pack.PlanHits)
-	// So is the dispatch pool behind memnet (mbx included) and the ND
-	// flushers: its health (polls, wakeups, dispatches) is the first thing
-	// to read when circuits look stalled.
+	// So are the drain counters of memnet's pipes (mbx included) and the
+	// ND send queues: how often queues go busy (dispatches, wakeups) and
+	// how often delayed delivery fires (polls) are the first thing to read
+	// when circuits look stalled.
 	m.stats.CounterFunc(stats.IPCSPollerWakeups, ipcs.PollerWakeups)
 	m.stats.CounterFunc(stats.IPCSPollerDispatches, ipcs.PollerDispatches)
 	m.stats.CounterFunc(stats.IPCSPollerPolls, ipcs.PollerPolls)

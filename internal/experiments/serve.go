@@ -73,7 +73,7 @@ type ServeResult struct {
 	P99us  int64 `json:"p99_us"`
 	P999us int64 `json:"p999_us"`
 
-	Dispatches uint64 `json:"dispatches"` // tasks the dispatch pools scheduled (ND flushers on tcpnet)
+	Dispatches uint64 `json:"dispatches"` // drains started by queues going busy (ND send queues on tcpnet)
 }
 
 // ServeWorld is a built serving topology, reusable across measured

@@ -11,8 +11,8 @@ import (
 
 // TestServeGate is the CI-sized E-SERVE gate: a short open-loop window
 // against sharded backends must complete real queries, return zero
-// corrupted replies, and show the dispatch pool scheduling work (on
-// tcpnet, the ND-Layer's flushers). Runs under
+// corrupted replies, and show queues starting drains (on tcpnet, the
+// ND-Layer's send queues). Runs under
 // -race in tier-1.
 func TestServeGate(t *testing.T) {
 	sw, err := BuildServeWorld(ServeConfig{
@@ -43,7 +43,7 @@ func TestServeGate(t *testing.T) {
 		t.Fatalf("serve-gate: %d errors out of %d sent", res.Errors, res.Sent)
 	}
 	if res.Dispatches == 0 {
-		t.Fatal("serve-gate: the dispatch pool scheduled nothing")
+		t.Fatal("serve-gate: no send queue started a drain")
 	}
 	if res.P50us <= 0 || res.P99us < res.P50us {
 		t.Fatalf("serve-gate: implausible quantiles p50=%dµs p99=%dµs", res.P50us, res.P99us)

@@ -10,11 +10,13 @@
 //
 // Receiving is event-driven: a connection delivers inbound messages to a
 // registered callback (Receiver.Start) instead of exposing a blocking read.
-// The simulated substrates multiplex delivery over a small shared worker
-// pool (see dispatch.go), so an idle connection costs no goroutine — the
-// property the C1M circuit-scale work depends on. tcpnet gives each
-// connection one reader goroutine parked in the Go runtime's netpoller,
-// which costs a small stack but no OS thread and no buffer while idle.
+// On the simulated substrates each direction of a connection starts one
+// goroutine when its queue goes busy and lets it exit once the queue is
+// empty (StartDrain, dispatch.go), so an idle connection costs no
+// goroutine — the property the C1M circuit-scale work depends on. tcpnet
+// gives each connection one reader goroutine parked in the Go runtime's
+// netpoller, which costs a small stack but no OS thread and no buffer
+// while idle.
 //
 // Three implementations mirror the 1986 testbed:
 //
@@ -84,7 +86,7 @@ type Sender interface {
 }
 
 // Receiver is the receiving half of a connection: a registered-callback
-// contract, served by the substrate's shared dispatcher.
+// contract, served by one goroutine per connection direction at a time.
 //
 // The contract every substrate honors (and ipcstest enforces):
 //
@@ -96,9 +98,11 @@ type Sender interface {
 //     that arrived before the close; no deliveries follow it.
 //   - Start may be called at most once per connection.
 //
-// The callback runs on a substrate goroutine (a shared worker, or the
-// connection's own reader on tcpnet); it may call Send (even back into the
-// same connection) but must not block indefinitely, or it stalls delivery.
+// The callback runs on a goroutine the substrate started for this
+// connection (a memnet pipe's drain, the conn's reader on tcpnet), never
+// on one shared with other connections; it may call Send (even back into
+// the same connection) but must not block indefinitely, or it stalls this
+// connection's delivery.
 type Receiver interface {
 	// Start registers cb and begins delivery.
 	Start(cb RecvFunc)

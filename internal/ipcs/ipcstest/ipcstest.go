@@ -90,7 +90,7 @@ func startRecv(c ipcs.Conn) *rx {
 }
 
 func newRx() *rx {
-	// Buffered deep enough that the substrate's dispatch workers never
+	// Buffered deep enough that the substrate's delivery goroutines never
 	// stall on the test.
 	return &rx{events: make(chan rxEvent, 4096)}
 }

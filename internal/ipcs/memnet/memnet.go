@@ -49,10 +49,6 @@ type Net struct {
 	lossBits  atomic.Uint64 // math.Float64bits of the loss probability
 	pipeSeq   atomic.Int64  // per-pipe RNG seed sequence
 
-	// pool dispatches inbound-message callbacks for every connection on
-	// this network: spawn-on-demand workers, zero goroutines at idle.
-	pool *ipcs.Pool
-
 	mu        sync.Mutex // guards topology only (listeners, isolation)
 	listeners map[string]*listener
 	isolated  map[string]bool
@@ -75,7 +71,6 @@ func New(id string, opts Options) *Net {
 		id:        id,
 		opts:      opts,
 		seed:      seed,
-		pool:      ipcs.NewPool(0),
 		listeners: make(map[string]*listener),
 		isolated:  make(map[string]bool),
 	}
@@ -133,8 +128,8 @@ func (n *Net) Dial(physAddr string) (ipcs.Conn, error) {
 
 	a2b := newPipe(n)
 	b2a := newPipe(n)
-	dialer := &conn{net: n, send: a2b, recv: b2a, remote: physAddr}
-	acceptee := &conn{net: n, send: b2a, recv: a2b, remote: "dialer"}
+	dialer := &conn{send: a2b, recv: b2a}
+	acceptee := &conn{send: b2a, recv: a2b}
 
 	select {
 	case l.pending <- acceptee:
@@ -289,9 +284,11 @@ func (l *listener) breakConns() {
 }
 
 // pipe is one direction of a connection: a bounded queue of timestamped
-// messages drained through the network's shared dispatch pool. The pipe is
-// its own ipcs.Task; the dispatching flag guarantees at most one drain in
-// flight, which is what makes callback delivery serial and FIFO.
+// messages. When the queue goes from idle to busy the pipe starts its own
+// drain goroutine (ipcs.StartDrain), which delivers until the queue is
+// empty and exits; the dispatching flag guarantees at most one drain in
+// flight, which is what makes callback delivery serial and FIFO, and an
+// idle pipe holds no goroutine.
 //
 // Each pipe owns its loss/jitter RNG, seeded deterministically from the
 // net seed and the pipe's creation index: concurrent connections never
@@ -306,11 +303,13 @@ type pipe struct {
 
 	mu            sync.Mutex
 	rng           *rand.Rand // guarded by mu; lazily built
-	items         []item
-	closed        bool
-	lastAtNs      int64 // latest queued delivery time, unix nanos
+	items         []item     // items[head:] are queued; the array is kept across drains
+	head          int
+	run           func() // p.Run, bound on the first drain so starting one allocates nothing
+	lastAtNs      int64  // latest queued delivery time, unix nanos
 	cb            ipcs.RecvFunc
-	dispatching   bool // a drain is queued or running (or a timer is armed)
+	closed        bool // the bools share one word: the pipe stays in the 96 B size class
+	dispatching   bool // a drain is running (or a timer is armed)
 	termDelivered bool
 	held          bool // Net.Hold: queued items wait, unless closed
 }
@@ -373,22 +372,26 @@ func (p *pipe) maybeScheduleLocked() {
 	if p.cb == nil || p.dispatching || p.stalledLocked() {
 		return
 	}
-	if len(p.items) == 0 && (!p.closed || p.termDelivered) {
+	if p.head == len(p.items) && (!p.closed || p.termDelivered) {
 		return
 	}
 	p.dispatching = true
-	p.net.pool.Schedule(p)
+	if p.run == nil {
+		p.run = p.Run
+	}
+	ipcs.StartDrain(p.run)
 }
 
-// Run drains the pipe through the callback: it is the pipe's ipcs.Task.
-// At most one Run is in flight per pipe (the dispatching flag), so
-// callbacks are serial and in arrival order. A head item whose simulated
-// delivery time has not arrived parks the pipe on a timer instead of
-// blocking a pool worker.
+// Run drains the pipe through the callback, on the goroutine
+// maybeScheduleLocked started. At most one Run is in flight per pipe (the
+// dispatching flag), so callbacks are serial and in arrival order. A head
+// item whose simulated delivery time has not arrived hands the drain to a
+// timer and exits, instead of sleeping on a goroutine.
 func (p *pipe) Run() {
 	for {
 		p.mu.Lock()
-		if len(p.items) == 0 {
+		if p.head == len(p.items) {
+			p.items, p.head = p.items[:0], 0
 			if p.closed && !p.termDelivered {
 				p.termDelivered = true
 				p.dispatching = false
@@ -406,21 +409,18 @@ func (p *pipe) Run() {
 			p.mu.Unlock()
 			return
 		}
-		it := p.items[0]
+		it := p.items[p.head]
 		if wait := time.Duration(it.at - time.Now().UnixNano()); wait > 0 {
 			// Keep dispatching set: the timer owns the next drain.
 			p.mu.Unlock()
 			time.AfterFunc(wait, func() {
 				ipcs.CountPoll()
-				p.net.pool.Schedule(p)
+				p.Run()
 			})
 			return
 		}
-		p.items[0] = item{}
-		p.items = p.items[1:]
-		if len(p.items) == 0 {
-			p.items = nil
-		}
+		p.items[p.head] = item{}
+		p.head++
 		cb := p.cb
 		p.mu.Unlock()
 		cb(it.data, nil)
@@ -464,7 +464,7 @@ func (p *pipe) writeBatch(msgs [][]byte) error {
 			continue // silent loss
 		}
 		at := time.Now().UnixNano() + int64(p.delayLocked())
-		if len(p.items) >= p.net.opts.QueueLen {
+		if len(p.items)-p.head >= p.net.opts.QueueLen {
 			return fmt.Errorf("memnet %s: send: %w", p.net.id, ipcs.ErrMailboxFull)
 		}
 		if at < p.lastAtNs {
@@ -473,6 +473,13 @@ func (p *pipe) writeBatch(msgs [][]byte) error {
 		p.lastAtNs = at
 		msg := make([]byte, len(data))
 		copy(msg, data)
+		if p.head > 0 && len(p.items) == cap(p.items) {
+			// Full array with a delivered prefix: slide the queued tail
+			// down instead of letting append grow past what is queued.
+			n := copy(p.items, p.items[p.head:])
+			clear(p.items[n:])
+			p.items, p.head = p.items[:n], 0
+		}
 		p.items = append(p.items, item{data: msg, at: at})
 		queued = true
 	}
@@ -486,11 +493,11 @@ func (p *pipe) close() {
 	p.maybeScheduleLocked()
 }
 
+// conn is two pipe pointers and nothing else: each endpoint of a
+// million-circuit mesh holds one.
 type conn struct {
-	net    *Net
-	send   *pipe
-	recv   *pipe
-	remote string
+	send *pipe
+	recv *pipe
 }
 
 // Send is a batch of one; the slice literal does not escape.

@@ -303,3 +303,77 @@ func TestDeterministicLossWithSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundTripAllocatesOnlyTheFrameCopy is memnet's allocation gate: on
+// a steady pipe, a Send, the drain goroutine it starts and the callback
+// that goroutine runs allocate one object, the copy of the frame. The
+// queue's array is kept across drains and the drain function is bound
+// once per pipe.
+func TestRoundTripAllocatesOnlyTheFrameCopy(t *testing.T) {
+	n := New("alloc", Options{})
+	client, server := dialPair(t, n)
+	got := make(chan struct{}, 1)
+	server.Start(func(m []byte, err error) {
+		if err == nil {
+			got <- struct{}{}
+		}
+	})
+	msg := []byte("one frame")
+	roundTrip := func() {
+		if err := client.Send(msg); err != nil {
+			t.Fatal(err)
+		}
+		<-got
+	}
+	for i := 0; i < 100; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(1000, roundTrip); allocs != 1 {
+		t.Fatalf("Send + drain + callback = %v allocs/message, want 1 (the frame copy)", allocs)
+	}
+}
+
+// TestQueueOrderAcrossReuse stops the callback at message 20 of 41
+// queued ones, then queues 100 more: they fill the kept array behind a
+// delivered prefix, so an append slides the queued tail down. Every
+// message must still arrive exactly once and in order.
+func TestQueueOrderAcrossReuse(t *testing.T) {
+	n := New("reuse", Options{})
+	client, server := dialPair(t, n)
+	gate := map[int]chan struct{}{0: make(chan struct{}), 20: make(chan struct{})}
+	stopped := make(chan int, 2)
+	got := make(chan int, 256) // every message, never blocking the callback
+	server.Start(func(m []byte, err error) {
+		if err != nil {
+			return
+		}
+		if g, ok := gate[int(m[0])]; ok {
+			stopped <- int(m[0])
+			<-g
+		}
+		got <- int(m[0])
+	})
+	send := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := client.Send([]byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(0, 41)
+	<-stopped // at message 0, with the rest queued
+	close(gate[0])
+	<-stopped // at message 20
+	send(41, 141)
+	close(gate[20])
+	for want := 0; want < 141; want++ {
+		select {
+		case v := <-got:
+			if v != want {
+				t.Fatalf("message %d arrived at position %d", v, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d never arrived", want)
+		}
+	}
+}

@@ -719,7 +719,10 @@ func (l *Layer) HandleInbound(in ndlayer.Inbound) {
 func (l *Layer) relayFrame(in ndlayer.Inbound) bool {
 	dest, ok := l.relayTab.Load(relayWord(in.Via, in.Header.Circuit))
 	if !ok {
-		return false
+		// At a gateway, a frame for someone else on a circuit with no
+		// relay is for one already torn down, whose close has not yet
+		// reached the sender. Nothing here can answer a call but this.
+		return l.cfg.RelayEnabled && in.Header.Dst != l.cfg.Identity.UAdd() && l.refuseCall(in)
 	}
 	err := func() (err error) {
 		exit := l.cfg.Tracer.Enter(trace.LayerGateway, "relay", "forward data frame", "ip")
@@ -749,9 +752,35 @@ func (l *Layer) relayFrame(in ndlayer.Inbound) bool {
 			in.Via.NackBackpressure()
 			return true
 		}
-		// §4.3: the far link is gone; close the near side of the circuit.
+		// §4.3: the far link is gone; close the near side of the circuit,
+		// answering a call that dies here first.
+		l.refuseCall(in)
 		l.tearDownRelay(in.Via, in.Header.Circuit, "relay send failed")
 	}
+	return true
+}
+
+// refuseCall answers a call frame a gateway cannot forward, and reports
+// whether in was one. The error reply carries ErrDestinationDown's text
+// on the same circuit, Seq and span, so the caller fails at once with a
+// RemoteError matching ErrDestinationDown instead of sitting out its
+// CallTimeout. Like the LCM's inbox-overflow refusal it never waits for
+// credit; a refusal that cannot be sent leaves the caller to its timeout.
+func (l *Layer) refuseCall(in ndlayer.Inbound) bool {
+	if in.Header.Type != wire.TData || in.Header.Flags&wire.FlagCall == 0 {
+		return false
+	}
+	h := wire.Header{
+		Type:       wire.TData,
+		Src:        in.Header.Dst,
+		Dst:        in.Header.Src,
+		SrcMachine: l.cfg.Identity.Machine(),
+		Mode:       wire.ModePacked,
+		Flags:      wire.FlagReply | wire.FlagError | wire.FlagService | wire.FlagNoBlock,
+		Seq:        in.Header.Seq,
+		Span:       in.Header.Span,
+	}
+	_ = l.SendVia(in.Via, in.Header.Circuit, h, []byte(ErrDestinationDown.Error()))
 	return true
 }
 

@@ -61,6 +61,11 @@ type node struct {
 	inbound  chan ndlayer.Inbound
 	errs     *errlog.Table
 	stats    *stats.Registry
+	nets     []ipcs.Network
+
+	// holdDown, when set before any circuit exists, holds the layer's
+	// circuit-down handling until it is closed.
+	holdDown chan struct{}
 }
 
 func newNode(t *testing.T, name string, u addr.UAdd, relay bool, dir Directory, wkGws []GatewayInfo, nets ...ipcs.Network) *node {
@@ -71,6 +76,7 @@ func newNode(t *testing.T, name string, u addr.UAdd, relay bool, dir Directory, 
 		inbound: make(chan ndlayer.Inbound, 256),
 		errs:    errlog.NewTable(name, 0),
 		stats:   stats.New(name),
+		nets:    nets,
 	}
 	// The layer is created after the bindings, but bindings need to deliver
 	// into it; route through the node pointer.
@@ -82,6 +88,9 @@ func newNode(t *testing.T, name string, u addr.UAdd, relay bool, dir Directory, 
 			Cache:        n.cache,
 			Deliver:      func(in ndlayer.Inbound) { n.layer.HandleInbound(in) },
 			OnCircuitDown: func(peer addr.UAdd, v *ndlayer.LVC, err error) {
+				if n.holdDown != nil {
+					<-n.holdDown
+				}
 				n.layer.HandleCircuitDown(peer, v, err)
 			},
 			Errors:      n.errs,
@@ -596,5 +605,89 @@ func TestCutThroughPreservesFrame(t *testing.T) {
 	}
 	if in.Header.Src != 2000 {
 		t.Errorf("Src = %v, want 2000", in.Header.Src)
+	}
+}
+
+// TestRelayRefusesCallItCannotForward covers a call that reaches a
+// gateway after the relay's downstream circuit has died but before the
+// caller has seen the relay's close. The gateway must answer it with an
+// error reply on the circuit it came in on (same Seq and span,
+// ErrDestinationDown's text), so the caller fails at once instead of
+// sitting out its CallTimeout. Two windows lead there:
+//
+//   - downstream dead: the call arrives before the gateway's circuit-down
+//     handling has run, so the relay entry is still installed and the
+//     forward fails. The test holds that handling back.
+//   - relay torn down: the teardown has run and its close is on the way
+//     to the caller, so the call finds no relay entry. The test holds the
+//     gateway's frames toward the caller (memnet.Net.Hold) until the call
+//     is sent.
+func TestRelayRefusesCallItCannotForward(t *testing.T) {
+	for _, torn := range []bool{false, true} {
+		name := "downstream dead"
+		if torn {
+			name = "relay torn down"
+		}
+		t.Run(name, func(t *testing.T) {
+			a, b, g, _ := world1gw(t)
+			hold := make(chan struct{})
+			if !torn {
+				g.holdDown = hold
+			}
+			t.Cleanup(func() { close(hold) })
+
+			if err := a.layer.Send(2001, dataHeader(2000, 2001), []byte("prime")); err != nil {
+				t.Fatal(err)
+			}
+			recvData(t, b)
+
+			gwToA := g.bindings[0].Endpoint().Addr
+			net1 := g.nets[0].(*memnet.Net)
+			if torn {
+				net1.Hold(gwToA, true)
+			}
+			b.close() // the destination dies
+			deadline := time.Now().Add(3 * time.Second)
+			seen := func() bool {
+				if torn {
+					return g.layer.RelayCount() == 0
+				}
+				return g.errs.Count(errlog.CodeCircuitDead) > 0
+			}
+			for !seen() && time.Now().Before(deadline) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if !seen() {
+				t.Fatal("gateway never saw its circuit to the destination die")
+			}
+
+			call := dataHeader(2000, 2001)
+			call.Flags |= wire.FlagCall
+			call.Seq, call.Span = 5, 77
+			if err := a.layer.Send(2001, call, []byte("call")); err != nil {
+				t.Fatal(err)
+			}
+			if torn {
+				net1.Hold(gwToA, false) // the call is on its way already
+			}
+			in := recvData(t, a)
+			const want = wire.FlagReply | wire.FlagError
+			if in.Header.Type != wire.TData || in.Header.Flags&want != want {
+				t.Fatalf("caller got %v flags %#x, want an error reply", in.Header.Type, in.Header.Flags)
+			}
+			if in.Header.Seq != 5 || in.Header.Span != 77 || in.Header.Src != 2001 {
+				t.Errorf("refusal seq %d span %d src %v, want 5, 77, 2001", in.Header.Seq, in.Header.Span, in.Header.Src)
+			}
+			if string(in.Payload) != ErrDestinationDown.Error() {
+				t.Errorf("refusal payload %q, want %q", in.Payload, ErrDestinationDown.Error())
+			}
+			// The relay's close reaches the caller too.
+			for len(a.layer.OpenCircuits()) != 0 && time.Now().Before(deadline.Add(3*time.Second)) {
+				time.Sleep(5 * time.Millisecond)
+			}
+			if got := len(a.layer.OpenCircuits()); got != 0 {
+				t.Errorf("caller still holds %d circuits after the refusal", got)
+			}
+		})
 	}
 }

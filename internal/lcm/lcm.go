@@ -87,9 +87,12 @@ func (e *RemoteError) Error() string {
 // callee refused because its inbox was full also matches
 // ndlayer.ErrBackpressure: the callee is healthy, only momentarily behind,
 // so the caller backs off or sheds load exactly as for a send that ran out
-// of circuit credit.
+// of circuit credit. A call a gateway refused because the circuit beyond
+// it had died matches iplayer.ErrDestinationDown.
 func (e *RemoteError) Is(target error) bool {
-	return target == ErrRemote || target == ndlayer.ErrBackpressure && e.Msg == ErrInboxOverflow.Error()
+	return target == ErrRemote ||
+		target == ndlayer.ErrBackpressure && e.Msg == ErrInboxOverflow.Error() ||
+		target == iplayer.ErrDestinationDown && e.Msg == iplayer.ErrDestinationDown.Error()
 }
 
 // Event is one monitoring record emitted by the LCM hooks (§6.1: "the
@@ -825,10 +828,6 @@ func (l *Layer) deliverInbox(d *Delivery) {
 		recycle(d)
 	}
 }
-
-// FaultDepth reports the current address-fault recursion depth (test
-// instrumentation for the §6.3 pathology).
-func (l *Layer) FaultDepth() int32 { return l.faultDepth.Load() }
 
 // Close shuts the layer down.
 func (l *Layer) Close() {

@@ -362,6 +362,24 @@ func TestInboxOverflowRefusesCalls(t *testing.T) {
 	}
 }
 
+// TestRelayRefusalMatchesDestinationDown: a call a gateway refused
+// because the circuit beyond it had died arrives as an error reply
+// carrying ErrDestinationDown's text. The caller's RemoteError matches
+// that sentinel and ErrRemote, not ErrBackpressure; no other error reply
+// matches ErrDestinationDown.
+func TestRelayRefusalMatchesDestinationDown(t *testing.T) {
+	refused := &lcm.RemoteError{Src: 2001, Msg: iplayer.ErrDestinationDown.Error()}
+	if !errors.Is(refused, iplayer.ErrDestinationDown) || !errors.Is(refused, lcm.ErrRemote) {
+		t.Errorf("relay refusal %v does not match ErrDestinationDown and ErrRemote", refused)
+	}
+	if errors.Is(refused, ndlayer.ErrBackpressure) {
+		t.Errorf("relay refusal %v matches ErrBackpressure", refused)
+	}
+	if other := (&lcm.RemoteError{Src: 2001, Msg: "no such document"}); errors.Is(other, iplayer.ErrDestinationDown) {
+		t.Errorf("an ordinary error reply matches ErrDestinationDown: %v", other)
+	}
+}
+
 func TestCallTimeout(t *testing.T) {
 	net := memnet.New("one", memnet.Options{})
 	naming := newFakeNaming()

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,9 +129,9 @@ type Config struct {
 	// Cache is the module-wide UAdd→endpoint cache (shared across
 	// bindings; preloaded with the well-known addresses).
 	Cache *addr.EndpointCache
-	// Deliver receives every inbound frame. It runs on the substrate's
-	// shared dispatch workers, serially per circuit; blocking it delays
-	// that circuit's grants, which backpressures the sender.
+	// Deliver receives every inbound frame. It runs on the connection's
+	// receive goroutine, serially per circuit; blocking it delays that
+	// circuit's grants, which backpressures the sender.
 	Deliver func(Inbound)
 	// OnCircuitDown, if non-nil, is told when an LVC dies (gateways use
 	// this for the §4.3 teardown propagation).
@@ -188,11 +189,6 @@ type Binding struct {
 
 	wg sync.WaitGroup
 
-	// flushers is the shared group-commit flusher pool: circuits with
-	// queued writes are drained by a bounded set of on-demand workers
-	// instead of one goroutine per LVC.
-	flushers *ipcs.Pool
-
 	// dialRetry is dialPolicy, budgeted by OpenTimeout and metered.
 	dialRetry retry.Policy
 
@@ -238,7 +234,6 @@ func New(cfg Config) (*Binding, error) {
 		listener: l,
 		opening:  make(map[addr.UAdd]chan struct{}),
 		done:     make(chan struct{}),
-		flushers: ipcs.NewPool(0),
 
 		dialRetry: dialRetry,
 
@@ -709,9 +704,9 @@ func (b *Binding) handleInbound(conn ipcs.Conn) {
 	hs.promote(v)
 }
 
-// onRaw is the circuit's receive callback: it runs on the substrate's
-// shared dispatch workers, serially per connection, replacing the old
-// per-circuit readLoop goroutine.
+// onRaw is the circuit's receive callback: it runs on the connection's
+// receive goroutine (a memnet pipe's drain, a tcpnet conn's reader),
+// serially per connection, and only while the connection has traffic.
 func (b *Binding) onRaw(v *LVC, data []byte, err error) {
 	if err != nil {
 		b.circuitDown(v, err)
@@ -882,14 +877,6 @@ func (b *Binding) Flush(ctx context.Context) error {
 	}
 }
 
-// pending reports whether the queue still holds frames or a flusher pass
-// is in flight.
-func (q *sendQueue) pending() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.entries) > 0 || q.scheduled
-}
-
 // Close shuts the binding down: the endpoint closes and every LVC breaks.
 func (b *Binding) Close() error {
 	b.mu.Lock()
@@ -926,8 +913,8 @@ func (b *Binding) Close() error {
 //
 // The struct is deliberately small (~96 B): a million idle circuits must
 // fit in one process (DESIGN.md §14). Everything an idle circuit never
-// touches — the credit gate, receiver-side grant accounting, the relay
-// parking queue and the group-commit queue — lives in the lazily
+// touches — the credit gate, receiver-side grant accounting and the
+// group-commit queue with its parked relay frames — lives in the lazily
 // allocated cold block, installed by coldState on first use.
 type LVC struct {
 	b    *Binding
@@ -969,8 +956,8 @@ type LVC struct {
 
 // lvcCold is the lazily allocated cold half of an LVC: state only a
 // circuit that has carried a frame ever needs — the credit gate, receive
-// accounting, parked relays and the write queue. An idle mesh endpoint
-// never allocates one.
+// accounting and the write queue. An idle mesh endpoint never allocates
+// one.
 //
 // Lazy installation is race-safe without extra ordering because every
 // access goes through atomics with sequentially consistent semantics: a
@@ -993,19 +980,8 @@ type lvcCold struct {
 	probeTx atomic.Uint32
 	probeNs atomic.Int64
 
-	// relayMu guards the parked cut-through frames. A relay worker must
-	// never block a shared dispatch worker waiting for downstream credit
-	// (on a small pool that starves every other circuit on the network),
-	// so SendRaw parks the frame here instead and grant arrival drains it
-	// on a transient goroutine. relayDraining keeps the direct path
-	// closed while a drain pass holds popped-but-unsent frames,
-	// preserving FIFO.
-	relayMu       sync.Mutex
-	relayQ        []relayPending
-	relayDraining bool
-
 	// sq is the group-commit writer, installed by sendQ on the circuit's
-	// first send.
+	// first send. It also holds the relay frames parked for credit.
 	sq atomic.Pointer[sendQueue]
 }
 
@@ -1035,21 +1011,21 @@ func (v *LVC) sendQ() *sendQueue {
 }
 
 // queuePending reports whether the group-commit queue holds frames or a
-// flusher pass is in flight — false for circuits that never sent.
+// flush pass is in flight — false for circuits that never sent. Parked
+// relay frames wait for the peer's credit, not for the writer, and do not
+// count.
 func (v *LVC) queuePending() bool {
 	c := v.cold.Load()
 	if c == nil {
 		return false
 	}
 	q := c.sq.Load()
-	return q != nil && q.pending()
-}
-
-// relayPending is one cut-through frame parked while the circuit waits
-// for downstream credit.
-type relayPending struct {
-	frame []byte
-	span  uint32
+	if q == nil {
+		return false
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.entries) > 0 || q.scheduled
 }
 
 // wake releases every sender parked on the credit gate. A nil cold block
@@ -1187,40 +1163,41 @@ func (v *LVC) Send(h wire.Header, payload []byte) error {
 // buffer.)
 //
 // Data frames are credit-gated without ever blocking the caller — a
-// relay runs on a shared dispatch worker, and parking one on a slow
-// downstream would stall every circuit behind it. An exhausted window
-// instead parks the frame on the circuit's relay queue; grant arrival
-// drains the queue in order on the flusher pool, so ordinary bursts
-// relay losslessly across the grant round-trip. Only when the queue
-// itself fills (a full advertised window already parked — the downstream
-// is genuinely choked, not merely in flight) does SendRaw refuse with a
+// relay runs on the upstream connection's receive goroutine, and parking
+// it on a slow downstream would stall every circuit behind that
+// connection. An exhausted window instead parks the frame in the
+// circuit's send queue; a grant starts the queue's drain, which moves
+// parked frames into its batch in order while credit lasts, so ordinary
+// bursts relay losslessly across the grant round-trip. Only when a full
+// advertised window is already parked (the downstream is genuinely
+// choked, not merely in flight) does SendRaw refuse with a
 // BackpressureError for the caller's drop-and-NACK policy.
 func (v *LVC) SendRaw(frame []byte, span uint32) error {
 	if v.closed.Load() {
 		return &FaultError{Peer: v.Peer(), Err: ipcs.ErrClosed}
 	}
 	if v.txWindow != 0 && len(frame) >= wire.HeaderSize && wire.Type(frame[3]) == wire.TData {
-		c := v.coldState()
-		c.relayMu.Lock()
-		if len(c.relayQ) > 0 || c.relayDraining || !v.tryCredit() {
-			if uint32(len(c.relayQ)) >= v.txWindow {
-				c.relayMu.Unlock()
+		q := v.sendQ()
+		q.mu.Lock()
+		if len(q.parked) > 0 || !v.tryCredit() {
+			if uint32(len(q.parked)) >= v.txWindow {
+				q.mu.Unlock()
 				v.b.bpErrors.Inc()
 				return v.backpressureErr()
 			}
-			probe := len(c.relayQ) == 0
-			c.relayQ = append(c.relayQ, relayPending{frame: frame, span: span})
-			c.relayMu.Unlock()
+			q.parked = append(q.parked, sendEntry{frame: frame, span: span})
+			probe := len(q.parked) == 1
+			q.mu.Unlock()
 			if probe {
 				// Entering the parked state: if the grant that should
 				// reopen the window was lost, this resynchronizes the
 				// accounting (and a healthy peer answers with the grant
-				// that triggers the drain).
+				// that starts the drain).
 				v.sendProbe()
 			}
 			return nil
 		}
-		c.relayMu.Unlock()
+		q.mu.Unlock()
 	}
 	inline := wire.RawFlags(frame)&(wire.FlagCall|wire.FlagReply) != 0
 	return v.sendCoalesced(frame, nil, span, inline)
@@ -1240,57 +1217,15 @@ func (v *LVC) tryCredit() bool {
 	}
 }
 
-// scheduleRelayDrain starts a drain pass if frames are parked and none is
-// running. Called on every event that can reopen the window: a grant and
-// a NACK resync. The drain runs on a transient goroutine of its own, not
-// the flusher pool: it feeds the group-commit queue and may wait for
-// queue space, and a flusher worker parked there would deadlock against
-// the flush pass it is waiting on when the pool is one worker wide.
-func (v *LVC) scheduleRelayDrain() {
-	c := v.cold.Load()
-	if c == nil {
-		return // nothing was ever parked
-	}
-	c.relayMu.Lock()
-	if len(c.relayQ) == 0 || c.relayDraining {
-		c.relayMu.Unlock()
-		return
-	}
-	c.relayDraining = true
-	c.relayMu.Unlock()
-	go v.drainRelay()
-}
-
-// drainRelay sends parked cut-through frames while credit lasts — at
-// most one pass per circuit at a time; when credit runs out it stops and
-// the next grant schedules the next pass.
-func (v *LVC) drainRelay() {
-	c := v.coldState()
-	for {
-		c.relayMu.Lock()
-		if v.closed.Load() {
-			c.relayQ = nil
-			c.relayDraining = false
-			c.relayMu.Unlock()
-			return
+// kickParked starts the send queue's drain for parked relay frames on
+// every event that can reopen the window: a grant and a NACK resync.
+func (v *LVC) kickParked() {
+	if c := v.cold.Load(); c != nil { // no cold block: nothing was ever parked
+		if q := c.sq.Load(); q != nil {
+			q.mu.Lock()
+			q.kickLocked()
+			q.mu.Unlock()
 		}
-		if len(c.relayQ) == 0 || !v.tryCredit() {
-			if len(c.relayQ) == 0 {
-				c.relayQ = nil
-			}
-			c.relayDraining = false
-			c.relayMu.Unlock()
-			return
-		}
-		p := c.relayQ[0]
-		c.relayQ[0] = relayPending{}
-		c.relayQ = c.relayQ[1:]
-		c.relayMu.Unlock()
-
-		// Never inline: a drain pass wants the whole parked run in one
-		// vectored batch. An error means the circuit closed; the next
-		// iteration's closed check discards what remains.
-		_ = v.sendCoalesced(p.frame, nil, p.span, false)
 	}
 }
 
@@ -1507,7 +1442,7 @@ func (v *LVC) advanceGrant(seq uint32) {
 		}
 	}
 	v.wake()
-	v.scheduleRelayDrain()
+	v.kickParked()
 }
 
 // noteData accounts one inbound data frame on the receiver side. It
@@ -1567,20 +1502,15 @@ func (v *LVC) markClosed() {
 		// cannot strand work behind this load.
 		return
 	}
-	// Parked relay frames die with the circuit (their upstream learns of
-	// the fault through the relay teardown, not a NACK).
-	c.relayMu.Lock()
-	c.relayQ = nil
-	c.relayMu.Unlock()
 	if q := c.sq.Load(); q != nil {
-		// Wake anyone parked on a full queue, and schedule a final flush
-		// pass so queued buffers are released.
+		// Parked relay frames die with the circuit (their upstream learns
+		// of the fault through the relay teardown, not a NACK). Wake
+		// anyone waiting on a full queue, and start a final flush pass so
+		// queued buffers are released.
 		q.mu.Lock()
+		q.parked = nil
 		q.space.Broadcast()
-		if !q.scheduled && len(q.entries) > 0 {
-			q.scheduled = true
-			v.b.flushers.Schedule(q)
-		}
+		q.kickLocked()
 		q.mu.Unlock()
 	}
 }
@@ -1596,41 +1526,43 @@ func (v *LVC) Close() error {
 }
 
 // sendQueue is the per-LVC group-commit writer, the only way a data
-// frame reaches the conn. Senders only append their frame to the queue
-// and schedule the circuit on the binding's shared flusher pool; a pool
-// worker swaps the queue out under the lock and writes everything it
-// found in one vectored SendBatch. An idle circuit costs no flusher
-// goroutine at all — workers exist only while circuits have queued
-// writes, and a circuit with more work after a pass re-enters the pool's
-// queue at the tail, round-robining the workers across busy circuits. Under load the flush pipeline runs one batch
-// deep behind the producers: every frame enqueued while a worker is
-// inside a write goes out in the next batch, which is where the syscall
-// coalescing comes from.
+// frame reaches the conn. Senders only append their frame to the queue;
+// the one that finds it idle starts the queue's drain goroutine, which
+// swaps the queue out under the lock and writes everything it found in
+// one vectored SendBatch, looping until the queue is empty: no goroutine
+// for an idle circuit, one for a busy one. Under load the pipeline runs
+// one batch deep behind the producers, which is where the syscall
+// coalescing comes from. Relay frames parked for credit (SendRaw) wait
+// beside the queue; each batch takes as many as grants allow, behind the
+// frames queued before them.
 //
 // A queued send reports success at enqueue time; a transmission failure
-// surfaces on the flusher pass, which closes the circuit, so every later
+// surfaces on the drain's pass, which closes the circuit, so every later
 // send observes the FaultError. That is the delivery contract any socket
 // write has — a frame accepted by the kernel's buffer may still never
 // arrive. Frames still queued when the binding closes are dropped;
 // Binding.Flush is how a graceful shutdown gets them out first.
 type sendQueue struct {
-	v *LVC
+	v   *LVC
+	run func() // q.Run, bound once so starting a drain allocates nothing
 
 	mu        sync.Mutex
 	space     *sync.Cond // waits for room when entries is at capacity
-	scheduled bool       // queued on (or being drained by) the flusher pool
+	scheduled bool       // a drain is running (or an inline write is in progress)
 	entries   []sendEntry
-	drain     []sendEntry // double-buffer swapped with entries by the flusher
+	drain     []sendEntry // double-buffer swapped with entries by the drain
+	parked    []sendEntry // relay frames waiting for credit, at most txWindow
 	scratch   [][]byte    // iovec list reused across batches
 }
 
-// sendQueueCap bounds how many frames may wait ahead of the flusher;
+// sendQueueCap bounds how many frames may wait ahead of the drain;
 // beyond it, senders block for room, the backpressure a saturated
 // socket write would exert.
 const sendQueueCap = 256
 
 func newSendQueue(v *LVC) *sendQueue {
 	q := &sendQueue{v: v}
+	q.run = q.Run
 	q.space = sync.NewCond(&q.mu)
 	return q
 }
@@ -1638,7 +1570,7 @@ func newSendQueue(v *LVC) *sendQueue {
 // sendEntry is one queued frame.
 type sendEntry struct {
 	frame []byte
-	buf   *wire.Buf // released by the flusher after transmission; may be nil (SendRaw)
+	buf   *wire.Buf // released by the drain after transmission; may be nil (SendRaw)
 	span  uint32
 }
 
@@ -1647,13 +1579,13 @@ type sendEntry struct {
 // frame has been written. The queue takes ownership of frame either way.
 //
 // inline marks latency-sensitive frames (calls and replies): when the
-// queue is idle — empty and no flusher pass in flight — the frame is
-// written synchronously on the caller's goroutine instead of paying the
-// enqueue→pool→worker hop, which would put a scheduling round trip under
-// every RPC. The scheduled flag doubles as the writer
-// exclusion: senders arriving during the inline write enqueue behind it
-// and are flushed right after, so per-circuit FIFO holds, and a
-// pipelined producer (queue non-empty) still batches exactly as before.
+// queue is idle — empty and no drain in flight — the frame is written
+// synchronously on the caller's goroutine instead of paying the
+// enqueue→goroutine hop, which would put a scheduling round trip under
+// every RPC. The scheduled flag doubles as the writer exclusion: senders
+// arriving during the inline write enqueue behind it and are flushed
+// right after, so per-circuit FIFO holds, and a pipelined producer
+// (queue non-empty) still batches exactly as before.
 func (v *LVC) sendCoalesced(frame []byte, buf *wire.Buf, span uint32, inline bool) error {
 	q := v.sendQ()
 	q.mu.Lock()
@@ -1662,15 +1594,11 @@ func (v *LVC) sendCoalesced(frame []byte, buf *wire.Buf, span uint32, inline boo
 		q.mu.Unlock()
 		one := [1]sendEntry{{frame: frame, buf: buf, span: span}}
 		err := q.write(one[:])
+		// Drain what queued or was granted during the write (markClosed
+		// and kickParked start nothing while scheduled is set).
 		q.mu.Lock()
-		if len(q.entries) > 0 {
-			// Senders queued behind the inline write (markClosed skips
-			// scheduling while scheduled is set, so a close here still
-			// needs this pass to release their buffers).
-			v.b.flushers.Schedule(q)
-		} else {
-			q.scheduled = false
-		}
+		q.scheduled = false
+		q.kickLocked()
 		q.mu.Unlock()
 		return err
 	}
@@ -1685,51 +1613,60 @@ func (v *LVC) sendCoalesced(frame []byte, buf *wire.Buf, span uint32, inline boo
 		return &FaultError{Peer: v.Peer(), Err: ipcs.ErrClosed}
 	}
 	q.entries = append(q.entries, sendEntry{frame: frame, buf: buf, span: span})
-	if !q.scheduled {
-		q.scheduled = true
-		v.b.flushers.Schedule(q)
-	}
+	q.kickLocked()
 	q.mu.Unlock()
 	return nil
 }
 
-// Run performs one flush pass (the queue's ipcs.Task, invoked by the
-// shared pool). No lock is held across any write.
+// kickLocked starts the queue's drain if it holds frames and no drain is
+// in flight. Caller holds q.mu.
+func (q *sendQueue) kickLocked() {
+	if !q.scheduled && (len(q.entries) > 0 || len(q.parked) > 0) {
+		q.scheduled = true
+		ipcs.StartDrain(q.run)
+	}
+}
+
+// Run is the queue's drain: it writes batch after batch until the queue
+// is empty and no parked frame has credit, then clears the scheduled
+// flag and returns. Each batch is the queued frames, then as many parked
+// relay frames as the peer's window admits. No lock is held across any
+// write.
 func (q *sendQueue) Run() {
 	v := q.v
 	q.mu.Lock()
-	if len(q.entries) == 0 {
-		q.scheduled = false
-		q.mu.Unlock()
-		return
-	}
-	batch := q.entries
-	q.entries = q.drain[:0]
-	q.drain = batch
-	q.space.Broadcast()
-	q.mu.Unlock()
-
-	if v.closed.Load() {
-		for i := range batch {
-			if batch[i].buf != nil {
-				batch[i].buf.Release()
-			}
-			batch[i].frame, batch[i].buf = nil, nil
+	for {
+		n := 0
+		for n < len(q.parked) && v.tryCredit() {
+			n++
 		}
-	} else {
-		// A failed write closed the circuit; the next send reports it.
-		_ = q.write(batch)
-	}
+		batch := append(q.entries, q.parked[:n]...)
+		if q.parked = slices.Delete(q.parked, 0, n); len(q.parked) == 0 {
+			q.parked = nil // an ended park episode gives its array back
+		}
+		if len(batch) == 0 {
+			q.scheduled = false
+			q.mu.Unlock()
+			return
+		}
+		q.entries = q.drain[:0]
+		q.drain = batch
+		q.space.Broadcast()
+		q.mu.Unlock()
 
-	q.mu.Lock()
-	if len(q.entries) > 0 {
-		// More arrived during the write: rejoin the pool's queue at the
-		// tail so other busy circuits get a worker first.
-		v.b.flushers.Schedule(q)
-	} else {
-		q.scheduled = false
+		if v.closed.Load() {
+			for i := range batch {
+				if batch[i].buf != nil {
+					batch[i].buf.Release()
+				}
+				batch[i].frame, batch[i].buf = nil, nil
+			}
+		} else {
+			// A failed write closed the circuit; the next send reports it.
+			_ = q.write(batch)
+		}
+		q.mu.Lock()
 	}
-	q.mu.Unlock()
 }
 
 // write transmits one batch and releases its buffers: the tail of every

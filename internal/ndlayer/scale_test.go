@@ -81,13 +81,14 @@ func openMesh(t testing.TB, bindings []*Binding, uadds []addr.UAdd, workers int)
 // TestIdleCircuitGoroutineBudget is the CI scale gate: a fully meshed
 // population of bindings holds thousands of established, idle circuits,
 // and the process goroutine count must reflect the event-driven substrate
-// — one accept loop per binding plus the shared pools, NOT a reader or
-// flusher goroutine per circuit. Before PR 6 each LVC cost at least one
-// parked goroutine and this budget was unreachable.
+// — one accept loop per binding, NOT a reader or flusher goroutine per
+// circuit (a queue's drain goroutine exits once the queue is empty).
+// With a reader per LVC, each circuit cost at least one parked goroutine
+// and this budget was unreachable.
 func TestIdleCircuitGoroutineBudget(t *testing.T) {
 	const (
 		nBindings = 100
-		budget    = 600 // ~1/binding + shared pools + test runner slack
+		budget    = 600 // ~1/binding + draining queues + test runner slack
 	)
 	net := memnet.New("scale", memnet.Options{})
 	cache := addr.NewEndpointCache()
@@ -124,9 +125,9 @@ func TestIdleCircuitGoroutineBudget(t *testing.T) {
 // TestHotSenderDoesNotStarveIdleCircuits extends the FIFO fairness suite
 // down to the ND-Layer: one circuit floods a receiver flat out while a
 // thousand circuits sit idle, then every idle circuit sends a single
-// frame. All thousand must land promptly — the shared dispatch and
-// flusher pools schedule per-circuit work FIFO, and a re-scheduling hot
-// task goes to the back of the queue, so cold circuits cannot be starved.
+// frame. All thousand must land promptly — each busy pipe and send queue
+// drains on a goroutine of its own, so the hot circuit's drains share
+// the Go scheduler with the cold ones and cannot starve them.
 func TestHotSenderDoesNotStarveIdleCircuits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-binding fairness soak")
@@ -156,8 +157,8 @@ func TestHotSenderDoesNotStarveIdleCircuits(t *testing.T) {
 	})
 	cache.Put(recvU, recv.Endpoint())
 
-	// The hot sender goes through the group-commit writer, so the shared
-	// flusher pool is on the fairness path too, not just the dispatcher.
+	// The hot sender goes through the group-commit writer, so its send
+	// queue's drain is on the fairness path too, not just memnet's.
 	hot := scaleBinding(t, net, cache, "fair-hot", hotU, nil)
 
 	idle := make([]*LVC, nIdle)

@@ -262,10 +262,6 @@ type HistogramView struct {
 	Buckets  []uint64 `json:"buckets"` // cumulative-free per-bucket counts
 }
 
-// BucketBound returns the inclusive upper bound of bucket i — exported so
-// quantile consumers (the serving bench, ntcsstat) can label buckets.
-func BucketBound(i int) time.Duration { return bucketBound(i) }
-
 // Quantile estimates the latency at quantile q (0 < q ≤ 1) by linear
 // interpolation within the bucket holding the q-th observation. The
 // power-of-two geometry bounds the estimate to within its bucket (≤2x);
@@ -519,9 +515,9 @@ const (
 	// NDNacks counts overrun NACKs this side sent (receiver role).
 	NDNacks = "nd.nacks"
 
-	// IPCS shared dispatcher (process-global; surfaced per module via
-	// CounterFunc): pool worker wakeups, tasks dispatched, and memnet
-	// timer rounds.
+	// IPCS queue drains (process-global; surfaced per module via
+	// CounterFunc): drains started by memnet pipes and ND send queues
+	// going busy (wakeups equals dispatches), and memnet timer rounds.
 	IPCSPollerWakeups    = "ipcs.poller.wakeups"
 	IPCSPollerDispatches = "ipcs.poller.dispatches"
 	IPCSPollerPolls      = "ipcs.poller.polls"
