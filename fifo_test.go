@@ -191,8 +191,8 @@ func TestPerSenderFIFOUnderBackpressure(t *testing.T) {
 	}
 }
 
-// TestSendBytesMatchesSend: the opaque-bytes arm of SendMsg (WithNoCopy)
-// is observably identical to Send with a []byte body.
+// TestSendBytesMatchesSend: a []byte body sent with WithNoCopy, which
+// selects nothing, arrives exactly as one sent without it.
 func TestSendBytesMatchesSend(t *testing.T) {
 	w := sim.NewWorld()
 	w.AddNetwork("ring", memnet.Options{})

@@ -264,8 +264,8 @@ func TestCustomConverterUsed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := client.RegisterConverter("count", ntcs.Converter{
-		Pack: func(body any) ([]byte, error) {
-			return []byte(fmt.Sprintf("%d", body)), nil
+		Pack: func(dst []byte, body any) ([]byte, error) {
+			return fmt.Appendf(dst, "%d", body), nil
 		},
 	}); err != nil {
 		t.Fatal(err)

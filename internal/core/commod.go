@@ -60,8 +60,14 @@ var (
 // Converter supplies the application's pack/unpack functions of §5.1.
 // Either function may be nil, in which case the automatic derivation
 // (pack.Marshal/Unmarshal, reproducing [22]) applies.
+//
+// Pack appends the packed form of body to dst and returns the extended
+// slice, in the strconv.AppendInt idiom: dst is the message envelope, so
+// the body is written once, in place. The format is the application's own.
+// Whatever Pack appends before it returns an error is discarded. Unpack
+// reads data, a view of the received frame, into out.
 type Converter struct {
-	Pack   func(body any) ([]byte, error)
+	Pack   func(dst []byte, body any) ([]byte, error)
 	Unpack func(data []byte, out any) error
 }
 
@@ -560,69 +566,68 @@ func (m *Module) destMachine(dst addr.UAdd) machine.Type {
 // incompatible machines are transmitted in a converted representation
 // (packed mode). The NTCS determines the correct mode based on the source
 // and destination machine types, thus avoiding needless conversions."
+//
+// It then frames the payload in a pooled encoder: the message "type"
+// through which structure is inferred (§5.1), then the body as one byte
+// field written in place. The payload aliases the encoder's buffer; the
+// caller returns the encoder with pack.PutEncoder once the layers below
+// have consumed the payload (they all do so synchronously).
 func (m *Module) encode(dst addr.UAdd, msgType string, body any) (wire.Mode, []byte, *pack.Encoder, error) {
-	var (
-		mode wire.Mode
-		data []byte
-		err  error
-	)
-	imageOK := false
-	if body != nil {
-		if info, ok := m.destInfo(dst); ok {
-			imageOK = info.Mode == wire.ModeImage
-		}
-	}
-	switch {
-	case body == nil:
+	mode := wire.ModePacked
+	switch body.(type) {
+	case nil:
 		mode = wire.ModeNone
-	case imageOK && machine.Imageable(body):
-		mode = wire.ModeImage
-		data, err = machine.Image(body, m.cfg.Machine)
+	case []byte:
+		// Opaque bytes are never imageable: no destination lookup.
 	default:
-		mode = wire.ModePacked
-		c := m.converter(msgType)
-		if c.Pack != nil {
-			data, err = c.Pack(body)
-		} else if bb, ok := body.([]byte); ok {
-			// Opaque bodies are machine-independent; write the envelope
-			// straight through rather than reflecting over the slice and
-			// materializing its Marshal encoding first.
-			e := pack.GetEncoder()
-			e.String(msgType)
-			e.NestedBytesField(bb)
-			return mode, e.Bytes(), e, nil
-		} else {
-			// Structured bodies execute the compiled per-type plan (see
-			// pack/codec.go) straight into a pooled encoder; the envelope
-			// copies the stream out, so the scratch encoder goes back to
-			// the pool before the send even leaves this frame.
-			be := pack.GetEncoder()
-			if err := be.Marshal(body); err != nil {
-				pack.PutEncoder(be)
-				return 0, nil, nil, fmt.Errorf("%w: %v", ErrNotConverter, err)
-			}
-			enc, payload := envelope(msgType, be.Bytes())
-			pack.PutEncoder(be)
-			return mode, payload, enc, nil
+		if info, ok := m.destInfo(dst); ok && info.Mode == wire.ModeImage && machine.Imageable(body) {
+			mode = wire.ModeImage
 		}
 	}
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	enc, payload := envelope(msgType, data)
-	return mode, payload, enc, nil
-}
-
-// envelope frames the typed payload: the message "type" through which
-// structure is inferred (§5.1). The returned payload aliases the pooled
-// encoder's buffer; the caller returns the encoder with pack.PutEncoder
-// once the layers below have consumed the payload (they all do so
-// synchronously).
-func envelope(msgType string, body []byte) (*pack.Encoder, []byte) {
 	e := pack.GetEncoder()
 	e.String(msgType)
-	e.BytesField(body)
-	return e, e.Bytes()
+	mark := e.BeginField()
+	if err := m.writeBody(e, mode, msgType, body); err != nil {
+		pack.PutEncoder(e)
+		return 0, nil, nil, err
+	}
+	e.EndField(mark)
+	return mode, e.Bytes(), e, nil
+}
+
+// writeBody appends the body in mode onto the open envelope field. A
+// packed body is the application's converter output if one is registered
+// for msgType; otherwise a []byte is written as pack.Marshal would write
+// it, and anything else through its compiled conversion plan (see
+// pack/codec.go).
+func (m *Module) writeBody(e *pack.Encoder, mode wire.Mode, msgType string, body any) error {
+	switch mode {
+	case wire.ModeNone:
+		return nil
+	case wire.ModeImage:
+		img, err := machine.Image(body, m.cfg.Machine)
+		if err != nil {
+			return err
+		}
+		e.SetBytes(append(e.Bytes(), img...))
+		return nil
+	}
+	if c := m.converter(msgType); c.Pack != nil {
+		b, err := c.Pack(e.Bytes(), body)
+		if err != nil {
+			return err
+		}
+		e.SetBytes(b)
+		return nil
+	}
+	if bb, ok := body.([]byte); ok {
+		e.BytesField(bb)
+		return nil
+	}
+	if err := e.Marshal(body); err != nil {
+		return fmt.Errorf("%w: %v", ErrNotConverter, err)
+	}
+	return nil
 }
 
 func openEnvelope(payload []byte) (msgType string, body []byte, err error) {
@@ -649,10 +654,9 @@ func openEnvelope(payload []byte) (msgType string, body []byte, err error) {
 type SendOption uint32
 
 const (
-	// WithNoCopy promises the body is an opaque []byte the module may
-	// write straight through: no reflection, no conversion plan, no
-	// boxing-driven copies. Ignored (the body still goes out, via the
-	// general encoder) when the body is not a []byte.
+	// WithNoCopy is accepted and changes nothing: every body is written
+	// once, in place, into the message envelope, and a []byte body
+	// already skips the conversion plan and the destination lookup.
 	WithNoCopy SendOption = 1 << iota
 	// WithNoBlock makes a credit-exhausted circuit fail immediately with
 	// ErrBackpressure instead of waiting up to CreditWaitMax for the
@@ -694,9 +698,8 @@ func fold(opts []SendOption) SendOption {
 
 // SendMsg transmits body to dst asynchronously: the send primitive. The
 // context bounds establishment and any credit wait; options select the
-// opaque-bytes fast path (WithNoCopy), the fail-fast backpressure
-// contract (WithNoBlock), DRTS traffic (WithService) and the
-// connectionless protocol (WithConnless).
+// fail-fast backpressure contract (WithNoBlock), DRTS traffic
+// (WithService) and the connectionless protocol (WithConnless).
 //
 // When the destination's circuit is out of credit, SendMsg waits up to
 // the module's CreditWaitMax and then — or immediately under
@@ -714,7 +717,7 @@ func (m *Module) SendMsg(ctx context.Context, dst addr.UAdd, msgType string, bod
 		m.tracer.Span(span, trace.LayerALI, "send", msgType)
 	}
 	defer func() { exit(err) }()
-	mode, payload, enc, err := m.prepare(dst, msgType, body, o)
+	mode, payload, enc, err := m.prepare(dst, msgType, body)
 	if err != nil {
 		return err
 	}
@@ -738,7 +741,7 @@ func (m *Module) CallContext(ctx context.Context, dst addr.UAdd, msgType string,
 		m.tracer.Span(span, trace.LayerALI, "call", msgType)
 	}
 	defer func() { exit(err) }()
-	mode, payload, enc, err := m.prepare(dst, msgType, body, o)
+	mode, payload, enc, err := m.prepare(dst, msgType, body)
 	if err != nil {
 		return err
 	}
@@ -756,36 +759,12 @@ func (m *Module) CallContext(ctx context.Context, dst addr.UAdd, msgType string,
 	return del.Decode(replyOut)
 }
 
-// prepare checks the arguments and encodes the body. Only the encoding
-// step depends on the options: a WithNoCopy []byte is written straight
-// through, anything else goes through the §5 mode selection.
-func (m *Module) prepare(dst addr.UAdd, msgType string, body any, o SendOption) (wire.Mode, []byte, *pack.Encoder, error) {
+// prepare checks the arguments and encodes the body.
+func (m *Module) prepare(dst addr.UAdd, msgType string, body any) (wire.Mode, []byte, *pack.Encoder, error) {
 	if err := m.checkArgs(dst, msgType); err != nil {
 		return 0, nil, nil, err
 	}
-	if bb, ok := body.([]byte); ok && o&WithNoCopy != 0 {
-		return m.encodeBytes(msgType, bb)
-	}
 	return m.encode(dst, msgType, body)
-}
-
-// encodeBytes is the []byte arm of encode with a typed entry point:
-// opaque bodies are machine-independent, so they are always packed and
-// the envelope is written straight through. A custom converter for
-// msgType still wins, exactly as in encode.
-func (m *Module) encodeBytes(msgType string, body []byte) (wire.Mode, []byte, *pack.Encoder, error) {
-	if c := m.converter(msgType); c.Pack != nil {
-		data, err := c.Pack(body)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		enc, payload := envelope(msgType, data)
-		return wire.ModePacked, payload, enc, nil
-	}
-	e := pack.GetEncoder()
-	e.String(msgType)
-	e.NestedBytesField(body)
-	return wire.ModePacked, e.Bytes(), e, nil
 }
 
 func (m *Module) checkArgs(dst addr.UAdd, msgType string) error {

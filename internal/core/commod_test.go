@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -205,6 +207,110 @@ func TestReplyErrorSurfacesAsRemote(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "not today") {
 		t.Errorf("error text lost: %v", err)
+	}
+}
+
+// TestFailingConverterLeavesNothingBehind: a converter appends straight
+// into the pooled envelope, so one that appends and then fails must leave
+// no trace. The send or call returns its error and nothing reaches the
+// peer, the module's next envelopes are byte for byte what a fresh
+// module's are, and a reply it refuses under Serve still answers the call
+// with a ReplyError.
+func TestFailingConverterLeavesNothingBehind(t *testing.T) {
+	errPack := errors.New("cannot pack this")
+	failing := core.Converter{Pack: func(dst []byte, body any) ([]byte, error) {
+		return append(dst, "half a body"...), errPack
+	}}
+	decimal := core.Converter{Pack: func(dst []byte, body any) ([]byte, error) {
+		return fmt.Appendf(dst, "%d", body), nil
+	}}
+	register := func(m *core.Module) {
+		t.Helper()
+		if err := m.RegisterConverter("bad", failing); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RegisterConverter("count", decimal); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w := world(t)
+	vax := w.MustHost("vax", machine.VAX, "ring")
+	sun := w.MustHost("sun", machine.Sun68K, "ring")
+	sink, err := w.Attach(sun, "sink", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := w.Attach(vax, "client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := w.Attach(vax, "fresh", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(client)
+	register(fresh)
+	u := sink.UAdd()
+	ctx := context.Background()
+
+	if err := client.SendMsg(ctx, u, "bad", 1); !errors.Is(err, errPack) {
+		t.Errorf("SendMsg: %v, want the converter's error", err)
+	}
+	if err := client.CallContext(ctx, u, "bad", 1, nil); !errors.Is(err, errPack) {
+		t.Errorf("CallContext: %v, want the converter's error", err)
+	}
+
+	// The sink reads raw LCM deliveries: the envelope bytes as sent.
+	type msg struct {
+		A int32
+		S string
+	}
+	sends := []struct {
+		typ  string
+		body any
+	}{
+		{"count", 12345},
+		{"blob", []byte("opaque \x00 body")},
+		{"struct", msg{A: 7, S: "packed"}},
+	}
+	envelopes := func(m *core.Module) [][]byte {
+		t.Helper()
+		var out [][]byte
+		for _, s := range sends {
+			if err := m.SendMsg(ctx, u, s.typ, s.body); err != nil {
+				t.Fatalf("%s: send %q: %v", m.Name(), s.typ, err)
+			}
+			d, err := sink.Nucleus().LCM.Recv(2 * time.Second)
+			if err != nil {
+				t.Fatalf("%s: receive %q: %v", m.Name(), s.typ, err)
+			}
+			out = append(out, d.Payload)
+		}
+		return out
+	}
+	got, want := envelopes(client), envelopes(fresh)
+	for i := range sends {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("%q after a failed pack: envelope %q, a fresh module sends %q", sends[i].typ, got[i], want[i])
+		}
+	}
+	if d, err := sink.Nucleus().LCM.Recv(100 * time.Millisecond); err == nil {
+		t.Errorf("the sink got a message no send accounts for: %q", d.Payload)
+	}
+
+	server, err := w.Attach(sun, "server", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	register(server)
+	go server.Serve(func(*core.Delivery) (string, any, error) { return "bad", 1, nil })
+	callCtx, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	var reply int
+	err = client.CallContext(callCtx, server.UAdd(), "count", 1, &reply)
+	if !errors.Is(err, lcm.ErrRemote) || !strings.Contains(err.Error(), errPack.Error()) {
+		t.Errorf("call answered by a failing converter: %v, want ErrRemote with %q", err, errPack)
 	}
 }
 

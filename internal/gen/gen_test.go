@@ -40,8 +40,8 @@ func TestGenerateCompilesAndCovers(t *testing.T) {
 	}
 	code := string(formatted)
 	for _, want := range []string{
-		"func MarshalTree(", "func UnmarshalTree(",
-		"func MarshalLeaf(", "func UnmarshalLeaf(", // dependency emitted
+		"func AppendTree(", "func UnmarshalTree(",
+		"func AppendLeaf(", "func UnmarshalLeaf(", // dependency emitted
 		"e.BytesField(v.Raw)", "sortKeysString(",
 		"DO NOT EDIT",
 	} {

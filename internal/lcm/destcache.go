@@ -98,14 +98,6 @@ func (c *DestCache) InvalidateTarget(u addr.UAdd) {
 	})
 }
 
-// InvalidateAll empties the cache.
-func (c *DestCache) InvalidateAll() {
-	c.m.Range(func(k, _ any) bool {
-		c.m.Delete(k)
-		return true
-	})
-}
-
 // Len reports the number of cached entries (diagnostics and tests).
 func (c *DestCache) Len() int {
 	n := 0

@@ -108,13 +108,6 @@ func TestDestCacheInvalidation(t *testing.T) {
 	if _, ok := c.Get(5); ok {
 		t.Error("entry survived Invalidate")
 	}
-	if _, err := c.Do(5, fill(5)); err != nil {
-		t.Fatal(err)
-	}
-	c.InvalidateAll()
-	if c.Len() != 0 {
-		t.Errorf("Len after InvalidateAll = %d", c.Len())
-	}
 }
 
 // TestDestCacheConcurrentInvalidate races fills against invalidation:

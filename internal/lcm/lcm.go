@@ -618,22 +618,33 @@ func (l *Layer) call(ctx context.Context, span uint32, dst addr.UAdd, mode wire.
 		l.abandonWaiter(seq, w)
 		return Delivery{}, err
 	}
-	timer := retry.GetTimer(l.cfg.CallTimeout)
+	d, err := l.await(ctx, w, seq, dst, l.cfg.CallTimeout, false)
+	if err == nil && d.Header.Flags&wire.FlagError != 0 {
+		return d, &RemoteError{Src: d.Header.Src, Msg: string(d.Payload)}
+	}
+	return d, err
+}
+
+// await waits on w for the reply (or, when ping is set, the pong) to
+// seq: until it arrives, ctx ends, or timeout passes on a pooled timer.
+// On every path but an arrival the waiter is abandoned.
+func (l *Layer) await(ctx context.Context, w *callWaiter, seq uint32, dst addr.UAdd, timeout time.Duration, ping bool) (Delivery, error) {
+	timer := retry.GetTimer(timeout)
 	defer retry.PutTimer(timer)
 	select {
 	case d := <-w.ch:
 		// The deliverer claimed the map entry before sending; the waiter
 		// is exclusively ours again and empty.
 		waiterPool.Put(w)
-		if d.Header.Flags&wire.FlagError != 0 {
-			return d, &RemoteError{Src: d.Header.Src, Msg: string(d.Payload)}
-		}
 		return d, nil
 	case <-ctx.Done():
 		l.abandonWaiter(seq, w)
 		return Delivery{}, ctx.Err()
 	case <-timer.C:
 		l.abandonWaiter(seq, w)
+		if ping {
+			return Delivery{}, fmt.Errorf("%w: ping %v", ErrCallTimeout, dst)
+		}
 		return Delivery{}, fmt.Errorf("%w: %v seq %d", ErrCallTimeout, dst, seq)
 	}
 }
@@ -698,19 +709,8 @@ func (l *Layer) PingContext(ctx context.Context, dst addr.UAdd, timeout time.Dur
 		l.abandonWaiter(seq, w)
 		return err
 	}
-	timer := retry.GetTimer(timeout)
-	defer retry.PutTimer(timer)
-	select {
-	case <-w.ch:
-		waiterPool.Put(w)
-		return nil
-	case <-ctx.Done():
-		l.abandonWaiter(seq, w)
-		return ctx.Err()
-	case <-timer.C:
-		l.abandonWaiter(seq, w)
-		return fmt.Errorf("%w: ping %v", ErrCallTimeout, dst)
-	}
+	_, err := l.await(ctx, w, seq, dst, timeout, true)
+	return err
 }
 
 // Recv waits for the next inbound message. The Delivery is the caller's:

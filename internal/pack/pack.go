@@ -145,7 +145,7 @@ func (e *Encoder) String(v string) {
 	e.buf = append(e.buf, v...)
 }
 
-// Bytes appends a byte slice as length-prefixed raw bytes.
+// BytesField appends a byte slice as length-prefixed raw bytes.
 func (e *Encoder) BytesField(v []byte) {
 	e.buf = append(e.buf, 'x')
 	e.num(uint64(len(v)))
@@ -153,27 +153,52 @@ func (e *Encoder) BytesField(v []byte) {
 	e.buf = append(e.buf, v...)
 }
 
-// NestedBytesField writes BytesField(m) where m is the Marshal encoding
-// of the byte slice v — i.e. the same bytes as BytesField(Marshal(v)) —
-// without materializing the intermediate encoding. This is the hot-path
-// framing of an opaque message body.
-func (e *Encoder) NestedBytesField(v []byte) {
-	inner := int64(2 + digits(int64(len(v))) + len(v)) // 'x' + count + ':' + v
-	e.buf = append(e.buf, 'x')
-	e.buf = strconv.AppendInt(e.buf, inner, 10)
-	e.buf = append(e.buf, ':')
-	e.BytesField(v)
+// fieldDigits is the length width BeginField reserves. Contents of 1000
+// to 9999 bytes stay where they were written; shorter ones shift left a
+// few bytes at EndField, longer ones right.
+const fieldDigits = 4
+
+// BeginField opens a byte field whose contents the caller then appends
+// straight onto the stream, and returns the mark EndField takes. The pair
+// writes exactly BytesField(contents), without the contents ever living in
+// a buffer of their own.
+func (e *Encoder) BeginField() (mark int) {
+	e.buf = append(e.buf, 'x', '0', '0', '0', '0', ':')
+	return len(e.buf)
 }
 
-// digits counts the base-10 digits of a non-negative count.
-func digits(n int64) int {
-	d := 1
-	for n >= 10 {
-		n /= 10
-		d++
+// EndField closes the field opened at mark: it writes the length of
+// everything appended since in decimal, moving the contents when that
+// length does not take fieldDigits digits.
+func (e *Encoder) EndField(mark int) {
+	n := len(e.buf) - mark
+	var num [20]byte
+	digits := strconv.AppendUint(num[:0], uint64(n), 10)
+	if shift := len(digits) - fieldDigits; shift != 0 {
+		if shift > 0 {
+			e.buf = append(e.buf, make([]byte, shift)...)
+		}
+		copy(e.buf[mark+shift:], e.buf[mark:mark+n])
+		e.buf = e.buf[:mark+shift+n]
 	}
-	return d
+	first := mark - 1 - fieldDigits
+	e.buf[first+copy(e.buf[first:], digits)] = ':'
 }
+
+// NestedBytesField writes BytesField(Marshal(v)) — the envelope field of
+// an opaque []byte message body — without materializing the inner
+// encoding.
+func (e *Encoder) NestedBytesField(v []byte) {
+	mark := e.BeginField()
+	e.BytesField(v)
+	e.EndField(mark)
+}
+
+// SetBytes makes b the stream: later writes append to it, and Bytes hands
+// it back. It bridges the Encoder and append-style writers in the
+// strconv.AppendInt idiom: a generated AppendX encodes onto its dst through
+// it, and the ComMod takes back the envelope a converter appended to.
+func (e *Encoder) SetBytes(b []byte) { e.buf, e.depth = b, 0 }
 
 // List writes a list header for n following values.
 func (e *Encoder) List(n int) {

@@ -117,6 +117,43 @@ func TestBytesFieldIsCopied(t *testing.T) {
 	}
 }
 
+// TestFieldMatchesBytesField: a field opened with BeginField, filled in
+// place and closed with EndField is byte-identical to BytesField of the
+// same contents, on both sides of every change in the length's digit
+// count, so the contents move left, stay, or move right.
+func TestFieldMatchesBytesField(t *testing.T) {
+	for _, n := range []int{0, 9, 10, 99, 100, 999, 1000, 3 << 10, 9999, 10000, 123456} {
+		contents := bytes.Repeat([]byte("0123456789abcdef"), n/16+1)[:n]
+		var want Encoder
+		want.String("type")
+		want.BytesField(contents)
+		want.Int(7)
+
+		var got Encoder
+		got.String("type")
+		mark := got.BeginField()
+		got.SetBytes(append(got.Bytes(), contents...))
+		got.EndField(mark)
+		got.Int(7)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%d-byte field: %.40q..., want %.40q...", n, got.Bytes(), want.Bytes())
+		}
+
+		// NestedBytesField is BytesField(Marshal(v)) written in place.
+		inner, err := Marshal(contents)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Reset()
+		want.BytesField(inner)
+		got.Reset()
+		got.NestedBytesField(contents)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%d-byte nested field: %.40q..., want %.40q...", n, got.Bytes(), want.Bytes())
+		}
+	}
+}
+
 func TestEncoderReset(t *testing.T) {
 	var e Encoder
 	e.Int(1)

@@ -79,7 +79,6 @@ type Tracer struct {
 	seq      int
 	depth    int
 	maxDepth int
-	filter   func(Layer, string) bool
 
 	spanMu    sync.Mutex
 	spans     []SpanEvent // bounded ring, same capacity as events
@@ -120,18 +119,6 @@ func (t *Tracer) On() bool {
 // shared, so the disabled path allocates nothing.
 var NopExit = func(error) {}
 
-// SetFilter installs a selective filter: only calls for which keep returns
-// true are recorded (depth accounting still covers everything, so the
-// recursion shape stays truthful).
-func (t *Tracer) SetFilter(keep func(layer Layer, op string) bool) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.filter = keep
-}
-
 // Enter records a layer entry and returns the exit function, which must be
 // called (usually deferred) with the operation's error.
 func (t *Tracer) Enter(layer Layer, op, reason, who string) func(err error) {
@@ -148,20 +135,15 @@ func (t *Tracer) Enter(layer Layer, op, reason, who string) func(err error) {
 	if t.depth > t.maxDepth {
 		t.maxDepth = t.depth
 	}
-	record := t.filter == nil || t.filter(layer, op)
-	var idx = -1
-	if record {
-		ev := Event{
-			Seq:    t.seq,
-			Depth:  depth,
-			Layer:  layer,
-			Op:     op,
-			Reason: reason,
-			Who:    who,
-			Start:  time.Now(),
-		}
-		idx = t.push(ev)
-	}
+	idx := t.push(Event{
+		Seq:    t.seq,
+		Depth:  depth,
+		Layer:  layer,
+		Op:     op,
+		Reason: reason,
+		Who:    who,
+		Start:  time.Now(),
+	})
 	t.seq++
 	t.mu.Unlock()
 
@@ -171,13 +153,10 @@ func (t *Tracer) Enter(layer Layer, op, reason, who string) func(err error) {
 		if t.depth > 0 {
 			t.depth--
 		}
-		if idx >= 0 {
-			ev := t.at(idx)
-			if ev != nil {
-				ev.Dur = time.Since(ev.Start)
-				if err != nil {
-					ev.Err = err.Error()
-				}
+		if ev := t.at(idx); ev != nil {
+			ev.Dur = time.Since(ev.Start)
+			if err != nil {
+				ev.Err = err.Error()
 			}
 		}
 	}

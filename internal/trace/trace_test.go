@@ -11,7 +11,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	exit := tr.Enter(LayerND, "open", "r", "w")
 	exit(nil)
 	tr.SetEnabled(true)
-	tr.SetFilter(nil)
 	tr.Clear()
 	if tr.Events() != nil || tr.MaxDepth() != 0 || tr.CountLayer(LayerND) != 0 {
 		t.Error("nil tracer must report nothing")
@@ -82,19 +81,6 @@ func TestDisabledRecordsNothing(t *testing.T) {
 	exit(nil)
 	if len(tr.Events()) != 1 {
 		t.Error("re-enabled tracer should record")
-	}
-}
-
-func TestSelectiveFilter(t *testing.T) {
-	tr := New("m1")
-	tr.SetEnabled(true)
-	tr.SetFilter(func(l Layer, op string) bool { return l == LayerND })
-	tr.Enter(LayerALI, "send", "", "")(nil)
-	tr.Enter(LayerND, "open", "", "")(nil)
-	tr.Enter(LayerLCM, "send", "", "")(nil)
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Layer != LayerND {
-		t.Errorf("filter failed: %+v", evs)
 	}
 }
 

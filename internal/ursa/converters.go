@@ -18,33 +18,33 @@ func RegisterGeneratedConverters(m *core.Module) error {
 	}
 	convs := []conv{
 		{MsgIngest, converterFor(
-			func(v *IngestRequest) []byte { return MarshalIngestRequest(v) },
+			AppendIngestRequest,
 			UnmarshalIngestRequest,
-			func(v *IngestReply) []byte { return MarshalIngestReply(v) },
+			AppendIngestReply,
 			UnmarshalIngestReply,
 		)},
 		{MsgIndexLookup, converterFor(
-			func(v *IndexLookupRequest) []byte { return MarshalIndexLookupRequest(v) },
+			AppendIndexLookupRequest,
 			UnmarshalIndexLookupRequest,
-			func(v *IndexLookupReply) []byte { return MarshalIndexLookupReply(v) },
+			AppendIndexLookupReply,
 			UnmarshalIndexLookupReply,
 		)},
 		{MsgSearch, converterFor(
-			func(v *SearchRequest) []byte { return MarshalSearchRequest(v) },
+			AppendSearchRequest,
 			UnmarshalSearchRequest,
-			func(v *SearchReply) []byte { return MarshalSearchReply(v) },
+			AppendSearchReply,
 			UnmarshalSearchReply,
 		)},
 		{MsgFetch, converterFor(
-			func(v *FetchRequest) []byte { return MarshalFetchRequest(v) },
+			AppendFetchRequest,
 			UnmarshalFetchRequest,
-			func(v *Document) []byte { return MarshalDocument(v) },
+			AppendDocument,
 			UnmarshalDocument,
 		)},
 		{MsgStats, converterFor(
-			func(v *StatsRequest) []byte { return MarshalStatsRequest(v) },
+			AppendStatsRequest,
 			UnmarshalStatsRequest,
-			func(v *StatsReply) []byte { return MarshalStatsReply(v) },
+			AppendStatsReply,
 			UnmarshalStatsReply,
 		)},
 	}
@@ -58,22 +58,22 @@ func RegisterGeneratedConverters(m *core.Module) error {
 
 // converterFor builds a bidirectional converter: each URSA message type
 // carries either the request or the reply shape, so the converter
-// dispatches on the concrete Go type.
+// dispatches on the concrete Go type and appends straight onto dst.
 func converterFor[Req, Rep any](
-	packReq func(*Req) []byte, unpackReq func([]byte, *Req) error,
-	packRep func(*Rep) []byte, unpackRep func([]byte, *Rep) error,
+	appendReq func([]byte, *Req) []byte, unpackReq func([]byte, *Req) error,
+	appendRep func([]byte, *Rep) []byte, unpackRep func([]byte, *Rep) error,
 ) core.Converter {
 	return core.Converter{
-		Pack: func(body any) ([]byte, error) {
+		Pack: func(dst []byte, body any) ([]byte, error) {
 			switch v := body.(type) {
 			case Req:
-				return packReq(&v), nil
+				return appendReq(dst, &v), nil
 			case *Req:
-				return packReq(v), nil
+				return appendReq(dst, v), nil
 			case Rep:
-				return packRep(&v), nil
+				return appendRep(dst, &v), nil
 			case *Rep:
-				return packRep(v), nil
+				return appendRep(dst, v), nil
 			default:
 				return nil, fmt.Errorf("ursa: converter cannot pack %T", body)
 			}
@@ -90,3 +90,9 @@ func converterFor[Req, Rep any](
 		},
 	}
 }
+
+// MarshalSearchRequest and MarshalSearchReply return a search message's
+// packed form in a buffer of its own, for callers outside a module (the
+// benchmark's codec rungs).
+func MarshalSearchRequest(v *SearchRequest) []byte { return AppendSearchRequest(nil, v) }
+func MarshalSearchReply(v *SearchReply) []byte     { return AppendSearchReply(nil, v) }

@@ -13,7 +13,7 @@ import (
 // borrow pooled decoders, so b's decode may reuse the decoder (and the
 // arena) a was decoded with; a's result, re-encoded before and after,
 // must not have moved.
-func checkGenerated[T any](t *testing.T, name string, marshal func(*T) []byte, unmarshal func([]byte, *T) error, a, b []byte) {
+func checkGenerated[T any](t *testing.T, name string, appendTo func([]byte, *T) []byte, unmarshal func([]byte, *T) error, a, b []byte) {
 	t.Helper()
 	decode := func(data []byte) (T, bool) {
 		var gen, ref T
@@ -30,11 +30,11 @@ func checkGenerated[T any](t *testing.T, name string, marshal func(*T) []byte, u
 	first, ok := decode(a)
 	var before []byte
 	if ok {
-		before = marshal(&first)
+		before = appendTo(nil, &first)
 	}
 	decode(b)
 	if ok {
-		if after := marshal(&first); !bytes.Equal(before, after) {
+		if after := appendTo(nil, &first); !bytes.Equal(before, after) {
 			t.Fatalf("%s: decoding %q changed the earlier result of %q: %q became %q", name, b, a, before, after)
 		}
 	}
@@ -46,14 +46,14 @@ func checkGenerated[T any](t *testing.T, name string, marshal func(*T) []byte, u
 func FuzzGeneratedCodecEquivalence(f *testing.F) {
 	reply := sampleReply()
 	seeds := [][]byte{
-		MarshalDocument(&Document{ID: 7, Title: "A Portable NTCS", Text: "message passing"}),
-		MarshalIngestRequest(&IngestRequest{Docs: []Document{{ID: 1, Title: "t"}, {ID: 2}}}),
-		MarshalIngestRequest(&IngestRequest{}),
-		MarshalIndexLookupReply(&IndexLookupReply{Term: "circuit", Postings: []Posting{{DocID: 3, Freq: 2}, {DocID: 9, Freq: 1}}}),
-		MarshalIndexLookupReply(&IndexLookupReply{Term: "x", Postings: []Posting{}}),
-		MarshalSearchRequest(&SearchRequest{Query: "distributed system", Limit: 5}),
-		MarshalSearchReply(&reply),
-		MarshalStatsReply(&StatsReply{Requests: 12, Items: 200}),
+		AppendDocument(nil, &Document{ID: 7, Title: "A Portable NTCS", Text: "message passing"}),
+		AppendIngestRequest(nil, &IngestRequest{Docs: []Document{{ID: 1, Title: "t"}, {ID: 2}}}),
+		AppendIngestRequest(nil, &IngestRequest{}),
+		AppendIndexLookupReply(nil, &IndexLookupReply{Term: "circuit", Postings: []Posting{{DocID: 3, Freq: 2}, {DocID: 9, Freq: 1}}}),
+		AppendIndexLookupReply(nil, &IndexLookupReply{Term: "x", Postings: []Posting{}}),
+		AppendSearchRequest(nil, &SearchRequest{Query: "distributed system", Limit: 5}),
+		AppendSearchReply(nil, &reply),
+		AppendStatsReply(nil, &StatsReply{Requests: 12, Items: 200}),
 		[]byte("(i1:7;s0:;s0:;)"),
 		[]byte("(s3:abc;l999999999;)"),
 		[]byte("i42;"),
@@ -64,17 +64,17 @@ func FuzzGeneratedCodecEquivalence(f *testing.F) {
 		f.Add(seeds[3], a)
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		checkGenerated(t, "Document", MarshalDocument, UnmarshalDocument, a, b)
-		checkGenerated(t, "IngestRequest", MarshalIngestRequest, UnmarshalIngestRequest, a, b)
-		checkGenerated(t, "IngestReply", MarshalIngestReply, UnmarshalIngestReply, a, b)
-		checkGenerated(t, "IndexLookupRequest", MarshalIndexLookupRequest, UnmarshalIndexLookupRequest, a, b)
-		checkGenerated(t, "Posting", MarshalPosting, UnmarshalPosting, a, b)
-		checkGenerated(t, "IndexLookupReply", MarshalIndexLookupReply, UnmarshalIndexLookupReply, a, b)
-		checkGenerated(t, "SearchRequest", MarshalSearchRequest, UnmarshalSearchRequest, a, b)
-		checkGenerated(t, "Hit", MarshalHit, UnmarshalHit, a, b)
-		checkGenerated(t, "SearchReply", MarshalSearchReply, UnmarshalSearchReply, a, b)
-		checkGenerated(t, "FetchRequest", MarshalFetchRequest, UnmarshalFetchRequest, a, b)
-		checkGenerated(t, "StatsRequest", MarshalStatsRequest, UnmarshalStatsRequest, a, b)
-		checkGenerated(t, "StatsReply", MarshalStatsReply, UnmarshalStatsReply, a, b)
+		checkGenerated(t, "Document", AppendDocument, UnmarshalDocument, a, b)
+		checkGenerated(t, "IngestRequest", AppendIngestRequest, UnmarshalIngestRequest, a, b)
+		checkGenerated(t, "IngestReply", AppendIngestReply, UnmarshalIngestReply, a, b)
+		checkGenerated(t, "IndexLookupRequest", AppendIndexLookupRequest, UnmarshalIndexLookupRequest, a, b)
+		checkGenerated(t, "Posting", AppendPosting, UnmarshalPosting, a, b)
+		checkGenerated(t, "IndexLookupReply", AppendIndexLookupReply, UnmarshalIndexLookupReply, a, b)
+		checkGenerated(t, "SearchRequest", AppendSearchRequest, UnmarshalSearchRequest, a, b)
+		checkGenerated(t, "Hit", AppendHit, UnmarshalHit, a, b)
+		checkGenerated(t, "SearchReply", AppendSearchReply, UnmarshalSearchReply, a, b)
+		checkGenerated(t, "FetchRequest", AppendFetchRequest, UnmarshalFetchRequest, a, b)
+		checkGenerated(t, "StatsRequest", AppendStatsRequest, UnmarshalStatsRequest, a, b)
+		checkGenerated(t, "StatsReply", AppendStatsReply, UnmarshalStatsReply, a, b)
 	})
 }

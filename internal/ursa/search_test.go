@@ -70,7 +70,7 @@ func TestSearchWhileIngesting(t *testing.T) {
 			for _, term := range []string{"message", "circuit", "distributed"} {
 				v := dep.Index.view(term)
 				var got IndexLookupReply
-				if err := UnmarshalIndexLookupReply(MarshalIndexLookupReply(&IndexLookupReply{Term: term, Postings: v}), &got); err != nil {
+				if err := UnmarshalIndexLookupReply(AppendIndexLookupReply(nil, &IndexLookupReply{Term: term, Postings: v}), &got); err != nil {
 					t.Error(err)
 					return
 				}

@@ -73,7 +73,9 @@ type Module = core.Module
 // Config assembles a module.
 type Config = core.Config
 
-// Converter carries application pack/unpack functions (§5.1).
+// Converter carries application pack/unpack functions (§5.1). Pack
+// appends the packed body to the envelope it is handed, in the
+// strconv.AppendInt idiom.
 type Converter = core.Converter
 
 // Delivery is one received message.
@@ -119,10 +121,11 @@ type RemoteError = lcm.RemoteError
 // SuggestedWait, shed load, or block without WithNoBlock.
 type BackpressureError = ndlayer.BackpressureError
 
-// SendOption tunes Module.SendMsg and Module.CallContext: WithNoCopy for
-// opaque []byte bodies, WithNoBlock for fail-fast backpressure,
-// WithService for DRTS traffic the monitoring/time hooks must not see,
-// WithConnless for the single-attempt connectionless protocol.
+// SendOption tunes Module.SendMsg and Module.CallContext: WithNoBlock for
+// fail-fast backpressure, WithService for DRTS traffic the
+// monitoring/time hooks must not see, WithConnless for the
+// single-attempt connectionless protocol. WithNoCopy is accepted and
+// changes nothing.
 type SendOption = core.SendOption
 
 // Send options.
