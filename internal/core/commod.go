@@ -605,11 +605,11 @@ func (m *Module) writeBody(e *pack.Encoder, mode wire.Mode, msgType string, body
 	case wire.ModeNone:
 		return nil
 	case wire.ModeImage:
-		img, err := machine.Image(body, m.cfg.Machine)
+		b, err := machine.AppendImage(e.Bytes(), body, m.cfg.Machine)
 		if err != nil {
 			return err
 		}
-		e.SetBytes(append(e.Bytes(), img...))
+		e.SetBytes(b)
 		return nil
 	}
 	if c := m.converter(msgType); c.Pack != nil {
@@ -649,8 +649,8 @@ func openEnvelope(payload []byte) (msgType string, body []byte, err error) {
 
 // --- Communication primitives (§1.3) -------------------------------------
 
-// SendOption tunes one SendMsg or CallContext. Options fold into a
-// bitmask, so the variadic call costs nothing on the warm path.
+// SendOption tunes one SendMsg, CallContext or Calls.Start. Options fold
+// into a bitmask, so the variadic call costs nothing on the warm path.
 type SendOption uint32
 
 const (
@@ -747,11 +747,19 @@ func (m *Module) CallContext(ctx context.Context, dst addr.UAdd, msgType string,
 	}
 	d, err := m.nuc.LCM.CallSpan(ctx, span, dst, mode, o.sendFlags(), payload)
 	pack.PutEncoder(enc)
-	if err != nil || replyOut == nil {
+	if err != nil {
 		return err
 	}
-	// The reply is decoded through a Delivery on the stack: it never
-	// reaches the application, so it need not live on the heap.
+	return m.decodeReply(d, replyOut)
+}
+
+// decodeReply decodes a call's reply into replyOut, or discards it when
+// replyOut is nil. The reply goes through a Delivery on the stack: it never
+// reaches the application, so it need not live on the heap.
+func (m *Module) decodeReply(d lcm.Delivery, replyOut any) error {
+	if replyOut == nil {
+		return nil
+	}
 	var del Delivery
 	if err := m.fill(&del, d); err != nil {
 		return err

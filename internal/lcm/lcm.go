@@ -326,43 +326,48 @@ func (l *Layer) ReplaceAddr(old, real addr.UAdd) {
 	l.dest.InvalidateTarget(old)
 }
 
-// callWaiter is one in-flight call's parked receiver. Waiters are pooled:
-// a serving-path client makes millions of calls, and the per-call channel
-// allocation was measurable in the call tail. Ownership is handed off
-// through the waiters map itself — whichever side LoadAndDeletes the seq
-// (the reply deliverer or the timed-out caller) owns the waiter, so at
-// most one send ever targets ch per incarnation and a drained waiter can
-// be recycled without a stale reply leaking into its next call.
+// callWaiter receives call replies. A synchronous call or a ping borrows a
+// pooled one with room for its one reply: a serving-path client makes
+// millions of calls, and the per-call channel allocation was measurable in
+// the call tail. A CallSet owns one with room for all of its calls.
+// Ownership of each reply is handed off through the waiters map itself:
+// whichever side LoadAndDeletes the seq (the reply deliverer, or the caller
+// giving up) owns it, so each call sends at most one reply into ch, and ch
+// always has room for it.
 type callWaiter struct {
-	ch chan Delivery // cap 1
+	ch chan Delivery
+	// owed counts replies a deliverer claimed for calls the owner has since
+	// given up: each is landing on ch and must be taken off it before ch
+	// serves another call. Only the owner touches it.
+	owed int
 }
 
 var waiterPool = sync.Pool{
 	New: func() any { return &callWaiter{ch: make(chan Delivery, 1)} },
 }
 
-// addWaiter registers a pooled waiter for seq.
-func (l *Layer) addWaiter(seq uint32) *callWaiter {
-	w := waiterPool.Get().(*callWaiter)
-	l.waiters.Store(uint64(seq), w)
-	return w
+// abandonWaiter is the caller's give-up path (timeout, cancellation, send
+// failure): it withdraws w's registration for seq. If a deliverer already
+// claimed it, the reply is landing on w.ch, and w owes it.
+func (l *Layer) abandonWaiter(seq uint32, w *callWaiter) {
+	if _, ok := l.waiters.LoadAndDelete(uint64(seq)); !ok {
+		w.owed++
+	}
 }
 
-// abandonWaiter is the caller's give-up path (timeout, cancellation, send
-// failure). If the caller wins the map claim no reply can ever land in w,
-// so it recycles; if a deliverer already claimed it, the send may still
-// be in flight — recycle only if it has already landed, else leave the
-// waiter to the GC rather than gamble on the race.
-func (l *Layer) abandonWaiter(seq uint32, w *callWaiter) {
-	if _, ok := l.waiters.LoadAndDelete(uint64(seq)); ok {
-		waiterPool.Put(w)
-		return
+// putWaiter recycles a pooled waiter once nothing can land in it. One
+// whose owed reply is still on its way is left to the GC rather than
+// gamble on the race.
+func putWaiter(w *callWaiter) {
+	if w.owed > 0 {
+		select {
+		case <-w.ch:
+			w.owed--
+		default:
+			return
+		}
 	}
-	select {
-	case <-w.ch:
-		waiterPool.Put(w)
-	default:
-	}
+	waiterPool.Put(w)
 }
 
 // nextSeq allocates a message sequence number.
@@ -597,56 +602,73 @@ func (l *Layer) CallSpan(ctx context.Context, span uint32, dst addr.UAdd, mode w
 		start = time.Now()
 	}
 	d, err = l.call(ctx, span, dst, mode, flags, payload)
-	l.calls.Inc()
 	if !start.IsZero() {
 		l.hCall.Observe(time.Since(start))
 	}
 	return d, err
 }
 
+// call is start followed by await, on a pooled waiter.
 func (l *Layer) call(ctx context.Context, span uint32, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte) (Delivery, error) {
-	if err := ctx.Err(); err != nil {
+	w := waiterPool.Get().(*callWaiter)
+	defer putWaiter(w)
+	seq, err := l.start(ctx, span, dst, mode, flags, payload, w)
+	if err != nil {
 		return Delivery{}, err
+	}
+	d, err := await(ctx, w, l.cfg.CallTimeout)
+	if err != nil {
+		l.abandonWaiter(seq, w)
+		if err == ErrCallTimeout {
+			err = fmt.Errorf("%w: %v seq %d", ErrCallTimeout, dst, seq)
+		}
+		return Delivery{}, err
+	}
+	return result(d)
+}
+
+// start registers w for the reply to a new call and sends the call. It
+// returns the call's sequence number, which the reply carries back in its
+// header. A call that could not be sent is abandoned before start returns.
+func (l *Layer) start(ctx context.Context, span uint32, dst addr.UAdd, mode wire.Mode, flags uint16, payload []byte, w *callWaiter) (uint32, error) {
+	l.calls.Inc()
+	if err := ctx.Err(); err != nil {
+		return 0, err
 	}
 	seq := l.nextSeq()
 	if l.closed.Load() {
-		return Delivery{}, ErrClosed
+		return 0, ErrClosed
 	}
-	w := l.addWaiter(seq)
-
+	l.waiters.Store(uint64(seq), w)
 	if err := l.sendInternal(ctx, dst, mode, flags|wire.FlagCall, seq, span, payload); err != nil {
 		l.abandonWaiter(seq, w)
-		return Delivery{}, err
+		return 0, err
 	}
-	d, err := l.await(ctx, w, seq, dst, l.cfg.CallTimeout, false)
-	if err == nil && d.Header.Flags&wire.FlagError != 0 {
-		return d, &RemoteError{Src: d.Header.Src, Msg: string(d.Payload)}
-	}
-	return d, err
+	return seq, nil
 }
 
-// await waits on w for the reply (or, when ping is set, the pong) to
-// seq: until it arrives, ctx ends, or timeout passes on a pooled timer.
-// On every path but an arrival the waiter is abandoned.
-func (l *Layer) await(ctx context.Context, w *callWaiter, seq uint32, dst addr.UAdd, timeout time.Duration, ping bool) (Delivery, error) {
+// await waits on w for the next reply: until one lands, ctx ends
+// (ctx.Err()), or timeout passes on a pooled timer (ErrCallTimeout). The
+// caller gives up whatever the wait did not collect.
+func await(ctx context.Context, w *callWaiter, timeout time.Duration) (Delivery, error) {
 	timer := retry.GetTimer(timeout)
 	defer retry.PutTimer(timer)
 	select {
 	case d := <-w.ch:
-		// The deliverer claimed the map entry before sending; the waiter
-		// is exclusively ours again and empty.
-		waiterPool.Put(w)
 		return d, nil
 	case <-ctx.Done():
-		l.abandonWaiter(seq, w)
 		return Delivery{}, ctx.Err()
 	case <-timer.C:
-		l.abandonWaiter(seq, w)
-		if ping {
-			return Delivery{}, fmt.Errorf("%w: ping %v", ErrCallTimeout, dst)
-		}
-		return Delivery{}, fmt.Errorf("%w: %v seq %d", ErrCallTimeout, dst, seq)
+		return Delivery{}, ErrCallTimeout
 	}
+}
+
+// result turns a reply the callee sent as an error into a *RemoteError.
+func result(d Delivery) (Delivery, error) {
+	if d.Header.Flags&wire.FlagError != 0 {
+		return d, &RemoteError{Src: d.Header.Src, Msg: string(d.Payload)}
+	}
+	return d, nil
 }
 
 // Reply answers a Call. It prefers the arriving circuit (the only path
@@ -701,15 +723,22 @@ func (l *Layer) PingContext(ctx context.Context, dst addr.UAdd, timeout time.Dur
 	if l.closed.Load() {
 		return ErrClosed
 	}
-	w := l.addWaiter(seq)
+	w := waiterPool.Get().(*callWaiter)
+	defer putWaiter(w)
+	l.waiters.Store(uint64(seq), w)
 
 	h := l.header(dst, wire.ModeNone, wire.FlagService, seq, 0)
 	h.Type = wire.TPing
-	if err := l.cfg.IP.SendContext(ctx, dst, h, nil); err != nil {
-		l.abandonWaiter(seq, w)
-		return err
+	err := l.cfg.IP.SendContext(ctx, dst, h, nil)
+	if err == nil {
+		_, err = await(ctx, w, timeout)
 	}
-	_, err := l.await(ctx, w, seq, dst, timeout, true)
+	if err != nil {
+		l.abandonWaiter(seq, w)
+		if err == ErrCallTimeout {
+			err = fmt.Errorf("%w: ping %v", ErrCallTimeout, dst)
+		}
+	}
 	return err
 }
 

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 )
 
 // Type identifies a simulated machine architecture.
@@ -224,6 +225,13 @@ func sizeOfType(t reflect.Type, m Type) int {
 // Image renders v (a struct, or pointer to struct, of fixed-size fields) as
 // the contiguous memory image a compiler on machine m would produce.
 func Image(v any, m Type) ([]byte, error) {
+	return AppendImage(nil, v, m)
+}
+
+// AppendImage appends v's memory image on machine m to dst and returns the
+// extended buffer, as Image renders it. Padding bytes are written as zeros
+// whatever dst held beyond its length.
+func AppendImage(dst []byte, v any, m Type) ([]byte, error) {
 	if !m.Valid() {
 		return nil, fmt.Errorf("machine: invalid machine type %d", m)
 	}
@@ -237,21 +245,24 @@ func Image(v any, m Type) ([]byte, error) {
 	if !imageableType(rv.Type()) {
 		return nil, ErrNotImageable
 	}
-	buf := make([]byte, sizeOfType(rv.Type(), m))
-	if n := encodeValue(buf, 0, rv, m); n != len(buf) {
-		return nil, fmt.Errorf("machine: internal size mismatch (%d != %d)", n, len(buf))
+	size := sizeOfType(rv.Type(), m)
+	start := len(dst)
+	dst = slices.Grow(dst, size)[:start+size]
+	img := dst[start:]
+	clear(img)
+	if n := encodeValue(img, 0, rv, m); n != size {
+		return nil, fmt.Errorf("machine: internal size mismatch (%d != %d)", n, size)
 	}
-	return buf, nil
+	return dst, nil
 }
 
 func encodeValue(buf []byte, off int, rv reflect.Value, m Type) int {
 	t := rv.Type()
 	switch t.Kind() {
 	case reflect.Array:
-		if t.Elem().Kind() == reflect.Uint8 {
+		if t.Elem().Kind() == reflect.Uint8 && rv.CanAddr() {
 			// Byte arrays are a straight memcpy, as on the real machines.
-			off += reflect.Copy(reflect.ValueOf(buf[off:off+rv.Len()]), rv)
-			return off
+			return off + copy(buf[off:], rv.Bytes())
 		}
 		for i := 0; i < rv.Len(); i++ {
 			off = encodeValue(buf, off, rv.Index(i), m)

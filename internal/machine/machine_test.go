@@ -318,3 +318,48 @@ func TestNegativeValueSignExtension(t *testing.T) {
 		}
 	}
 }
+
+// AppendImage onto a buffer that already holds a prefix, with stale bytes
+// past its length, writes exactly Image's bytes after the prefix: padding
+// comes out zero, not stale. A pointer and a value of the same struct give
+// the same image (a byte array in a pointed-to struct is copied whole, one
+// in a struct value byte by byte).
+func TestAppendImageMatchesImage(t *testing.T) {
+	rec := record{A: -7, B: 0xbeef, C: math.Pi, D: true, E: [4]byte{1, 2, 3, 4}, F: -1}
+	vals := []any{
+		rec,
+		&rec,
+		nested{Head: rec, Tag: 9, Tail: [2]record{rec, {A: 1}}},
+		struct {
+			A bool
+			B float32
+			C [3]int16
+		}{true, 2.5, [3]int16{-1, 0, 1}},
+	}
+	prefix := []byte("envelope:")
+	for _, m := range []Type{VAX, Sun68K, Apollo, Pyramid} {
+		for _, v := range vals {
+			want, err := Image(v, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dirty := bytes.Repeat([]byte{0xff}, len(prefix)+len(want)+8)
+			dst := append(dirty[:0], prefix...)
+			got, err := AppendImage(dst, v, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+				t.Errorf("%T on %v: AppendImage wrote %x after the prefix, Image %x", v, m, got[len(prefix):], want)
+			}
+		}
+		byValue, _ := Image(rec, m)
+		byPointer, _ := Image(&rec, m)
+		if !bytes.Equal(byValue, byPointer) {
+			t.Errorf("on %v: image of a value %x, of a pointer %x", m, byValue, byPointer)
+		}
+	}
+	if _, err := AppendImage(nil, struct{ S string }{"x"}, VAX); err != ErrNotImageable {
+		t.Errorf("AppendImage of a string field = %v, want ErrNotImageable", err)
+	}
+}

@@ -7,7 +7,13 @@
 
 package ursa
 
-import "testing"
+import (
+	"testing"
+
+	"ntcs/internal/ipcs/memnet"
+	"ntcs/internal/machine"
+	"ntcs/sim"
+)
 
 // Generated index-reply codec budgets. Append into a buffer that already
 // has room allocates nothing: its encoder lives on the stack. Unmarshal
@@ -46,5 +52,52 @@ func TestGeneratedCodecAllocBudget(t *testing.T) {
 	}
 	if unmarshal > generatedUnmarshalAllocBudget {
 		t.Errorf("UnmarshalIndexLookupReply allocates %.1f/op, budget %d", unmarshal, generatedUnmarshalAllocBudget)
+	}
+}
+
+// searchQueryAllocBudget pins one warm query's allocations over memnet,
+// counted across the client and all three backends: the search call, its
+// index lookups and its title fetches, with their encodes, decodes and
+// frame copies.
+const searchQueryAllocBudget = 54
+
+func TestSearchQueryAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget skipped in -short mode")
+	}
+	w := sim.NewWorld()
+	defer w.Close()
+	w.AddNetwork("backend", memnet.Options{})
+	if _, err := w.StartNameServer(w.MustHost("ns-host", machine.Apollo, "backend"), "ns"); err != nil {
+		t.Fatal(err)
+	}
+	backends := w.MustHost("backend-host", machine.VAX, "backend")
+	if _, err := Deploy(w, backends, backends, backends); err != nil {
+		t.Fatal(err)
+	}
+	host, err := w.Attach(w.MustHost("client-host", machine.Sun68K, "backend"), "host-1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := NewClient(host)
+	if err := client.Ingest(GenerateCorpus(200, 1)); err != nil {
+		t.Fatal(err)
+	}
+	queries := Queries(50, 2)
+	for _, q := range queries { // every lookup path and converter warm
+		if _, err := client.Search(q, 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := client.Search(queries[i%len(queries)], 5); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("warm query: %.1f allocs (budget %d)", allocs, searchQueryAllocBudget)
+	if allocs > searchQueryAllocBudget {
+		t.Errorf("warm query allocates %.1f/op, budget %d", allocs, searchQueryAllocBudget)
 	}
 }

@@ -102,18 +102,23 @@ func (s *IndexServer) Terms() int {
 }
 
 // DocServer is the document-retrieval backend.
+//
+// A stored Document is never written again: a re-ingest replaces the map's
+// pointer, not the document it pointed to. A fetch may therefore answer
+// with the stored pointer after unlocking, and the reply is encoded from it
+// without a copy.
 type DocServer struct {
 	m *core.Module
 
 	mu       sync.RWMutex
-	docs     map[int64]Document
+	docs     map[int64]*Document // immutable once stored, see above
 	requests atomic.Int64
 }
 
 // NewDocServer wraps an attached module as a document backend and starts
 // serving.
 func NewDocServer(m *core.Module) *DocServer {
-	s := &DocServer{m: m, docs: make(map[int64]Document)}
+	s := &DocServer{m: m, docs: make(map[int64]*Document)}
 	go m.Serve(s.handle)
 	return s
 }
@@ -127,8 +132,8 @@ func (s *DocServer) handle(d *core.Delivery) (string, any, error) {
 			return "", nil, err
 		}
 		s.mu.Lock()
-		for _, doc := range req.Docs {
-			s.docs[doc.ID] = doc
+		for i := range req.Docs {
+			s.docs[req.Docs[i].ID] = &req.Docs[i]
 		}
 		s.mu.Unlock()
 		return MsgIngest, IngestReply{Count: int64(len(req.Docs))}, nil
@@ -166,10 +171,19 @@ const maxSearches = 64
 // backend's other callers; searches wait here for the rest.
 const maxSubcalls = 128
 
+// searchCalls is the room of one serve loop's call set: the sub-calls one
+// search keeps in flight at most. Eight covers a round of the usual query
+// (a few terms, then five or ten hits, the first five at once); a wider
+// round sends the rest as replies come in. Every loop holds its set for
+// good, so the room is paid maxSearches times over.
+const searchCalls = 8
+
 // SearchServer orchestrates queries across the other backends. Searches
 // are served concurrently, by maxSearches serve loops, because a search
 // spends its time waiting for the other two servers; those never wait and
-// stay one serve loop each.
+// stay one serve loop each. A search runs on its serve loop from start to
+// finish: it keeps its sub-calls in flight in the loop's own call set and
+// collects their replies there, so no goroutine is started per sub-call.
 type SearchServer struct {
 	m *core.Module
 
@@ -200,7 +214,8 @@ func NewSearchServerFor(m *core.Module, indexName, docName string) *SearchServer
 		subcalls: make(chan struct{}, maxSubcalls),
 	}
 	for i := 0; i < maxSearches; i++ {
-		go m.Serve(s.handle)
+		calls := m.NewCalls(searchCalls)
+		go m.Serve(func(d *core.Delivery) (string, any, error) { return s.handle(calls, d) })
 	}
 	return s
 }
@@ -208,7 +223,7 @@ func NewSearchServerFor(m *core.Module, indexName, docName string) *SearchServer
 // Requests reports how many requests the server's serve loops have taken.
 func (s *SearchServer) Requests() int64 { return s.requests.Load() }
 
-func (s *SearchServer) handle(d *core.Delivery) (string, any, error) {
+func (s *SearchServer) handle(calls *core.Calls, d *core.Delivery) (string, any, error) {
 	s.requests.Add(1)
 	switch d.Type {
 	case MsgSearch:
@@ -216,7 +231,7 @@ func (s *SearchServer) handle(d *core.Delivery) (string, any, error) {
 		if err := d.Decode(&req); err != nil {
 			return "", nil, err
 		}
-		reply, err := s.search(req)
+		reply, err := s.search(calls, req)
 		return MsgSearch, reply, err
 	case MsgStats:
 		return MsgStats, StatsReply{Requests: s.requests.Load()}, nil
@@ -239,37 +254,65 @@ func (s *SearchServer) locate(name string, slot *addr.UAdd) (addr.UAdd, error) {
 	return *slot, nil
 }
 
-// scatter runs fn(0..n-1), one sub-call each, on one goroutine each and
-// returns when all of them have. A goroutine is started once the server is
-// below maxSubcalls, so a wide round goes out in part and the rest follows
-// as replies come in.
-func (s *SearchServer) scatter(n int, fn func(i int)) {
-	var (
-		wg   sync.WaitGroup
-		next atomic.Int32
-	)
-	// One closure serves the whole round: each goroutine takes the next
-	// index, so starting a sub-call allocates no closure of its own.
-	run := func() {
-		defer func() {
-			<-s.subcalls
-			wg.Done()
-		}()
-		fn(int(next.Add(1) - 1))
+// reserve takes one of the server's maxSubcalls slots for a sub-call of
+// calls. It reports false when the search should collect one of its own
+// replies first: its set is full, or the server is at the bound while the
+// search holds slots of its own. Only a search holding none waits for a
+// slot, so no search ever blocks while holding slots and the bound cannot
+// deadlock the serve loops.
+func (s *SearchServer) reserve(calls *core.Calls) bool {
+	if calls.Full() {
+		return false
 	}
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		s.subcalls <- struct{}{}
-		go run()
+	select {
+	case s.subcalls <- struct{}{}:
+		return true
+	default:
 	}
-	wg.Wait()
+	if calls.Len() > 0 {
+		return false
+	}
+	s.subcalls <- struct{}{}
+	return true
+}
+
+// round runs sub-calls 0..n-1 of one search round, start(i) sending call
+// i on calls, and hands each one's outcome to done as it comes in: a
+// failure to send, or the collected reply's error. Calls go out as fast as
+// reserve allows, so a round goes out at once when it can and otherwise in
+// part, the rest following as replies come in. When done returns an error
+// the round ends at once: the calls still in flight are given up.
+func (s *SearchServer) round(calls *core.Calls, n int, start func(i int) error, done func(i int, err error) error) error {
+	for i, finished := 0, 0; finished < n; {
+		var j int
+		var err error
+		if i < n && s.reserve(calls) {
+			j, err = i, start(i)
+			i++
+			if err == nil {
+				continue
+			}
+		} else {
+			j, err = calls.Next(context.Background())
+		}
+		<-s.subcalls
+		finished++
+		if err = done(j, err); err != nil {
+			for n := calls.Len(); n > 0; n-- {
+				<-s.subcalls
+			}
+			calls.Abandon()
+			return err
+		}
+	}
+	return nil
 }
 
 // search decomposes the query, gathers postings from the index server,
 // scores by summed term frequency, and titles the top hits from the
 // document server. The sub-calls of each round are in flight together:
 // a query costs two round trips to the backends, not one per term and hit.
-func (s *SearchServer) search(req SearchRequest) (SearchReply, error) {
+func (s *SearchServer) search(calls *core.Calls, req SearchRequest) (SearchReply, error) {
 	terms := Tokenize(req.Query)
 	if len(terms) == 0 {
 		return SearchReply{}, nil
@@ -279,28 +322,24 @@ func (s *SearchServer) search(req SearchRequest) (SearchReply, error) {
 		return SearchReply{}, fmt.Errorf("search: %w", err)
 	}
 
-	// Round 1. Replies land in a slice indexed by term, so scoring reads
-	// them in query order whatever order they arrived in. The first lookup
-	// to fail cancels the rest; a lookup that ends with that cancellation is
-	// not a failure of its term and records nothing, every other error is
-	// kept, and the lowest-index one is returned.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	// Round 1. Each lookup is tagged with its term's index, and its reply
+	// lands in a slice indexed the same way, so scoring reads them in query
+	// order whatever order they arrived in. The first lookup to fail fails
+	// the query at once: the rest are given up, not waited for.
+	ctx := context.Background()
 	lookups := make([]IndexLookupReply, len(terms))
-	errs := make([]error, len(terms))
-	s.scatter(len(terms), func(i int) {
-		err := s.m.CallContext(ctx, indexU, MsgIndexLookup, IndexLookupRequest{Term: terms[i]}, &lookups[i])
-		if err != nil {
-			if !errors.Is(err, context.Canceled) {
-				errs[i] = err
+	err = s.round(calls, len(terms),
+		func(i int) error {
+			return calls.Start(ctx, i, indexU, MsgIndexLookup, IndexLookupRequest{Term: terms[i]}, &lookups[i])
+		},
+		func(i int, err error) error {
+			if err != nil {
+				return fmt.Errorf("index lookup %q: %w", terms[i], err)
 			}
-			cancel()
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return SearchReply{}, fmt.Errorf("index lookup %q: %w", terms[i], err)
-		}
+			return nil
+		})
+	if err != nil {
+		return SearchReply{}, err
 	}
 
 	// Presized for the worst case, every posting a different document, so
@@ -329,12 +368,19 @@ func (s *SearchServer) search(req SearchRequest) (SearchReply, error) {
 	if err != nil {
 		return SearchReply{}, fmt.Errorf("search: %w", err)
 	}
-	// Round 2. A missing title degrades the hit, not the query.
-	s.scatter(len(hits), func(i int) {
-		var doc Document
-		if s.m.CallContext(context.Background(), docsU, MsgFetch, FetchRequest{DocID: hits[i].DocID}, &doc) == nil {
-			hits[i].Title = doc.Title
-		}
-	})
+	// Round 2. A missing title degrades the hit, not the query. Next
+	// decodes each reply before it returns, so all fetches share one
+	// Document to decode into.
+	var doc Document
+	_ = s.round(calls, len(hits),
+		func(i int) error {
+			return calls.Start(ctx, i, docsU, MsgFetch, FetchRequest{DocID: hits[i].DocID}, &doc)
+		},
+		func(i int, err error) error {
+			if err == nil {
+				hits[i].Title = doc.Title
+			}
+			return nil
+		})
 	return SearchReply{Hits: hits}, nil
 }

@@ -73,6 +73,14 @@ type Module = core.Module
 // Config assembles a module.
 type Config = core.Config
 
+// Calls is a set of calls in flight from one goroutine (Module.NewCalls):
+// CallContext split into Start, which sends and returns, and Next, which
+// collects whichever reply arrives first and names its call by the tag it
+// was started with. Every reply lands on the set's one channel, as
+// net/rpc's Client.Go does with a shared done channel, so one goroutine
+// waits for many calls without a goroutine per call.
+type Calls = core.Calls
+
 // Converter carries application pack/unpack functions (§5.1). Pack
 // appends the packed body to the envelope it is handed, in the
 // strconv.AppendInt idiom.
