@@ -74,8 +74,8 @@ bench-serve:
 	NTCS_SCALE=1 $(GO) test ./internal/experiments -run TestBenchServe -count=1 -v -timeout 30m
 
 # serve-gate is the CI slice of the serving bench: a short open-loop
-# window must complete queries with zero corrupted replies and the
-# dispatch pool scheduling work, under the race detector.
+# window must complete queries with zero corrupted replies and a send
+# queue starting a drain, under the race detector.
 serve-gate:
 	$(GO) test ./internal/experiments -run TestServeGate -race -count=1 -v
 

@@ -96,7 +96,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	_ = ursa.NewSearchServer(m)
+	ursa.NewSearchServer(m) // serves on its own loops; no handle needed
 
 	// The host's cached UAdd now points at a dead module; the first
 	// query faults, forwards, and lands on the replacement.

@@ -3,5 +3,6 @@ package ursa
 // The search server's caps, for the backpressure tests.
 const (
 	MaxSearches = maxSearches
-	MaxSubcalls = maxSubcalls
+	SearchCalls = searchCalls
+	MaxSubcalls = maxSearches * searchCalls
 )

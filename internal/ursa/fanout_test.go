@@ -388,8 +388,8 @@ func TestSearchCapKeepsBackpressure(t *testing.T) {
 	const queued = 5
 	const sent = ursa.MaxSearches + queued
 	const fetches = 2 // "apple" hits two documents
-	if ursa.MaxSearches*fetches > ursa.MaxSubcalls {
-		t.Fatalf("%d searches of %d fetches each stall on the sub-call cap of %d before the search cap", ursa.MaxSearches, fetches, ursa.MaxSubcalls)
+	if fetches > ursa.SearchCalls {
+		t.Fatalf("searches of %d fetches each stall on their call set of %d before the search cap", fetches, ursa.SearchCalls)
 	}
 	results := make(chan error, sent)
 	for i := 0; i < sent; i++ {
@@ -441,11 +441,11 @@ func TestSearchCapKeepsBackpressure(t *testing.T) {
 }
 
 func TestWideQueriesDoNotOverflowBackendInbox(t *testing.T) {
-	// A full house of searches, each with ten titles to fetch, wants 640
-	// fetches outstanding at a document server whose inbox holds 256 and
-	// drops the rest; a dropped fetch is waited for until the call timeout.
-	// One pause in the backend is enough for them to pile up. The server's
-	// bound on outstanding sub-calls keeps the pile inside the inbox.
+	// A full house of searches, each with ten titles to fetch, wants ten
+	// fetches apiece outstanding at a document server whose inbox holds 256
+	// and refuses the rest. One pause in the backend is enough for them to
+	// pile up. The server's bound on outstanding sub-calls, its loops times
+	// their call sets, keeps the pile inside half the inbox.
 	b := newBed(t)
 	ursa.NewIndexServer(b.attach(ursa.IndexServerName, machine.Apollo))
 	const wide = 10
@@ -500,6 +500,10 @@ func TestWideQueriesDoNotOverflowBackendInbox(t *testing.T) {
 	defer mu.Unlock()
 	if deepest > ursa.MaxSubcalls {
 		t.Errorf("document server's inbox reached %d, above the %d sub-calls the search server may have outstanding", deepest, ursa.MaxSubcalls)
+	}
+	const halfInbox = 128 // half the LCM's default inbox of 256
+	if deepest > halfInbox {
+		t.Errorf("document server's inbox reached %d, above half its default inbox (%d)", deepest, halfInbox)
 	}
 	if deepest < ursa.MaxSubcalls/2 {
 		t.Errorf("document server's inbox only reached %d: the searches never piled up, the test proves nothing", deepest)

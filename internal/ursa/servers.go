@@ -158,25 +158,16 @@ func (s *DocServer) handle(d *core.Delivery) (string, any, error) {
 	return "", nil, errors.New("ursa-docs: unknown request " + d.Type)
 }
 
-// maxSearches caps the searches one server has in flight: it runs that
-// many serve loops over its one inbox. With every loop busy nobody
-// receives, and the LCM inbox takes the queue.
-const maxSearches = 64
-
-// maxSubcalls caps the sub-calls one server has outstanding, over all its
-// searches. A backend queues what it has not served yet in its LCM inbox
-// (256 deliveries by default) and drops what does not fit, so the searches
-// together must never have more than that on their way to it: maxSearches
-// queries of ten hits each would. Half the default inbox is left to the
-// backend's other callers; searches wait here for the rest.
-const maxSubcalls = 128
-
 // searchCalls is the room of one serve loop's call set: the sub-calls one
 // search keeps in flight at most. Eight covers a round of the usual query
 // (a few terms, then five or ten hits, the first five at once); a wider
-// round sends the rest as replies come in. Every loop holds its set for
-// good, so the room is paid maxSearches times over.
-const searchCalls = 8
+// round sends the rest as replies come in. The maxSearches loops' sets
+// bound a server's outstanding sub-calls at 128, half a backend's default
+// LCM inbox; the other half is left to the backend's other callers.
+const (
+	searchCalls = 8
+	maxSearches = 128 / searchCalls
+)
 
 // SearchServer orchestrates queries across the other backends. Searches
 // are served concurrently, by maxSearches serve loops, because a search
@@ -196,7 +187,6 @@ type SearchServer struct {
 	indexU addr.UAdd
 	docsU  addr.UAdd
 
-	subcalls chan struct{} // counting semaphore over outstanding sub-calls
 	requests atomic.Int64
 }
 
@@ -209,10 +199,7 @@ func NewSearchServer(m *core.Module) *SearchServer {
 // NewSearchServerFor is NewSearchServer bound to explicit backend names —
 // one search shard talking to its own index/doc shard.
 func NewSearchServerFor(m *core.Module, indexName, docName string) *SearchServer {
-	s := &SearchServer{
-		m: m, indexName: indexName, docName: docName,
-		subcalls: make(chan struct{}, maxSubcalls),
-	}
+	s := &SearchServer{m: m, indexName: indexName, docName: docName}
 	for i := 0; i < maxSearches; i++ {
 		calls := m.NewCalls(searchCalls)
 		go m.Serve(func(d *core.Delivery) (string, any, error) { return s.handle(calls, d) })
@@ -254,39 +241,17 @@ func (s *SearchServer) locate(name string, slot *addr.UAdd) (addr.UAdd, error) {
 	return *slot, nil
 }
 
-// reserve takes one of the server's maxSubcalls slots for a sub-call of
-// calls. It reports false when the search should collect one of its own
-// replies first: its set is full, or the server is at the bound while the
-// search holds slots of its own. Only a search holding none waits for a
-// slot, so no search ever blocks while holding slots and the bound cannot
-// deadlock the serve loops.
-func (s *SearchServer) reserve(calls *core.Calls) bool {
-	if calls.Full() {
-		return false
-	}
-	select {
-	case s.subcalls <- struct{}{}:
-		return true
-	default:
-	}
-	if calls.Len() > 0 {
-		return false
-	}
-	s.subcalls <- struct{}{}
-	return true
-}
-
 // round runs sub-calls 0..n-1 of one search round, start(i) sending call
 // i on calls, and hands each one's outcome to done as it comes in: a
-// failure to send, or the collected reply's error. Calls go out as fast as
-// reserve allows, so a round goes out at once when it can and otherwise in
+// failure to send, or the collected reply's error. Calls go out while the
+// set has room, so a round goes out at once when it fits and otherwise in
 // part, the rest following as replies come in. When done returns an error
 // the round ends at once: the calls still in flight are given up.
-func (s *SearchServer) round(calls *core.Calls, n int, start func(i int) error, done func(i int, err error) error) error {
-	for i, finished := 0, 0; finished < n; {
+func round(calls *core.Calls, n int, start func(i int) error, done func(i int, err error) error) error {
+	for i := 0; i < n || calls.Len() > 0; {
 		var j int
 		var err error
-		if i < n && s.reserve(calls) {
+		if i < n && !calls.Full() {
 			j, err = i, start(i)
 			i++
 			if err == nil {
@@ -295,12 +260,7 @@ func (s *SearchServer) round(calls *core.Calls, n int, start func(i int) error, 
 		} else {
 			j, err = calls.Next(context.Background())
 		}
-		<-s.subcalls
-		finished++
 		if err = done(j, err); err != nil {
-			for n := calls.Len(); n > 0; n-- {
-				<-s.subcalls
-			}
 			calls.Abandon()
 			return err
 		}
@@ -328,7 +288,7 @@ func (s *SearchServer) search(calls *core.Calls, req SearchRequest) (SearchReply
 	// the query at once: the rest are given up, not waited for.
 	ctx := context.Background()
 	lookups := make([]IndexLookupReply, len(terms))
-	err = s.round(calls, len(terms),
+	err = round(calls, len(terms),
 		func(i int) error {
 			return calls.Start(ctx, i, indexU, MsgIndexLookup, IndexLookupRequest{Term: terms[i]}, &lookups[i])
 		},
@@ -368,11 +328,11 @@ func (s *SearchServer) search(calls *core.Calls, req SearchRequest) (SearchReply
 	if err != nil {
 		return SearchReply{}, fmt.Errorf("search: %w", err)
 	}
-	// Round 2. A missing title degrades the hit, not the query. Next
-	// decodes each reply before it returns, so all fetches share one
-	// Document to decode into.
+	// Round 2. A missing title degrades the hit, not the query, so done
+	// never fails and neither does the round. Next decodes each reply
+	// before it returns, so all fetches share one Document to decode into.
 	var doc Document
-	_ = s.round(calls, len(hits),
+	err = round(calls, len(hits),
 		func(i int) error {
 			return calls.Start(ctx, i, docsU, MsgFetch, FetchRequest{DocID: hits[i].DocID}, &doc)
 		},
@@ -382,5 +342,5 @@ func (s *SearchServer) search(calls *core.Calls, req SearchRequest) (SearchReply
 			}
 			return nil
 		})
-	return SearchReply{Hits: hits}, nil
+	return SearchReply{Hits: hits}, err
 }
