@@ -895,7 +895,10 @@ func (m *Module) recvInto(d *Delivery, timeout time.Duration) (err error) {
 //
 // Each loop reuses one Delivery for every message it serves: d, its Type
 // and its Body are valid only until h returns, so a handler that keeps
-// anything of the message past that copies it.
+// anything of the message past that copies it. The other way round, the
+// reply is encoded before h runs again on that loop, so h may return a
+// pointer to storage its loop reuses for every message; a reply returned
+// by value costs one allocation to box it.
 func (m *Module) Serve(h func(d *Delivery) (replyType string, reply any, err error)) {
 	d := new(Delivery)
 	for {

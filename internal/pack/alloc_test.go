@@ -63,3 +63,38 @@ func TestPackedDecodeAllocBudget(t *testing.T) {
 		t.Errorf("compiled packed decode allocates %.1f/op, budget %d", avg, packedDecodeAllocBudget)
 	}
 }
+
+// structListDecodeAllocBudget pins the decode of a list of structs into a
+// reused target: the list's array is the one allocation. Its strings
+// share the pooled decoder's arena, and the slice header is written in
+// place, so a second allocation means the list went through a
+// reflect.Value of its own.
+const structListDecodeAllocBudget = 1
+
+func TestStructListDecodeAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc budget skipped in -short mode")
+	}
+	type hit struct {
+		DocID int64
+		Score int64
+		Title string
+	}
+	type reply struct{ Hits []hit }
+	data, err := Marshal(reply{Hits: []hit{{1, 3000, "title-1"}, {2, 2000, "title-2"}, {3, 1000, "title-3"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out reply
+	if err := Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if err := Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > structListDecodeAllocBudget {
+		t.Errorf("struct-list decode allocates %.1f/op, budget %d", avg, structListDecodeAllocBudget)
+	}
+}

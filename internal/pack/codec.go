@@ -25,9 +25,9 @@
 //  1. A store into memory that may hold pointers is a typed store — a
 //     *(*unsafe.Pointer)(p), a typed slice, map or string, a sliceHeader —
 //     never one through uintptr, so the write barrier runs. Generic
-//     slices are allocated with reflect.MakeSlice so the collector knows
-//     the element type; only []int32/int64/uint64 are carved from the
-//     decoder's noscan arena.
+//     slices are allocated by reflect's Grow on the target itself, so the
+//     collector knows the element type; only []int32/int64/uint64 are
+//     carved from the decoder's noscan arena.
 //  2. A map entry has no address: encode copies each key and value into
 //     one reflect.New pair per map and hands the sub-plans its pointers;
 //     decode reuses one such pair for every entry unless the entry type
@@ -515,6 +515,10 @@ type sliceHeader struct {
 	len, cap int
 }
 
+// zeroArray is where a decoded empty list's slice points: non-nil, as
+// make([]T, 0) is, so that it stays distinct from a decoded nil.
+var zeroArray [0]byte
+
 // encList writes a list of n elements laid out stride bytes apart from
 // base; decListElems fills them once the caller has read the header.
 // Slices and arrays share both.
@@ -582,10 +586,21 @@ func (c *compiler) slicePlan(t reflect.Type) (*plan, error) {
 				d.pop()
 				return err
 			}
-			// MakeSlice, not the arena: the collector must know the element
-			// type of memory that may come to hold pointers.
-			data := reflect.MakeSlice(t, n, n).UnsafePointer()
+			// Typed memory, not the arena: the collector must know the
+			// element type of memory that may come to hold pointers. Grow
+			// through *p itself allocates the array alone, where MakeSlice
+			// would allocate its Value's header beside it; *p is emptied
+			// first so the array is always a fresh one, and is put back if
+			// an element fails to decode.
+			old := *(*sliceHeader)(p)
+			data := unsafe.Pointer(&zeroArray)
+			if n > 0 {
+				*(*sliceHeader)(p) = sliceHeader{}
+				reflect.NewAt(t, p).Elem().Grow(n)
+				data = (*sliceHeader)(p).data
+			}
 			if err := decListElems(d, elem, data, n, stride); err != nil {
+				*(*sliceHeader)(p) = old
 				d.pop()
 				return err
 			}

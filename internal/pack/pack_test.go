@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -342,6 +343,40 @@ func TestUnmarshalErrors(t *testing.T) {
 	var u uint32
 	if err := Unmarshal([]byte("u99999999999;"), &u); !errors.Is(err, ErrOverflow) {
 		t.Errorf("uint overflow: got %v", err)
+	}
+}
+
+// A list of structs decodes into an array of its own: the target's old
+// array is neither written on success nor replaced on failure.
+func TestStructListDecodeLeavesOldArrayAlone(t *testing.T) {
+	type rec struct {
+		ID   int64
+		Name string
+	}
+	data, err := Marshal([]rec{{1, "a"}, {2, "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := []rec{{9, "kept"}, {8, "kept"}, {7, "kept"}}
+	want := slices.Clone(old)
+
+	out := old[:1]
+	if err := Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, []rec{{1, "a"}, {2, "b"}}) {
+		t.Errorf("decoded %+v", out)
+	}
+	if !reflect.DeepEqual(old, want) {
+		t.Errorf("decode wrote into the target's old array: %+v", old)
+	}
+
+	out = old
+	if err := Unmarshal(data[:len(data)-3], &out); err == nil {
+		t.Fatal("truncated list decoded")
+	}
+	if &out[0] != &old[0] || len(out) != len(old) || !reflect.DeepEqual(old, want) {
+		t.Errorf("failed decode left %+v, want the old slice %+v", out, want)
 	}
 }
 

@@ -27,6 +27,12 @@ type IndexServer struct {
 	postings map[string][]Posting // append-only lists, see above
 	docs     int64
 	requests atomic.Int64
+
+	// The serve loop's own lookup request and reply, reused for every
+	// lookup: Serve encodes the reply before the loop takes its next
+	// message, so the loop may answer with a pointer to its own storage.
+	lookup IndexLookupRequest
+	found  IndexLookupReply
 }
 
 // NewIndexServer wraps an attached module as an index backend and starts
@@ -48,11 +54,11 @@ func (s *IndexServer) handle(d *core.Delivery) (string, any, error) {
 		s.index(req.Docs)
 		return MsgIngest, IngestReply{Count: int64(len(req.Docs))}, nil
 	case MsgIndexLookup:
-		var req IndexLookupRequest
-		if err := d.Decode(&req); err != nil {
+		if err := d.Decode(&s.lookup); err != nil {
 			return "", nil, err
 		}
-		return MsgIndexLookup, IndexLookupReply{Term: req.Term, Postings: s.view(req.Term)}, nil
+		s.found = IndexLookupReply{Term: s.lookup.Term, Postings: s.view(s.lookup.Term)}
+		return MsgIndexLookup, &s.found, nil
 	case MsgStats:
 		s.mu.RLock()
 		items := s.docs
@@ -66,14 +72,17 @@ func (s *IndexServer) handle(d *core.Delivery) (string, any, error) {
 func (s *IndexServer) index(docs []Document) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var terms []string
+	freqs := make(map[string]int64)
 	for _, doc := range docs {
-		freqs := make(map[string]int64)
-		for _, term := range Tokenize(doc.Title + " " + doc.Text) {
+		terms = appendTokens(appendTokens(terms[:0], doc.Title), doc.Text)
+		for _, term := range terms {
 			freqs[term]++
 		}
 		for term, f := range freqs {
 			s.postings[term] = append(s.postings[term], Posting{DocID: doc.ID, Freq: f})
 		}
+		clear(freqs)
 		s.docs++
 	}
 }
@@ -113,6 +122,8 @@ type DocServer struct {
 	mu       sync.RWMutex
 	docs     map[int64]*Document // immutable once stored, see above
 	requests atomic.Int64
+
+	fetch FetchRequest // the serve loop's own, reused for every fetch
 }
 
 // NewDocServer wraps an attached module as a document backend and starts
@@ -127,6 +138,7 @@ func (s *DocServer) handle(d *core.Delivery) (string, any, error) {
 	s.requests.Add(1)
 	switch d.Type {
 	case MsgIngest:
+		// A fresh request every time: the stored documents are its own.
 		var req IngestRequest
 		if err := d.Decode(&req); err != nil {
 			return "", nil, err
@@ -138,15 +150,14 @@ func (s *DocServer) handle(d *core.Delivery) (string, any, error) {
 		s.mu.Unlock()
 		return MsgIngest, IngestReply{Count: int64(len(req.Docs))}, nil
 	case MsgFetch:
-		var req FetchRequest
-		if err := d.Decode(&req); err != nil {
+		if err := d.Decode(&s.fetch); err != nil {
 			return "", nil, err
 		}
 		s.mu.RLock()
-		doc, ok := s.docs[req.DocID]
+		doc, ok := s.docs[s.fetch.DocID]
 		s.mu.RUnlock()
 		if !ok {
-			return "", nil, fmt.Errorf("ursa-docs: no document %d", req.DocID)
+			return "", nil, fmt.Errorf("ursa-docs: no document %d", s.fetch.DocID)
 		}
 		return MsgFetch, doc, nil
 	case MsgStats:
@@ -188,6 +199,44 @@ type SearchServer struct {
 	docsU  addr.UAdd
 
 	requests atomic.Int64
+
+	loops   [maxSearches]searchLoop
+	scratch sync.Pool // of *searchScratch
+}
+
+// searchLoop is one serve loop's own storage, reused by every search it
+// serves: the request decodes into req, each sub-call's body is written
+// into lookup or fetch and encoded by Start, and each fetch's reply
+// decodes into doc (Next decodes before it returns). None of it grows with
+// the query. The fields that hold strings are zeroed when a search ends,
+// so a loop parked between searches pins no message.
+type searchLoop struct {
+	calls  *core.Calls
+	req    SearchRequest
+	lookup IndexLookupRequest
+	fetch  FetchRequest
+	doc    Document
+}
+
+// searchScratch is what a search needs that grows with its query. It is
+// pooled rather than kept per loop: the inbox hands messages to the loops
+// in turn, so every loop would come to keep the largest scratch it had
+// seen. Everything in it is cleared before it goes back.
+type searchScratch struct {
+	terms   []string
+	lookups []IndexLookupReply // lookups[i] is terms[i]'s reply
+	scores  map[int64]int64
+	hits    []Hit // every candidate; the reply is a clone of the best
+}
+
+// release clears sc, keeping its storage, and returns it to the pool.
+func (s *SearchServer) release(sc *searchScratch) {
+	clear(sc.terms)
+	clear(sc.lookups)
+	clear(sc.scores)
+	clear(sc.hits)
+	sc.terms, sc.lookups, sc.hits = sc.terms[:0], sc.lookups[:0], sc.hits[:0]
+	s.scratch.Put(sc)
 }
 
 // NewSearchServer wraps an attached module as the search backend and
@@ -200,9 +249,11 @@ func NewSearchServer(m *core.Module) *SearchServer {
 // one search shard talking to its own index/doc shard.
 func NewSearchServerFor(m *core.Module, indexName, docName string) *SearchServer {
 	s := &SearchServer{m: m, indexName: indexName, docName: docName}
-	for i := 0; i < maxSearches; i++ {
-		calls := m.NewCalls(searchCalls)
-		go m.Serve(func(d *core.Delivery) (string, any, error) { return s.handle(calls, d) })
+	s.scratch.New = func() any { return &searchScratch{scores: make(map[int64]int64)} }
+	for i := range s.loops {
+		l := &s.loops[i]
+		l.calls = m.NewCalls(searchCalls)
+		go m.Serve(func(d *core.Delivery) (string, any, error) { return s.handle(l, d) })
 	}
 	return s
 }
@@ -210,15 +261,16 @@ func NewSearchServerFor(m *core.Module, indexName, docName string) *SearchServer
 // Requests reports how many requests the server's serve loops have taken.
 func (s *SearchServer) Requests() int64 { return s.requests.Load() }
 
-func (s *SearchServer) handle(calls *core.Calls, d *core.Delivery) (string, any, error) {
+func (s *SearchServer) handle(l *searchLoop, d *core.Delivery) (string, any, error) {
 	s.requests.Add(1)
 	switch d.Type {
 	case MsgSearch:
-		var req SearchRequest
-		if err := d.Decode(&req); err != nil {
-			return "", nil, err
+		var reply SearchReply
+		err := d.Decode(&l.req)
+		if err == nil {
+			reply, err = s.search(l)
 		}
-		reply, err := s.search(calls, req)
+		l.req, l.lookup, l.doc = SearchRequest{}, IndexLookupRequest{}, Document{}
 		return MsgSearch, reply, err
 	case MsgStats:
 		return MsgStats, StatsReply{Requests: s.requests.Load()}, nil
@@ -268,12 +320,17 @@ func round(calls *core.Calls, n int, start func(i int) error, done func(i int, e
 	return nil
 }
 
-// search decomposes the query, gathers postings from the index server,
-// scores by summed term frequency, and titles the top hits from the
-// document server. The sub-calls of each round are in flight together:
-// a query costs two round trips to the backends, not one per term and hit.
-func (s *SearchServer) search(calls *core.Calls, req SearchRequest) (SearchReply, error) {
-	terms := Tokenize(req.Query)
+// search decomposes the loop's query, gathers postings from the index
+// server, scores by summed term frequency, and titles the top hits from
+// the document server. The sub-calls of each round are in flight
+// together: a query costs two round trips to the backends, not one per
+// term and hit. The reply's hits are its own; all else is the loop's or
+// the pooled scratch's.
+func (s *SearchServer) search(l *searchLoop) (SearchReply, error) {
+	sc := s.scratch.Get().(*searchScratch)
+	defer s.release(sc)
+	terms := appendTokens(sc.terms, l.req.Query)
+	sc.terms = terms
 	if len(terms) == 0 {
 		return SearchReply{}, nil
 	}
@@ -287,10 +344,12 @@ func (s *SearchServer) search(calls *core.Calls, req SearchRequest) (SearchReply
 	// order whatever order they arrived in. The first lookup to fail fails
 	// the query at once: the rest are given up, not waited for.
 	ctx := context.Background()
-	lookups := make([]IndexLookupReply, len(terms))
-	err = round(calls, len(terms),
+	lookups := slices.Grow(sc.lookups, len(terms))[:len(terms)]
+	sc.lookups = lookups
+	err = round(l.calls, len(terms),
 		func(i int) error {
-			return calls.Start(ctx, i, indexU, MsgIndexLookup, IndexLookupRequest{Term: terms[i]}, &lookups[i])
+			l.lookup.Term = terms[i]
+			return l.calls.Start(ctx, i, indexU, MsgIndexLookup, &l.lookup, &lookups[i])
 		},
 		func(i int, err error) error {
 			if err != nil {
@@ -302,23 +361,18 @@ func (s *SearchServer) search(calls *core.Calls, req SearchRequest) (SearchReply
 		return SearchReply{}, err
 	}
 
-	// Presized for the worst case, every posting a different document, so
-	// the map never grows while it scores.
-	n := 0
-	for _, l := range lookups {
-		n += len(l.Postings)
-	}
-	scores := make(map[int64]int64, n)
-	for _, l := range lookups {
-		for _, p := range l.Postings {
+	scores := sc.scores
+	for _, lr := range lookups {
+		for _, p := range lr.Postings {
 			scores[p.DocID] += p.Freq * 1000
 		}
 	}
-	hits := make([]Hit, 0, len(scores))
+	hits := slices.Grow(sc.hits, len(scores))
 	for id, score := range scores {
 		hits = append(hits, Hit{DocID: id, Score: score})
 	}
-	limit := req.Limit
+	sc.hits = hits
+	limit := l.req.Limit
 	if limit <= 0 {
 		limit = 10
 	}
@@ -329,18 +383,17 @@ func (s *SearchServer) search(calls *core.Calls, req SearchRequest) (SearchReply
 		return SearchReply{}, fmt.Errorf("search: %w", err)
 	}
 	// Round 2. A missing title degrades the hit, not the query, so done
-	// never fails and neither does the round. Next decodes each reply
-	// before it returns, so all fetches share one Document to decode into.
-	var doc Document
-	err = round(calls, len(hits),
+	// never fails and neither does the round.
+	err = round(l.calls, len(hits),
 		func(i int) error {
-			return calls.Start(ctx, i, docsU, MsgFetch, FetchRequest{DocID: hits[i].DocID}, &doc)
+			l.fetch.DocID = hits[i].DocID
+			return l.calls.Start(ctx, i, docsU, MsgFetch, &l.fetch, &l.doc)
 		},
 		func(i int, err error) error {
 			if err == nil {
-				hits[i].Title = doc.Title
+				hits[i].Title = l.doc.Title
 			}
 			return nil
 		})
-	return SearchReply{Hits: hits}, err
+	return SearchReply{Hits: append([]Hit{}, hits...)}, err
 }

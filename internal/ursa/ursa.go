@@ -122,15 +122,33 @@ type StatsReply struct {
 }
 
 // Tokenize splits text into lowercase terms (letters and digits only).
-func Tokenize(text string) []string {
-	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
-		switch {
-		case r >= 'a' && r <= 'z', r >= '0' && r <= '9':
-			return false
-		default:
-			return true
+func Tokenize(text string) []string { return appendTokens(nil, text) }
+
+// appendTokens appends text's terms to dst, as Tokenize splits them. The
+// terms are substrings of text when it is lowercase already, so a caller
+// that appends into reused storage allocates nothing. Once lowered, a
+// term is ASCII letters and digits, and every byte of a multi-byte rune
+// is at least 0x80, so splitting bytewise splits as the runes would.
+func appendTokens(dst []string, text string) []string {
+	text = strings.ToLower(text)
+	start := -1
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
+			if start < 0 {
+				start = i
+			}
+			continue
 		}
-	})
+		if start >= 0 {
+			dst = append(dst, text[start:i])
+			start = -1
+		}
+	}
+	if start >= 0 {
+		dst = append(dst, text[start:])
+	}
+	return dst
 }
 
 // Client is a host processor's view of the URSA backends.

@@ -50,6 +50,7 @@ func TestTokenize(t *testing.T) {
 		{"", nil},
 		{"  ...  ", nil},
 		{"doc42 v2", []string{"doc42", "v2"}},
+		{"Straße-ÜBER\xffmaß", []string{"stra", "e", "ber", "ma"}},
 	}
 	for _, tt := range tests {
 		got := ursa.Tokenize(tt.give)
